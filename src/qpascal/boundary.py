@@ -36,7 +36,7 @@ from .exactq import (
     parse_rational,
     q_binomial,
 )
-from .laws import VArray
+from .laws import ForwardChain, VArray
 
 ZERO_POINT = math.inf  # boundary point x = 0, "kappa = infinity"
 
@@ -169,42 +169,44 @@ def extreme_kernel(
     return value, q_binomial(n, k, q) * value
 
 
-def extreme_array(kappa, q: QParam, depth: int) -> VArray:
-    """Triangle of the extreme law at x = q^kappa (math.inf gives x = 0)."""
+def extreme_stay(kappa, q: QParam, k: int) -> Fraction:
+    """P(next letter 0 | k ones so far) in the extreme law at x = q^kappa.
+
+    It is q^(kappa-k) below kappa ones and 1 from then on; kappa = math.inf
+    never emits a zero.  Both extreme samplers and laws read it.
+    """
+    if isinstance(kappa, float):
+        return Fraction(0)
+    return q.q ** (kappa - k) if k < kappa else Fraction(1)
+
+
+def extreme_chain(kappa, q: QParam) -> ForwardChain:
+    """The extreme law at x = q^kappa as a forward chain, p1 = 1 - q^(kappa-k)."""
     q.require_sub_unit("extreme array")
     _check_kappa(kappa)
-    if isinstance(kappa, float):  # zero boundary point: the all-ones law
-        rows = tuple(
-            tuple(Fraction(1) if k == n else Fraction(0) for k in range(n + 1))
-            for n in range(depth + 1)
-        )
-        return VArray(q, rows)
-    x = q.q**kappa
-    rows = tuple(
-        tuple(extreme_kernel(n, k, x, q)[0] for k in range(n + 1))
-        for n in range(depth + 1)
-    )
-    return VArray(q, rows)
+    return ForwardChain(q, lambda n, k: 1 - extreme_stay(kappa, q, k))
+
+
+def extreme_array(kappa, q: QParam, depth: int) -> VArray:
+    """Triangle of the extreme law at x = q^kappa (math.inf gives x = 0)."""
+    return extreme_chain(kappa, q).triangle(depth)
 
 
 def mixture_array(measure: BoundaryMeasure, depth: int) -> VArray:
-    """Triangle of the mixture of extreme laws under ``measure``."""
-    q = measure.q
-    qq = q.q
-    xs = [(qq**kappa, mass) for kappa, mass in measure.atoms]
-    rows = []
-    for n in range(depth + 1):
-        row = []
-        for k in range(n + 1):
-            total = Fraction(0)
-            for x, mass in xs:
-                if mass:
-                    total += mass * extreme_kernel(n, k, x, q)[0]
-            if k == n:
-                total += measure.zero_mass
-            row.append(total)
-        rows.append(tuple(row))
-    return VArray(q, tuple(rows))
+    """Triangle of the mixture of extreme laws under ``measure``: the
+    mass-weighted sum of the extreme triangles, plus zero_mass on the
+    diagonal (the all-ones law at x = 0)."""
+    rows = [[Fraction(0)] * (n + 1) for n in range(depth + 1)]
+    for kappa, mass in measure.atoms:
+        if mass:
+            extreme = extreme_array(kappa, measure.q, depth).rows
+            for row, ext in zip(rows, extreme):
+                for k, v in enumerate(ext):
+                    if v:
+                        row[k] += mass * v
+    for n, row in enumerate(rows):
+        row[n] += measure.zero_mass
+    return VArray(measure.q, rows)
 
 
 def recover_measure(array: VArray, nu: int = 40, kmax: int = 12) -> BoundaryMeasure:

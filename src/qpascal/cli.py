@@ -26,6 +26,7 @@ from .boundary import (
     BoundaryMeasure,
     MomentSequence,
     extreme_array,
+    extreme_chain,
     is_q_completely_monotone,
     mixture_array,
     recover_measure,
@@ -39,8 +40,6 @@ from .errors import (
 )
 from .exactq import QParam, format_rational, parse_rational, q_binomial
 from .galois import (
-    FieldSpec,
-    Subspace,
     codim_word,
     enumerate_grassmannian,
     make_field,
@@ -61,17 +60,35 @@ from .processes import (
     empirical_level_histogram,
     extreme_sampler,
     polya_array,
-    polya_forward_probs,
-    polya_sampler,
-    sample_extreme,
-    sample_polya,
-    sample_theta,
+    polya_chain,
     theta_array,
-    theta_sampler,
+    theta_chain,
 )
 
 LAWS = ("extreme", "mixture", "theta", "polya")
 PROCESSES = ("extreme", "theta", "polya")
+
+
+def _int_in(low: int, high=math.inf):
+    """argparse type: an integer in [low, high); anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(
+                "%d is outside [%d, %s)" % (value, low, high)
+            )
+        return value
+
+    return parse
+
+
+_count = _int_in(0)
+_trials = _int_in(1)
+_seed = _int_in(0, 1 << 64)
 
 
 def _parse_q(text: str) -> QParam:
@@ -197,6 +214,7 @@ def _cmd_table(args) -> int:
 
 
 def _make_sampler(args):
+    """The sampler, the echoed parameters and the exact level law of n letters."""
     q = _parse_q(args.q)
     if args.process == "extreme":
         if args.kappa is None:
@@ -204,49 +222,23 @@ def _make_sampler(args):
         kappa = _parse_kappa(args.kappa)
         sampler = extreme_sampler(kappa, q, args.mode)
         params = {"kappa": args.kappa, "q": args.q, "mode": args.mode}
-        exact = lambda n: _tilde_level(extreme_array(kappa, q, n), n)
-        return sampler, params, exact
+        return sampler, params, extreme_chain(kappa, q).level
     if args.process == "theta":
         if args.theta is None:
             raise ValueError("--theta is required for the theta process")
-        tp = ThetaParams(_parse_theta(args.theta), q)
+        chain = theta_chain(ThetaParams(_parse_theta(args.theta), q))
         params = {"theta": args.theta, "q": args.q}
-        if tp.infinite:
-            exact = lambda n: [Fraction(0)] * n + [Fraction(1)]
-        else:
-            exact = lambda n: _tilde_level(theta_array(tp, n), n)
-        return theta_sampler(tp), params, exact
+        return chain.sampler(), params, chain.level
     if args.a is None or args.b is None:
         raise ValueError("--a and --b are required for the urn process")
-    pp = PolyaParams(_parse_strength(args.a), _parse_strength(args.b), q)
+    chain = polya_chain(PolyaParams(_parse_strength(args.a), _parse_strength(args.b), q))
     params = {"a": args.a, "b": args.b, "q": args.q}
-    if pp.float_mode:
-        exact = lambda n: _polya_level_float(pp, n)
-    else:
-        exact = lambda n: _tilde_level(polya_array(pp, n), n)
-    return polya_sampler(pp), params, exact
-
-
-def _tilde_level(array: VArray, n: int) -> list[Fraction]:
-    return list(tilde_of_v(array).rows[n])
-
-
-def _polya_level_float(params: PolyaParams, n: int) -> list[float]:
-    level = [1.0]
-    for step in range(n):
-        nxt = [0.0] * (len(level) + 1)
-        for k, mass in enumerate(level):
-            if mass:
-                p_zero, p_one = polya_forward_probs(params, step, k)
-                nxt[k] += mass * p_zero
-                nxt[k + 1] += mass * p_one
-        level = nxt
-    return level
+    return chain.sampler(), params, chain.level
 
 
 def _cmd_sample(args) -> int:
     sampler, params, exact_level = _make_sampler(args)
-    if args.trials:
+    if args.trials is not None:
         counts = empirical_level_histogram(sampler, args.n, args.trials, args.seed)
         expected = exact_level(args.n)
         lines = ["k,count,frequency,expected"]
@@ -395,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=LAWS, default="extreme")
     p.add_argument("--kind", choices=("v", "tilde", "d"), default="v")
     p.add_argument("--q", required=True, help="rational, e.g. 1/2")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_count, required=True)
     p.add_argument("--kappa", help="atom index, or 'inf'")
     p.add_argument("--theta")
     p.add_argument("--a")
@@ -408,21 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw words from a process")
     p.add_argument("--process", choices=PROCESSES, required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--kappa")
     p.add_argument("--theta")
     p.add_argument("--a")
     p.add_argument("--b")
     p.add_argument("--mode", choices=MODES, default="forward")
-    p.add_argument("--trials", type=int, help="emit a level histogram (CSV)")
+    p.add_argument("--trials", type=_trials, help="emit a level histogram (CSV)")
     add_output(p)
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("recover", help="mixing measure from a deep triangle")
     p.add_argument("--input", required=True, help="triangle JSON file")
-    p.add_argument("--nu", type=int, default=40)
-    p.add_argument("--kmax", type=int, default=12)
+    p.add_argument("--nu", type=_count, default=40)
+    p.add_argument("--kmax", type=_count, default=12)
     add_output(p)
     p.set_defaults(handler=_cmd_recover)
 
@@ -430,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("recursion", "exchangeable", "monotone"), required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--q")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=_count)
     add_output(p)
     p.set_defaults(handler=_cmd_check)
 
@@ -438,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--modulus", help="comma-separated coefficients, low degree first")
-    p.add_argument("--enumerate", nargs=2, type=int, metavar=("N", "K"))
+    p.add_argument("--enumerate", nargs=2, type=_count, metavar=("N", "K"))
     p.add_argument("--grow", help="kappa, or 'inf'")
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nmax", type=_count, default=8)
+    p.add_argument("--seed", type=_seed, default=0)
     add_output(p)
     p.set_defaults(handler=_cmd_grassmann)
 

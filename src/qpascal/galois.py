@@ -120,6 +120,16 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
+def _check_field_order(p, m) -> None:
+    """A prime characteristic, a positive degree and p^m within the size limit."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotPrimeError("characteristic must be prime, got %r" % (p,))
+    if not isinstance(m, int) or m < 1:
+        raise FieldConstructionError("extension degree must be a positive integer")
+    if p**m > MAX_FIELD_SIZE:
+        raise TooLargeError("field size %d exceeds limit" % p**m)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """F_{p^m} with a fixed monic irreducible modulus.
@@ -133,12 +143,7 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise NotPrimeError("characteristic must be prime, got %r" % (self.p,))
-        if not isinstance(self.m, int) or self.m < 1:
-            raise FieldConstructionError("extension degree must be a positive integer")
-        if self.p**self.m > MAX_FIELD_SIZE:
-            raise TooLargeError("field size %d exceeds limit" % self.p**self.m)
+        _check_field_order(self.p, self.m)
         mod = tuple(int(c) % self.p for c in self.modulus)
         if len(mod) != self.m + 1 or mod[-1] != 1:
             raise FieldConstructionError(
@@ -228,12 +233,7 @@ def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> Fiel
     in integer-encoding order is chosen (x itself when m = 1)."""
     if modulus is not None:
         return FieldSpec(p, m, tuple(modulus))
-    if not isinstance(p, int) or not is_prime(p):
-        raise NotPrimeError("characteristic must be prime, got %r" % (p,))
-    if not isinstance(m, int) or m < 1:
-        raise FieldConstructionError("extension degree must be a positive integer")
-    if p**m > MAX_FIELD_SIZE:
-        raise TooLargeError("field size %d exceeds limit" % p**m)
+    _check_field_order(p, m)
     for candidate in _monic_polys(m, p):
         if is_irreducible(candidate, p):
             return FieldSpec(p, m, candidate)

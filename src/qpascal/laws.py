@@ -17,9 +17,10 @@ checked exactly by :func:`check_recursion`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidArrayError
 from .exactq import (
@@ -31,6 +32,7 @@ from .exactq import (
     q_integer,
 )
 from .pascal_graph import BinaryWord
+from .rng import SplitMix64, bernoulli_threshold
 from . import guards
 
 MAX_WORD_LENGTH = 20  # default cap for whole-law enumerations
@@ -267,20 +269,105 @@ class FiniteLaw:
 def law_of_array(array: VArray, n: int) -> FiniteLaw:
     """Restrict the law of ``array`` to words of length n (n <= 20)."""
     guards.check_count(2**n, 2**MAX_WORD_LENGTH, "word law")
-    probs = {}
-    for bits in _all_words(n):
-        w = BinaryWord(bits)
-        probs[w] = word_probability(array, w)
-    return FiniteLaw(n, probs)
+    return FiniteLaw(n, {w: word_probability(array, w) for w in all_words(n)})
 
 
-def _all_words(n: int):
-    if n == 0:
-        yield ()
-        return
-    for head in _all_words(n - 1):
-        yield head + (0,)
-        yield head + (1,)
+def all_words(n: int):
+    """Every 0/1 word of length n, in lexicographic order."""
+    return (BinaryWord(bits) for bits in itertools.product((0, 1), repeat=n))
+
+
+def _extend(table: list, rows: int) -> None:
+    """Grow a triangular table of unfilled (None) cells to ``rows`` rows."""
+    while len(table) < rows:
+        table.append([None] * (len(table) + 1))
+
+
+class ForwardChain:
+    """A process given by its forward probabilities on the Pascal lattice.
+
+    After n letters with k ones, the next letter is a one with
+    probability ``p_one(n, k)``.  That single function yields the v
+    triangle, the level laws, the word laws and a sampler.  ``rows[n][k]``
+    memoises p_one(n, k) as it is first asked for.  Exact chains return
+    Fractions; a float p_one (the urn's float mode) gives float levels.
+    """
+
+    def __init__(self, q: QParam, p_one: Callable[[int, int], Fraction]) -> None:
+        self.q = q
+        self._p_one = p_one
+        self.rows: list[list] = []
+        self._thresholds: list[list] = []  # sampler: bernoulli_threshold per (n, k)
+
+    def p1(self, n: int, k: int):
+        _extend(self.rows, n + 1)
+        p = self.rows[n][k]
+        if p is None:
+            p = self.rows[n][k] = self._p_one(n, k)
+        return p
+
+    def triangle(self, depth: int) -> VArray:
+        """v[n+1][k] = v[n][k] (1 - p1(n, k)) and v[n+1][n+1] = v[n][n] p1(n, n):
+        only the canonical words 1^k 0^(n-k) are extended."""
+        p1 = self.p1
+        row = [Fraction(1)]
+        rows = [row]
+        for n in range(depth):
+            row = [v * (1 - p1(n, k)) for k, v in enumerate(row)] + [row[n] * p1(n, n)]
+            rows.append(row)
+        return VArray(self.q, rows)
+
+    def level(self, n: int) -> list:
+        """Law of the number of ones after n letters, by a forward pass."""
+        p1 = self.p1
+        level = [Fraction(1)]
+        for m in range(n):
+            nxt = [Fraction(0)] * (m + 2)
+            for k, mass in enumerate(level):
+                if mass:
+                    p = p1(m, k)
+                    nxt[k] += mass * (1 - p)
+                    nxt[k + 1] += mass * p
+            level = nxt
+        return level
+
+    def law(self, n: int) -> FiniteLaw:
+        """Exact law of the first n letters, by walking the decision tree."""
+        guards.check_count(2**n, 2**MAX_WORD_LENGTH, "word law")
+        p1 = self.p1
+        paths = [((), 0, Fraction(1))]
+        for m in range(n):
+            nxt = []
+            for bits, k, p in paths:
+                p_one = p1(m, k)
+                nxt.append((bits + (0,), k, p * (1 - p_one)))
+                nxt.append((bits + (1,), k + 1, p * p_one))
+            paths = nxt
+        return FiniteLaw(n, {BinaryWord(bits): p for bits, _, p in paths})
+
+    def sampler(self) -> Callable[[int, SplitMix64], BinaryWord]:
+        """Draws one word; each letter consumes one draw j and is a one
+        iff j < bernoulli_threshold(p1(n, k))."""
+        thresholds = self._thresholds
+        p1 = self.p1
+
+        def draw(n: int, rng: SplitMix64) -> BinaryWord:
+            _extend(thresholds, n)
+            bits = []
+            k = 0
+            for m in range(n):
+                row = thresholds[m]
+                t = row[k]
+                if t is None:
+                    t = row[k] = bernoulli_threshold(Fraction(p1(m, k)))
+                if rng.next_uint64() < t:
+                    bits.append(1)
+                    k += 1
+                else:
+                    bits.append(0)
+            return BinaryWord(tuple(bits))
+
+        return draw
 
 
 class ExchangeabilityCheck(NamedTuple):

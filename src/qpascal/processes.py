@@ -1,12 +1,24 @@
 """The three canonical q-processes and their samplers.
 
+Each process is a Markov chain on the Pascal lattice: after n letters
+with k ones, the next letter is a one with an exact probability
+P(1 | n, k).  A :class:`qpascal.laws.ForwardChain` built from that one
+function gives the process's v triangle (only the canonical words
+1^k 0^(n-k) are extended, so the triangle costs O(depth^2) products),
+its level laws by a forward pass, its exact word law by walking the
+decision tree, and its bit-by-bit sampler with one cached threshold per
+(n, k).  The closed forms quoted below are not computed here: they
+live in the tests as independent oracles for the chain's triangles.
+
 Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
-    the extreme q-exchangeable law at x = q^kappa.  Two equivalent
-    samplers: "forward" appends bit 1 with probability 1 - q^(kappa-k)
-    given k ones so far; "runs" draws the zero-run lengths T_0, T_1, ...
-    before each successive one as independent geometrics (T_i counts
-    failures before first success, success probability 1 - q^(kappa-i))
-    and pads with zeros once kappa ones have appeared.
+    the extreme q-exchangeable law at x = q^kappa, with
+    P(1 | n, k) = 1 - q^(kappa-k) (and 1 for kappa = math.inf); see
+    :func:`qpascal.boundary.extreme_chain`.  Its triangle is the kernel
+    Phi[n][k](q^kappa).  A second, independent sampler ("runs") draws
+    the zero-run lengths T_0, T_1, ... before each successive one as
+    independent geometrics (T_i counts failures before first success,
+    success probability 1 - q^(kappa-i)) and pads with zeros once kappa
+    ones have appeared; its law is computed from the run lengths.
 
 Theta process: independent bits, P(bit m = 1) = theta q^(m-1) / (1 + theta q^(m-1)).
     Its triangle is w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i),
@@ -15,6 +27,9 @@ Theta process: independent bits, P(bit m = 1) = theta q^(m-1) / (1 + theta q^(m-
 Polya urn process: forward probabilities from state (n, k)
     P(0) = [b+n-k] / [a+b+n],   P(1) = q^(n-k+b) [a+k] / [a+b+n],
     exact for integer strengths a, b (q = 1 gives the classical urn).
+    Its triangle is q^(bk) [a]_k [b]_(n-k) / [a+b]_n in rising
+    q-factorials.  Other strengths run the same chain with a float
+    P(1 | n, k), so its thresholds and levels carry float rounding.
     Its mixing measure is the q-analogue of a beta mixture; for a = 1 it
     is exactly geometric with parameter 1 - q^b.
 
@@ -38,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .boundary import BoundaryMeasure, _check_kappa
+from .boundary import BoundaryMeasure, _check_kappa, extreme_chain, extreme_stay
 from .errors import NonIntegerParamsInExactMode
 from .exactq import (
     DEFAULT_POLICY,
@@ -46,17 +61,13 @@ from .exactq import (
     Regime,
     TruncationPolicy,
     as_fraction,
+    q_integer,
     q_pochhammer_bounds,
     q_pochhammer_infinite,
 )
-from .laws import FiniteLaw, VArray, word_to_runs
+from .laws import ForwardChain, FiniteLaw, VArray, all_words, word_to_runs
 from .pascal_graph import BinaryWord
-from .rng import (
-    SplitMix64,
-    bernoulli_threshold,
-    derive_seed,
-    geometric_failures,
-)
+from .rng import SplitMix64, derive_seed, geometric_failures
 
 MODES = ("forward", "runs")
 
@@ -76,38 +87,14 @@ def extreme_sampler(kappa, q: QParam, mode: str = "forward") -> Sampler:
     q.require_sub_unit("extreme sampler")
     _check_kappa(kappa)
     _check_mode(mode)
-    qq = q.q
-    infinite = isinstance(kappa, float)
-
     if mode == "forward":
-        thresholds: dict[int, int] = {}
-
-        def draw_forward(n: int, rng: SplitMix64) -> BinaryWord:
-            bits = []
-            k = 0
-            for _ in range(n):
-                t = thresholds.get(k)
-                if t is None:
-                    p_one = (
-                        Fraction(1) if infinite else 1 - qq ** (kappa - k)
-                    )
-                    t = bernoulli_threshold(p_one)
-                    thresholds[k] = t
-                if rng.next_uint64() < t:
-                    bits.append(1)
-                    k += 1
-                else:
-                    bits.append(0)
-            return BinaryWord(tuple(bits))
-
-        return draw_forward
+        return extreme_chain(kappa, q).sampler()
 
     def draw_runs(n: int, rng: SplitMix64) -> BinaryWord:
         bits: list[int] = []
         i = 0
-        while len(bits) < n and (infinite or i < kappa):
-            ratio = Fraction(0) if infinite else qq ** (kappa - i)
-            t = geometric_failures(rng, ratio)
+        while len(bits) < n and i < kappa:
+            t = geometric_failures(rng, extreme_stay(kappa, q, i))
             bits.extend([0] * min(t, n - len(bits)))
             if len(bits) < n:
                 bits.append(1)
@@ -130,54 +117,21 @@ def exact_extreme_law(kappa, q: QParam, n: int, mode: str = "forward") -> Finite
     q.require_sub_unit("extreme law")
     _check_kappa(kappa)
     _check_mode(mode)
-    qq = q.q
-    infinite = isinstance(kappa, float)
-
-    def stay_ratio(i: int) -> Fraction:
-        # probability of a 0 given i ones so far / failure ratio of run i
-        if infinite:
-            return Fraction(0)
-        return qq ** (kappa - i)
-
-    probs: dict[BinaryWord, Fraction] = {}
-
     if mode == "forward":
-
-        def walk(bits: tuple[int, ...], k: int, p: Fraction) -> None:
-            if len(bits) == n:
-                probs[BinaryWord(bits)] = p
-                return
-            r = stay_ratio(k)
-            if r:
-                walk(bits + (0,), k, p * r)
-            if r != 1:
-                walk(bits + (1,), k + 1, p * (1 - r))
-
-        walk((), 0, Fraction(1))
-        # unreachable words carry probability zero
-        for word in _all_binary_words(n):
-            probs.setdefault(word, Fraction(0))
-        return FiniteLaw(n, probs)
-
-    for word in _all_binary_words(n):
+        return extreme_chain(kappa, q).law(n)
+    probs = {}
+    for word in all_words(n):
         enc = word_to_runs(word)
         p = Fraction(1)
         for i, run in enumerate(enc.runs):
-            r = stay_ratio(i)
+            r = extreme_stay(kappa, q, i)
             p *= r**run * (1 - r)
             if p == 0:
                 break
         if p != 0 and enc.open_zeros:
-            p *= stay_ratio(len(enc.runs)) ** enc.open_zeros
+            p *= extreme_stay(kappa, q, len(enc.runs)) ** enc.open_zeros
         probs[word] = p
     return FiniteLaw(n, probs)
-
-
-def _all_binary_words(n: int):
-    out = [()]
-    for _ in range(n):
-        out = [bits + (b,) for bits in out for b in (0, 1)]
-    return [BinaryWord(bits) for bits in out]
 
 
 # ------------------------------------------------------------------ theta
@@ -207,39 +161,28 @@ class ThetaParams:
         return isinstance(self.theta, float)
 
 
+def theta_chain(params: ThetaParams) -> ForwardChain:
+    """Letter n+1 is a one with probability theta q^n / (1 + theta q^n),
+    whatever came before; theta = math.inf gives the all-ones law."""
+
+    def p_one(n: int, k: int) -> Fraction:
+        if params.infinite:
+            return Fraction(1)
+        t = params.theta * params.q.q**n
+        return t / (1 + t)
+
+    return ForwardChain(params.q, p_one)
+
+
 def theta_array(params: ThetaParams, depth: int) -> VArray:
     """Triangle w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i)."""
     if params.infinite:
         raise ValueError("theta must be finite for the triangle")
-    theta, qq = params.theta, params.q.q
-    rows = []
-    denom = Fraction(1)  # prod_{i<n} (1 + theta q^i)
-    for n in range(depth + 1):
-        row = tuple(
-            theta**k * qq ** (k * (k - 1) // 2) / denom for k in range(n + 1)
-        )
-        rows.append(row)
-        denom *= 1 + theta * qq**n
-    return VArray(params.q, tuple(rows))
-
-
-def _theta_one_prob(params: ThetaParams, position: int) -> Fraction:
-    # P(bit at 1-based `position` is 1)
-    if params.infinite:
-        return Fraction(1)
-    t = params.theta * params.q.q ** (position - 1)
-    return t / (1 + t)
+    return theta_chain(params).triangle(depth)
 
 
 def theta_sampler(params: ThetaParams) -> Sampler:
-    def draw(n: int, rng: SplitMix64) -> BinaryWord:
-        bits = []
-        for m in range(1, n + 1):
-            t = bernoulli_threshold(_theta_one_prob(params, m))
-            bits.append(1 if rng.next_uint64() < t else 0)
-        return BinaryWord(tuple(bits))
-
-    return draw
+    return theta_chain(params).sampler()
 
 
 def sample_theta(params: ThetaParams, n: int, seed: int) -> BinaryWord:
@@ -247,14 +190,7 @@ def sample_theta(params: ThetaParams, n: int, seed: int) -> BinaryWord:
 
 
 def exact_theta_law(params: ThetaParams, n: int) -> FiniteLaw:
-    probs = {}
-    ps = [_theta_one_prob(params, m) for m in range(1, n + 1)]
-    for word in _all_binary_words(n):
-        p = Fraction(1)
-        for m, b in enumerate(word):
-            p *= ps[m] if b else 1 - ps[m]
-        probs[word] = p
-    return FiniteLaw(n, probs)
+    return theta_chain(params).law(n)
 
 
 def theta_boundary_measure(
@@ -340,22 +276,21 @@ def polya_forward_probs(params: PolyaParams, n: int, k: int):
         raise ValueError("need 0 <= k <= n")
     a, b = params.a, params.b
     if not params.float_mode:
-        qq = params.q.q
-
-        def qint(m: int) -> Fraction:
-            if qq == 1:
-                return Fraction(m)
-            return (1 - qq**m) / (1 - qq)
-
-        total = qint(a + b + n)
-        p_zero = qint(b + n - k) / total
-        p_one = qq ** (n - k + b) * qint(a + k) / total
+        q = params.q
+        total = q_integer(a + b + n, q)
+        p_zero = q_integer(b + n - k, q) / total
+        p_one = q.q ** (n - k + b) * q_integer(a + k, q) / total
         return p_zero, p_one
     qf = float(params.q.q)
     total = _q_int_real(float(a) + float(b) + n, qf)
     p_zero = _q_int_real(float(b) + n - k, qf) / total
     p_one = qf ** (n - k + float(b)) * _q_int_real(float(a) + k, qf) / total
     return p_zero, p_one
+
+
+def polya_chain(params: PolyaParams) -> ForwardChain:
+    """The urn as a forward chain; float strengths give a float p_one."""
+    return ForwardChain(params.q, lambda n, k: polya_forward_probs(params, n, k)[1])
 
 
 def polya_array(params: PolyaParams, depth: int) -> VArray:
@@ -365,70 +300,13 @@ def polya_array(params: PolyaParams, depth: int) -> VArray:
             "triangle requires integer strengths, got a=%r b=%r"
             % (params.a, params.b)
         )
-    a, b = params.a, params.b
-    qq = params.q.q
-
-    def qint(m: int) -> Fraction:
-        if qq == 1:
-            return Fraction(m)
-        return (1 - qq**m) / (1 - qq)
-
-    # rising[c][j] = [c][c+1]...[c+j-1]
-    def rising(c: int, j: int) -> Fraction:
-        out = Fraction(1)
-        for i in range(j):
-            out *= qint(c + i)
-        return out
-
-    rows = []
-    for n in range(depth + 1):
-        denom = rising(a + b, n)
-        row = tuple(
-            qq ** (b * k) * rising(a, k) * rising(b, n - k) / denom
-            for k in range(n + 1)
-        )
-        rows.append(row)
-    return VArray(params.q, tuple(rows))
+    return polya_chain(params).triangle(depth)
 
 
 def polya_sampler(params: PolyaParams) -> Sampler:
-    if not params.float_mode:
-        thresholds: dict[tuple[int, int], int] = {}
-
-        def draw_exact(n: int, rng: SplitMix64) -> BinaryWord:
-            bits = []
-            k = 0
-            for step in range(n):
-                key = (step, k)
-                t = thresholds.get(key)
-                if t is None:
-                    _, p_one = polya_forward_probs(params, step, k)
-                    t = bernoulli_threshold(p_one)
-                    thresholds[key] = t
-                if rng.next_uint64() < t:
-                    bits.append(1)
-                    k += 1
-                else:
-                    bits.append(0)
-            return BinaryWord(tuple(bits))
-
-        return draw_exact
-
-    def draw_float(n: int, rng: SplitMix64) -> BinaryWord:
-        # float mode: thresholds are rounded, not exact
-        bits = []
-        k = 0
-        for step in range(n):
-            _, p_one = polya_forward_probs(params, step, k)
-            t = min(1 << 64, max(0, math.ceil(p_one * (1 << 64))))
-            if rng.next_uint64() < t:
-                bits.append(1)
-                k += 1
-            else:
-                bits.append(0)
-        return BinaryWord(tuple(bits))
-
-    return draw_float
+    """In float mode the thresholds come from the float p_one, so they
+    carry its rounding."""
+    return polya_chain(params).sampler()
 
 
 def sample_polya(params: PolyaParams, n: int, seed: int) -> BinaryWord:
@@ -438,17 +316,7 @@ def sample_polya(params: PolyaParams, n: int, seed: int) -> BinaryWord:
 def exact_polya_law(params: PolyaParams, n: int) -> FiniteLaw:
     if params.float_mode:
         raise NonIntegerParamsInExactMode("exact law requires integer strengths")
-    probs = {}
-    for word in _all_binary_words(n):
-        p = Fraction(1)
-        k = 0
-        for step, bit in enumerate(word):
-            p_zero, p_one = polya_forward_probs(params, step, k)
-            p *= p_one if bit else p_zero
-            if bit:
-                k += 1
-        probs[word] = p
-    return FiniteLaw(n, probs)
+    return polya_chain(params).law(n)
 
 
 def polya_boundary_measure(

@@ -1,0 +1,147 @@
+"""The forward chain against independent oracles.
+
+Every triangle in production comes from one ForwardChain, so comparing
+the samplers' decision-tree laws with those triangles (acceptance test
+04) would check the chain against itself.  Here each chain triangle is
+compared, exactly, with the closed form of its family: the theta
+product formula, the urn's rising q-factorials, and the extreme kernel
+Phi of the paper (summed over atoms for a mixture).
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from qpascal import (
+    BoundaryMeasure,
+    PolyaParams,
+    QParam,
+    SplitMix64,
+    ThetaParams,
+    ZERO_POINT,
+    extreme_array,
+    extreme_kernel,
+    mixture_array,
+    polya_array,
+    theta_array,
+    tilde_of_v,
+)
+from qpascal.laws import ForwardChain
+from qpascal.processes import polya_chain, theta_chain
+
+DEPTH = 30
+QS = [F(1, 2), F(2, 3), F(9, 10)]
+
+
+def theta_closed(theta, qq, depth):
+    """w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i)."""
+    rows = []
+    denom = F(1)
+    for n in range(depth + 1):
+        rows.append(
+            tuple(theta**k * qq ** (k * (k - 1) // 2) / denom for k in range(n + 1))
+        )
+        denom *= 1 + theta * qq**n
+    return tuple(rows)
+
+
+def urn_closed(a, b, qq, depth):
+    """v[n][k] = q^(bk) [a]_k [b]_(n-k) / [a+b]_n, rising q-factorials."""
+
+    def qint(m):
+        return F(m) if qq == 1 else (1 - qq**m) / (1 - qq)
+
+    def rising(c, j):
+        out = F(1)
+        for i in range(j):
+            out *= qint(c + i)
+        return out
+
+    return tuple(
+        tuple(
+            qq ** (b * k) * rising(a, k) * rising(b, n - k) / rising(a + b, n)
+            for k in range(n + 1)
+        )
+        for n in range(depth + 1)
+    )
+
+
+def phi(n, k, x, q):
+    return extreme_kernel(n, k, x, q)[0]
+
+
+def kernel_x(kappa, qq):
+    return F(0) if kappa == ZERO_POINT else qq**kappa
+
+
+@pytest.mark.parametrize("qq", QS)
+@pytest.mark.parametrize("theta", [F(1, 3), F(1), F(3, 2)])
+def test_theta_triangle_matches_product_formula(qq, theta):
+    arr = theta_array(ThetaParams(theta, QParam(qq)), DEPTH)
+    assert arr.rows == theta_closed(theta, qq, DEPTH)
+
+
+@pytest.mark.parametrize("qq", QS + [F(1)])
+@pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 1)])
+def test_urn_triangle_matches_rising_factorials(qq, a, b):
+    arr = polya_array(PolyaParams(a, b, QParam(qq)), DEPTH)
+    assert arr.rows == urn_closed(a, b, qq, DEPTH)
+
+
+@pytest.mark.parametrize("qq", QS)
+def test_extreme_triangles_match_kernel(qq):
+    q = QParam(qq)
+    for kappa in list(range(9)) + [ZERO_POINT]:
+        x = kernel_x(kappa, qq)
+        expected = tuple(
+            tuple(phi(n, k, x, q) for k in range(n + 1)) for n in range(DEPTH + 1)
+        )
+        assert extreme_array(kappa, q, DEPTH).rows == expected, kappa
+
+
+@pytest.mark.parametrize("qq", QS)
+def test_mixture_matches_kernel_sum(qq):
+    q = QParam(qq)
+    atoms = {0: F(1, 5), 2: F(1, 4), 5: F(1, 10), 11: F(1, 3)}
+    measure = BoundaryMeasure.of(q, atoms, F(7, 60))
+    expected = tuple(
+        tuple(
+            sum(m * phi(n, k, qq**kappa, q) for kappa, m in atoms.items())
+            + (measure.zero_mass if k == n else 0)
+            for k in range(n + 1)
+        )
+        for n in range(DEPTH + 1)
+    )
+    assert mixture_array(measure, DEPTH).rows == expected
+
+
+class TestForwardChain:
+    def test_level_is_tilde_row(self):
+        chain = polya_chain(PolyaParams(2, 3, QParam(F(2, 3))))
+        tv = tilde_of_v(chain.triangle(12))
+        for n in (0, 1, 7, 12):
+            assert chain.level(n) == list(tv.rows[n])
+
+    def test_p_one_memoised_per_cell(self):
+        calls = []
+
+        def p_one(n, k):
+            calls.append((n, k))
+            return F(1, 2)
+
+        chain = ForwardChain(QParam(F(1, 2)), p_one)
+        chain.triangle(5)
+        chain.level(5)
+        chain.sampler()(5, SplitMix64(1))
+        assert sorted(calls) == sorted(set(calls))
+        assert chain.rows[3] == [F(1, 2)] * 4
+
+    def test_infinite_theta_level(self):
+        chain = theta_chain(ThetaParams(math.inf, QParam(F(1, 2))))
+        assert chain.level(4) == [0, 0, 0, 0, 1]
+
+    def test_float_urn_level_sums_to_one(self):
+        level = polya_chain(PolyaParams(F(3, 2), F(1, 2), QParam(F(9, 10)))).level(15)
+        assert all(isinstance(x, float) for x in level)
+        assert abs(sum(level) - 1) < 1e-12

@@ -315,3 +315,40 @@ class TestExitCodes:
     def test_unreadable_input(self, capsys):
         code, _ = run(capsys, "recover", "--input", "/nonexistent/file.json")
         assert code == 2
+
+
+class TestNumberArguments:
+    SAMPLE = ("sample", "--process", "extreme", "--kappa", "1", "--q", "1/2")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SAMPLE + ("--n", "-3", "--seed", "1"),
+            ("table", "--q", "1/2", "--kappa", "1", "--depth", "-1"),
+            ("grassmann", "--p", "2", "--grow", "2", "--nmax", "-3"),
+            SAMPLE + ("--n", "4", "--seed", "1", "--trials", "0"),
+            SAMPLE + ("--n", "4", "--seed", "1", "--trials", "-5"),
+            SAMPLE + ("--n", "4", "--seed", "-1"),
+            SAMPLE + ("--n", "4", "--seed", str(1 << 64)),
+            ("grassmann", "--p", "2", "--grow", "2", "--seed", "-1"),
+        ],
+        ids=["n", "depth", "nmax", "trials-zero", "trials-negative",
+             "seed-negative", "seed-2^64", "grassmann-seed"],
+    )
+    def test_rejected_as_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "outside" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, capsys):
+        seed = (1 << 64) - 1
+        code, out = run(capsys, *self.SAMPLE, "--n", "4", "--seed", str(seed))
+        assert code == 0
+        assert json.loads(out)["word"] == str(sample_extreme(1, HALF, 4, seed))
+
+    def test_single_trial_is_a_histogram(self, capsys):
+        code, out = run(capsys, *self.SAMPLE, "--n", "4", "--seed", "1",
+                        "--trials", "1")
+        assert code == 0
+        assert out.splitlines()[0] == "k,count,frequency,expected"

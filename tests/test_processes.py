@@ -313,3 +313,62 @@ class TestHistogram:
         counts = {0: 50, 3: 50}
         exact = [F(1, 2), F(1, 2)]
         assert tv_distance(counts, 100, exact) == F(1, 2)
+
+
+TWO_THIRDS = QParam(F(2, 3))
+GOLDEN_SAMPLERS = {
+    "extreme forward": lambda: extreme_sampler(6, TWO_THIRDS, "forward"),
+    "extreme runs": lambda: extreme_sampler(6, TWO_THIRDS, "runs"),
+    "theta": lambda: theta_sampler(ThetaParams(F(3, 2), TWO_THIRDS)),
+    "exact urn": lambda: polya_sampler(PolyaParams(3, 1, TWO_THIRDS)),
+    "float urn": lambda: polya_sampler(PolyaParams(F(7, 2), F(3, 2), TWO_THIRDS)),
+}
+# level counts of 300 words of length 14 (seed 2024), the word of length
+# 14 drawn from seed 2024 and the word of length 40 drawn from seed 2025
+GOLDEN_BITS = {
+    "extreme forward": (
+        {5: 20, 6: 280},
+        "11110110000000",
+        "1011100000000010100000000000000000000000",
+    ),
+    "extreme runs": (
+        {5: 18, 6: 282},
+        "11110010100000",
+        "1001110100100000000000000000000000000000",
+    ),
+    "theta": (
+        {0: 8, 1: 43, 2: 77, 3: 86, 4: 57, 5: 21, 6: 7, 7: 1},
+        "01110000000000",
+        "1001000000000000000000000000000000000000",
+    ),
+    "exact urn": (
+        {0: 36, 1: 47, 2: 45, 3: 44, 4: 39, 5: 20, 6: 20, 7: 14, 8: 8,
+         9: 12, 10: 8, 11: 3, 12: 2, 13: 2},
+        "01110010000000",
+        "1001000000000000000000000000000000000000",
+    ),
+    "float urn": (
+        {0: 57, 1: 69, 2: 45, 3: 45, 4: 37, 5: 14, 6: 15, 7: 7, 8: 4,
+         9: 4, 10: 3},
+        "01110010000000",
+        "1001000000000000000000000000000000000000",
+    ),
+}
+
+
+class TestGoldenBits:
+    """Frozen outputs of every sampler: they pin the draw conventions of
+    qpascal.rng, so a rewrite of a sampler must reproduce each bit."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BITS))
+    def test_sampled_bits(self, name):
+        counts, word14, word40 = GOLDEN_BITS[name]
+        sampler = GOLDEN_SAMPLERS[name]()
+        assert empirical_level_histogram(sampler, 14, 300, seed=2024) == counts
+        assert str(sampler(14, SplitMix64(2024))) == word14
+        assert str(sampler(40, SplitMix64(2025))) == word40
+
+    def test_sample_functions(self):
+        assert str(sample_extreme(6, TWO_THIRDS, 14, 2024, "runs")) == "11110010100000"
+        assert str(sample_theta(ThetaParams(F(3, 2), TWO_THIRDS), 14, 2024)) == "01110000000000"
+        assert str(sample_polya(PolyaParams(3, 1, TWO_THIRDS), 14, 2024)) == "01110010000000"
