@@ -175,12 +175,8 @@ def _triangle_rows(kind: str, args):
         )
     array = _build_array(args)
     if kind == "tilde":
-        data = tilde_of_v(array).to_jsonable()
-        rows = [[parse_rational(v) for v in row] for row in data["tv"]]
-        return ({"q": data["q"], "depth": data["depth"]}, rows)
-    data = array.to_jsonable()
-    rows = [[parse_rational(v) for v in row] for row in data["v"]]
-    return ({"q": data["q"], "depth": data["depth"]}, rows)
+        array = tilde_of_v(array)
+    return ({"q": str(array.q), "depth": array.depth}, array.rows)
 
 
 def _cmd_table(args) -> int:

@@ -15,15 +15,28 @@ is a monic irreducible held as its coefficient tuple (c_0, ..., c_m),
 c_m = 1.  With m = 1 the default modulus is x, so elements are the
 usual integers mod p.  Subspaces are kept in reduced row echelon form,
 which makes equality checks and JSON round-trips canonical.
+
+Arithmetic goes through lookup tables (add, sub, mul, neg, inv), built
+from the exact polynomial and modular arithmetic the first time a field
+is used.  Only fields with q * q <= MAX_FIELD_SIZE get them (q up to
+TABLE_FIELD_SIZE = 1024); larger fields compute each entry with that
+arithmetic instead.  Row reduction checks its input entries once, then
+works on rows by table lookup, and a growth step inserts its one new
+vector into the current basis in O(dim * n).  ``Subspace(...)`` and
+``Subspace.from_jsonable`` validate their basis by row reduction; bases
+the module builds in RREF itself (growth steps, extensions, projections,
+Grassmannian enumeration) are stored without that second reduction.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import cached_property, partial
+from typing import Iterator, NamedTuple, Sequence
 
 from .boundary import _check_kappa
 from .errors import (
@@ -38,6 +51,8 @@ from .pascal_graph import BinaryWord
 from .rng import SplitMix64, bernoulli_threshold, uniform_below
 
 MAX_FIELD_SIZE = 1 << 20
+# fields of order q with q * q <= MAX_FIELD_SIZE get full q x q tables
+TABLE_FIELD_SIZE = math.isqrt(MAX_FIELD_SIZE)
 DEFAULT_SUBSPACE_LIMIT = 1 << 18
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -130,6 +145,30 @@ def _check_field_order(p, m) -> None:
         raise TooLargeError("field size %d exceeds limit" % p**m)
 
 
+class _Tables(NamedTuple):
+    """Operation tables of one field: ``add[x][y]``, ``sub[x][y]``,
+    ``mul[x][y]``, ``neg[x]`` and ``inv[x]`` (``inv[0]`` is None)."""
+
+    add: Sequence
+    sub: Sequence
+    mul: Sequence
+    neg: Sequence
+    inv: Sequence
+
+
+class _Computed:
+    """Stands in for a lookup table of a field too large to tabulate:
+    ``t[x]`` is ``op(x)``, computed on each lookup."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op) -> None:
+        self.op = op
+
+    def __getitem__(self, x):
+        return self.op(x)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """F_{p^m} with a fixed monic irreducible modulus.
@@ -177,46 +216,80 @@ class FieldSpec:
             out = out * self.p + c % self.p
         return out
 
-    def _check(self, element: int) -> None:
+    def _check(self, element: int) -> int:
         if not isinstance(element, int) or not 0 <= element < self.size:
             raise ValueError("not an element of this field: %r" % (element,))
+        return element
 
     def add(self, x: int, y: int) -> int:
-        if self.m == 1:
-            self._check(x)
-            self._check(y)
-            return (x + y) % self.p
-        a, b = self.decode(x), self.decode(y)
-        return self.encode([(u + v) % self.p for u, v in zip(a, b)])
+        return self._tables.add[self._check(x)][self._check(y)]
 
     def neg(self, x: int) -> int:
-        if self.m == 1:
-            self._check(x)
-            return -x % self.p
-        return self.encode([-c % self.p for c in self.decode(x)])
+        return self._tables.neg[self._check(x)]
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return self._tables.sub[self._check(x)][self._check(y)]
 
     def mul(self, x: int, y: int) -> int:
-        if self.m == 1:
-            self._check(x)
-            self._check(y)
-            return x * y % self.p
-        prod = _poly_mul(self.decode(x), self.decode(y), self.p)
-        return self.encode(_poly_divmod_tail(prod, self.modulus, self.p))
+        return self._tables.mul[self._check(x)][self._check(y)]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
+        return self._tables.inv[self._check(x)]
+
+    def __getstate__(self) -> dict:
+        # the tables are a cache: a copy or an unpickled field rebuilds them
+        return {k: v for k, v in vars(self).items() if k != "_tables"}
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        """The operation tables, built on first use; above TABLE_FIELD_SIZE
+        the entries are computed on each lookup instead."""
+        if self.size <= TABLE_FIELD_SIZE:
+            return _tabulate(self)
+
+        def binary(op):
+            return _Computed(lambda x: _Computed(partial(op, x)))
+
+        return _Tables(
+            binary(self._add), binary(self._sub), binary(self._mul),
+            _Computed(self._neg), _Computed(self._inv),
+        )
+
+    # The exact polynomial and modular arithmetic: the table builder, the
+    # arithmetic of fields too large to tabulate and the tests' oracle.
+
+    def _add(self, x: int, y: int) -> int:
         if self.m == 1:
-            self._check(x)
+            return (x + y) % self.p
+        a, b = self.decode(x), self.decode(y)
+        return self.encode([(u + v) % self.p for u, v in zip(a, b)])
+
+    def _neg(self, x: int) -> int:
+        if self.m == 1:
+            return -x % self.p
+        return self.encode([-c % self.p for c in self.decode(x)])
+
+    def _sub(self, x: int, y: int) -> int:
+        return self._add(x, self._neg(y))
+
+    def _mul(self, x: int, y: int) -> int:
+        if self.m == 1:
+            return x * y % self.p
+        prod = _poly_mul(self.decode(x), self.decode(y), self.p)
+        return self.encode(_poly_divmod_tail(prod, self.modulus, self.p))
+
+    def _inv(self, x: int) -> int:
+        if x == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        if self.m == 1:
             return pow(x, self.p - 2, self.p)
         out, base, e = 1, x, self.size - 2
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = self._mul(out, base)
+            base = self._mul(base, base)
             e >>= 1
         return out
 
@@ -226,6 +299,37 @@ class FieldSpec:
     @classmethod
     def from_jsonable(cls, data: dict) -> "FieldSpec":
         return cls(int(data["p"]), int(data["m"]), tuple(data["modulus"]))
+
+
+def _tabulate(field: FieldSpec) -> _Tables:
+    """Full q x q tables from O(q m) calls of the exact arithmetic plus
+    O(q^2) list steps.  Adding x is adding t, the power of p at x's top
+    digit, after adding x - t; products run through the powers of a
+    generator of the cyclic group of units."""
+    q, p = field.size, field.p
+    add, t = [list(range(q))], 1
+    for x in range(1, q):
+        if x == t * p:
+            t = x
+        if x == t:
+            add.append([field._add(x, y) for y in range(q)])
+        else:
+            add.append([add[t][e] for e in add[x - t]])
+    neg = [field._neg(x) for x in range(q)]
+    sub = [[row[y] for y in neg] for row in add]
+    for g in range(1, q):
+        powers = [1]
+        while (x := field._mul(powers[-1], g)) != 1:
+            powers.append(x)
+        if len(powers) == q - 1:
+            break
+    log = [0] * q
+    for i, x in enumerate(powers):
+        log[x] = i
+    twice, logs = powers + powers, log[1:]
+    mul = [[0] * q] + [[0] + [twice[i + j] for j in logs] for i in logs]
+    inv = [None] + [powers[-i] for i in logs]
+    return _Tables(add, sub, mul, neg, inv)
 
 
 def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> FieldSpec:
@@ -243,35 +347,48 @@ def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> Fiel
 # ---------------------------------------------------------------- subspaces
 
 
+def _axpy(tables: _Tables, row: list[int], c: int, src, start: int = 0) -> None:
+    """row += c * src in place, from column start on (src is zero before it)."""
+    add, mc = tables.add, tables.mul[c]
+    row[start:] = [add[e][mc[s]] for e, s in zip(row[start:], src[start:])]
+
+
+def _insert(tables: _Tables, rows: list, pivots: list, vec: list[int]) -> None:
+    """Add vec to the span of ``rows``, an RREF basis with pivot columns
+    ``pivots``, keeping both in RREF: reduce vec against each row, scale
+    its leading entry to 1 and clear that column from the other rows.
+    O(len(rows) * n) lookups; a vec already in the span changes nothing."""
+    neg = tables.neg
+    for row, piv in zip(rows, pivots):
+        if vec[piv]:
+            _axpy(tables, vec, neg[vec[piv]], row, piv)
+    lead = next((j for j, e in enumerate(vec) if e), None)
+    if lead is None:
+        return
+    scale = tables.mul[tables.inv[vec[lead]]]
+    vec[lead:] = [scale[e] for e in vec[lead:]]
+    for row in rows:
+        if row[lead]:
+            _axpy(tables, row, neg[row[lead]], vec, lead)
+    i = bisect.bisect(pivots, lead)
+    rows.insert(i, vec)
+    pivots.insert(i, lead)
+
+
 def rref_canonicalize(
     field: FieldSpec, n: int, vectors: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form of the span; zero rows dropped."""
-    mat = [list(v) for v in vectors]
-    for row in mat:
-        if len(row) != n:
-            raise ValueError("vector length %d does not match ambient %d" % (len(row), n))
-        for entry in row:
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for vector in vectors:
+        vec = list(vector)
+        if len(vec) != n:
+            raise ValueError("vector length %d does not match ambient %d" % (len(vec), n))
+        for entry in vec:
             field._check(entry)
-    pivot = 0
-    for col in range(n):
-        src = next((r for r in range(pivot, len(mat)) if mat[r][col]), None)
-        if src is None:
-            continue
-        mat[pivot], mat[src] = mat[src], mat[pivot]
-        scale = field.inv(mat[pivot][col])
-        mat[pivot] = [field.mul(scale, e) for e in mat[pivot]]
-        for r in range(len(mat)):
-            if r != pivot and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [
-                    field.sub(e, field.mul(c, pe))
-                    for e, pe in zip(mat[r], mat[pivot])
-                ]
-        pivot += 1
-        if pivot == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:pivot] if any(row))
+        _insert(field._tables, rows, pivots, vec)
+    return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -289,6 +406,14 @@ class Subspace:
         object.__setattr__(self, "basis", basis)
         if rref_canonicalize(self.field, self.ambient_dim, basis) != basis:
             raise ValueError("basis rows are not in reduced row echelon form")
+
+    @classmethod
+    def _trusted(cls, field: FieldSpec, ambient_dim: int, basis: tuple) -> "Subspace":
+        """A subspace whose basis, a tuple of tuples of field elements, the
+        caller built in RREF: stored without re-validation."""
+        space = object.__new__(cls)
+        vars(space).update(field=field, ambient_dim=ambient_dim, basis=basis)
+        return space
 
     @classmethod
     def spanned(
@@ -324,22 +449,22 @@ class Subspace:
         v = list(vector)
         if len(v) != self.ambient_dim:
             return False
+        for entry in v:
+            self.field._check(entry)
+        tables = self.field._tables
         for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            if c:
-                v = [self.field.sub(e, self.field.mul(c, re)) for e, re in zip(v, row)]
+            if v[piv]:
+                _axpy(tables, v, tables.neg[v[piv]], row, piv)
         return not any(v)
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the subspace."""
+        tables = self.field._tables
         for coeffs in itertools.product(self.field.elements(), repeat=self.dim):
             v = [0] * self.ambient_dim
             for c, row in zip(coeffs, self.basis):
                 if c:
-                    v = [
-                        self.field.add(e, self.field.mul(c, re))
-                        for e, re in zip(v, row)
-                    ]
+                    _axpy(tables, v, c, row)
             yield tuple(v)
 
     def to_jsonable(self) -> dict:
@@ -365,18 +490,19 @@ def project_down(subspace: Subspace) -> Subspace:
     if subspace.ambient_dim == 0:
         raise ValueError("nothing to project from ambient dimension 0")
     field, n = subspace.field, subspace.ambient_dim
+    tables = field._tables
     rows = [list(r) for r in subspace.basis]
     carriers = [r for r in rows if r[-1]]
     if carriers:
+        # the carrier with the last pivot: clearing the last column with
+        # it keeps the other rows in RREF, as no other row has that pivot
         pivot_row = carriers[-1]
-        scale = field.inv(pivot_row[-1])
+        scale = tables.inv[pivot_row[-1]]
         for r in rows:
             if r is not pivot_row and r[-1]:
-                c = field.mul(r[-1], scale)
-                r[:] = [field.sub(e, field.mul(c, pe)) for e, pe in zip(r, pivot_row)]
+                _axpy(tables, r, tables.neg[tables.mul[r[-1]][scale]], pivot_row)
         rows.remove(pivot_row)
-    stripped = [r[:-1] for r in rows]
-    return Subspace(field, n - 1, rref_canonicalize(field, n - 1, stripped))
+    return Subspace._trusted(field, n - 1, tuple(tuple(r[:-1]) for r in rows))
 
 
 def list_extensions(subspace: Subspace) -> list[Subspace]:
@@ -384,15 +510,26 @@ def list_extensions(subspace: Subspace) -> list[Subspace]:
     this one: the padded copy plus q^(n-k) grown extensions."""
     field, n = subspace.field, subspace.ambient_dim
     padded = tuple(row + (0,) for row in subspace.basis)
-    out = [Subspace(field, n + 1, padded)]
-    free_cols = [j for j in range(n) if j not in subspace.pivots]
+    out = [Subspace._trusted(field, n + 1, padded)]
+    pivots = subspace.pivots
+    free_cols = [j for j in range(n) if j not in pivots]
     for values in itertools.product(field.elements(), repeat=len(free_cols)):
         xi = [0] * (n + 1)
         for col, val in zip(free_cols, values):
             xi[col] = val
         xi[n] = 1
-        out.append(Subspace.spanned(field, n + 1, padded + (tuple(xi),)))
+        out.append(_grown(subspace, xi))
     return out
+
+
+def _grown(subspace: Subspace, xi: list[int]) -> Subspace:
+    """The span of subspace and xi in field^(n+1), for xi[n] != 0, by
+    one incremental RREF insertion."""
+    rows = [list(row) + [0] for row in subspace.basis]
+    _insert(subspace.field._tables, rows, list(subspace.pivots), xi)
+    return Subspace._trusted(
+        subspace.field, subspace.ambient_dim + 1, tuple(tuple(r) for r in rows)
+    )
 
 
 def enumerate_grassmannian(
@@ -421,7 +558,7 @@ def enumerate_grassmannian(
                 rows[i][piv] = 1
             for (i, c), val in zip(free, values):
                 rows[i][c] = val
-            yield Subspace(field, n, tuple(tuple(r) for r in rows))
+            yield Subspace._trusted(field, n, tuple(tuple(r) for r in rows))
 
 
 # ------------------------------------------------------------ growth chains
@@ -452,13 +589,13 @@ def sample_growth(
         current = chain[-1]
         p_grow = _grow_probability(kappa, current.codim, field)
         t = bernoulli_threshold(p_grow)
-        padded = tuple(row + (0,) for row in current.basis)
         if rng.next_uint64() < t:
             xi = [uniform_below(rng, field.size) for _ in range(n)]
             xi.append(1 + uniform_below(rng, field.size - 1))
-            chain.append(Subspace.spanned(field, n + 1, padded + (tuple(xi),)))
+            chain.append(_grown(current, xi))
         else:
-            chain.append(Subspace(field, n + 1, padded))
+            padded = tuple(row + (0,) for row in current.basis)
+            chain.append(Subspace._trusted(field, n + 1, padded))
     return tuple(chain)
 
 

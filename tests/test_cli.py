@@ -5,12 +5,14 @@ the documented table (0 ok, 2 usage, 3 regime, 4 failed check or bad
 input, 5 field error, 6 guard).
 """
 
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
 from qpascal import (
+    PolyaParams,
     QParam,
     ThetaParams,
     VArray,
@@ -19,6 +21,7 @@ from qpascal import (
     extreme_array,
     make_field,
     sample_extreme,
+    polya_array,
     sample_growth,
     theta_array,
     tilde_of_v,
@@ -32,6 +35,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def write_json(path, payload):
@@ -62,6 +69,50 @@ class TestTable:
         expected = tilde_of_v(theta_array(ThetaParams(F(1), HALF), 4))
         assert payload["rows"] == expected.to_jsonable()["tv"]
         assert payload["kind"] == "tilde"
+
+    # stdout digests recorded before tilde/v rows stopped going through text
+    TRIANGLE_DIGESTS = {
+        ("theta", "tilde", "json"): "cc49101082591e2305f1b3c268c33434906ad24ec8f4412fba93a65c87176078",
+        ("theta", "tilde", "csv"): "44dca061e9110632460c47f9379437a0453106ab6350922da2b84fe0896957bb",
+        ("theta", "tilde", "text"): "8cc412f955aa77a58e60ea97cf3550284aa66f25aeec0685f50533785768076a",
+        ("theta", "v", "json"): "a7c1af53c8f7c264c3793b90d3e0bbaaef391e7a8b5a489479b6f7fcc211e504",
+        ("theta", "v", "csv"): "58e88ad633b74adebd20286c340e04323ef6a834fefc29e63acda64cb0532ffb",
+        ("theta", "v", "text"): "e3a39ac761c446d12daa68cb7727e8dbe4fe4ac12ebe003fc88d075b4c72f3dc",
+        ("polya", "tilde", "json"): "61b1a585b8db92ba3662231e4af48885b40ef122d8a01ce849d8058e0007140e",
+        ("polya", "tilde", "csv"): "fe502a48a0524aec9393b8fbcc289da59234090e9891e174927d597277a6c4de",
+        ("polya", "tilde", "text"): "189c9f11ddf27504976b56cda94922a90cd223a9fd406dd456b26af9e40db2de",
+        ("polya", "v", "json"): "ce77e034f7cb8cb9432473a0c5385ea1a71fbf3efdaa531b83239473c79300d8",
+        ("polya", "v", "csv"): "4e86442e49ae88a33da60b0cbd5313a3933f52593077426b74cbe03c99f121e6",
+        ("polya", "v", "text"): "cc1b38e8070cebe45c2af320003098897bb660aa15faf443742cd3b5db13745b",
+    }
+
+    @pytest.mark.parametrize("key", sorted(TRIANGLE_DIGESTS), ids="-".join)
+    def test_tilde_and_v_in_every_format(self, capsys, key):
+        law, kind, fmt = key
+        params = ("--theta", "3/2") if law == "theta" else ("--a", "2", "--b", "1")
+        code, out = run(
+            capsys, "table", "--law", law, *params, "--q", "2/3", "--depth", "6",
+            "--kind", kind, "--format", fmt,
+        )
+        assert code == 0
+        assert sha256(out) == self.TRIANGLE_DIGESTS[key]
+        q = QParam(F(2, 3))
+        if law == "theta":
+            array = theta_array(ThetaParams(F(3, 2), q), 6)
+        else:
+            array = polya_array(PolyaParams(2, 1, q), 6)
+        expected = (tilde_of_v(array) if kind == "tilde" else array).rows
+        if fmt == "json":
+            payload = json.loads(out)
+            rows = payload["rows"] if kind == "tilde" else payload["v"]
+        elif fmt == "csv":
+            rows = [[] for _ in range(7)]
+            for line in out.strip().splitlines()[1:]:
+                n, _, value = line.split(",")
+                rows[int(n)].append(value)
+        else:
+            rows = [line.split(" | ")[1].split("  ") for line in out.strip().splitlines()]
+        assert [[F(x) for x in row] for row in rows] == [list(row) for row in expected]
 
     def test_v_triangle_is_the_file_format(self, capsys):
         code, out = run(
@@ -264,6 +315,57 @@ class TestGrassmann:
         chain = sample_growth(1, make_field(2), 5, seed=9)
         assert payload["word"] == str(codim_word(chain))
         assert payload["chain"][-1]["dim"] == chain[-1].dim
+
+    # stdout digests recorded before field arithmetic went through tables
+    GROW_DIGESTS = {
+        (2, 1, 7, "2"): "e5d2e190ffc133b8c9bfe23f184a6ba9d8773aea111cbfe0e9f39bf1dfa3e413",
+        (2, 1, 7, "5"): "aeb9e2feca726d4608497e9d13cedc89480ea4d387e48787f58a276b51dab0bd",
+        (2, 1, 7, "inf"): "d7d29acba1b6f9a3fc31dceb940d051d1c8e8e69ad258d007fb86c41fb55a43e",
+        (2, 1, 2024, "2"): "fabbee517e5c241fa9d43b43161f44d4a8221fe9a658fa3ddf51fc4f0510ebf1",
+        (2, 1, 2024, "5"): "2bf571179008149160b7644ad9ef0afd0ee12cc354f87934a1a57b8d77125a77",
+        (2, 1, 2024, "inf"): "30a55558cf3a4b7ad7afb3e09ec4a566213ad91f7808621c60a7f04602393aaa",
+        (3, 1, 7, "2"): "97d42acb6a971995c1877527978744bf01470c30eafae6862461b6f2e8cbeb04",
+        (3, 1, 7, "5"): "aee6ee056f48c22a15f6b678ce0926e2f5758e08fa2f90a5c6fb607ba489d5da",
+        (3, 1, 7, "inf"): "486af54130d5801402a8ad2f03c514fa7ff799d4b525ecccca21dffbb5a111d0",
+        (3, 1, 2024, "2"): "17c2a7aaf338db51783e330c4881a4817eafd13dbc6c76d333a3746e200c2a18",
+        (3, 1, 2024, "5"): "c69ea3db41fbd6e29a803de6ddfc210701cc169cd6bbb6bb18b7b60d6c3b0c8e",
+        (3, 1, 2024, "inf"): "cd8fbf068b3657283518d9417107de12c2b1e4fc787e2aee9889b1a60c952660",
+        (2, 2, 7, "2"): "3b43bddb0375e7097752629741311cb641189b51681f0246e455cc8df1e33ed2",
+        (2, 2, 7, "5"): "aa4ef6e8466cd3457efbb3489dde97a04d50ce0aa21c4ae4431d37dda7b3b0cf",
+        (2, 2, 7, "inf"): "5c6d2b3a24214cb6f937352e0350627fb3d96a0979bdb3d1ccece572a72370a8",
+        (2, 2, 2024, "2"): "bd456f43e00461ce02b3b7e9139f3bdb3fbf92a3f470675fdad55a95d52d9a85",
+        (2, 2, 2024, "5"): "48655becb3051a37f5ff2e42ce3e262f207257fb65774c79b68af86fd259224b",
+        (2, 2, 2024, "inf"): "0e3a27d837ef6c77bd45a7d981dc544e111d9cba1feb7b49f21110d470f44e3e",
+        (2, 4, 7, "2"): "7eecacd36b2f80b4df62aac0828ea9197d26533f2d75d5ef258df3c13b465d1f",
+        (2, 4, 7, "5"): "d28451b112455bb420aa8db6e2c6c68c860ef7f3e53465e8b6931f9c29ff225d",
+        (2, 4, 7, "inf"): "333b00680d69bcaf144286612f5cfd2c87fea7a962a556c83226779f731b93a5",
+        (2, 4, 2024, "2"): "1f220297347ed0ae20495199632132feece753cae48499be96ffde10abee35c7",
+        (2, 4, 2024, "5"): "0f24bebef1d64b96900c2d711cb29411ff4dac26a2e9f5201386cc9ff02947c3",
+        (2, 4, 2024, "inf"): "6cf6eeb7d73e7049aeda78302d01970f9c09192339aafdf8d41ca32ee246df2a",
+    }
+    ENUMERATE_DIGESTS = {
+        (2, 6, 2): "367b03f7cb3ccd710286c01e6c9cd2ce50541a95a19ea85168810b71654a502f",
+        (3, 4, 1): "702aec751eca837f65854fbba0aa258c6334b344faff9cb9a175b6003a57fb9e",
+    }
+
+    @pytest.mark.parametrize(
+        "key", sorted(GROW_DIGESTS), ids=lambda k: "GF%d^%d-seed%d-kappa%s" % k
+    )
+    def test_grow_output_pinned(self, capsys, key):
+        p, m, seed, kappa = key
+        code, out = run(capsys, "grassmann", "--p", str(p), "--m", str(m),
+                        "--grow", kappa, "--nmax", "12", "--seed", str(seed))
+        assert code == 0
+        assert sha256(out) == self.GROW_DIGESTS[key]
+
+    @pytest.mark.parametrize(
+        "key", sorted(ENUMERATE_DIGESTS), ids=lambda k: "GF%d-n%d-k%d" % k
+    )
+    def test_enumerate_output_pinned(self, capsys, key):
+        p, n, k = key
+        code, out = run(capsys, "grassmann", "--p", str(p), "--enumerate", str(n), str(k))
+        assert code == 0
+        assert sha256(out) == self.ENUMERATE_DIGESTS[key]
 
     def test_composite_characteristic_exit_code(self, capsys):
         code, _ = run(capsys, "grassmann", "--p", "6", "--enumerate", "2", "1")

@@ -1,4 +1,10 @@
+import copy
+import hashlib
 import itertools
+import json
+import math
+import pickle
+import time
 from collections import defaultdict
 from fractions import Fraction as F
 
@@ -27,6 +33,7 @@ from qpascal import (
     rref_canonicalize,
     sample_growth,
 )
+from qpascal import galois
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -104,6 +111,67 @@ class TestFieldArithmetic:
             F2.add(0, 2)
 
 
+class TestTables:
+    @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 1)])
+    def test_every_pair_matches_the_exact_arithmetic(self, p, m):
+        field = make_field(p, m)
+        tables = field._tables
+        for x, y in itertools.product(field.elements(), repeat=2):
+            assert tables.add[x][y] == field._add(x, y)
+            assert tables.sub[x][y] == field._add(x, field._neg(y))
+            assert tables.mul[x][y] == field._mul(x, y)
+        for x in field.elements():
+            assert tables.neg[x] == field._neg(x)
+            if x:
+                assert tables.inv[x] == field._inv(x)
+
+    def test_built_on_first_use(self):
+        field = make_field(3, 2)
+        assert "_tables" not in vars(field)
+        field.mul(2, 3)
+        assert "_tables" in vars(field)
+
+    def test_copies_leave_the_tables_behind(self):
+        for field in (make_field(3, 2), make_field(1048573)):
+            field.mul(2, 3)
+            for copied in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+                assert copied == field and "_tables" not in vars(copied)
+                assert copied.mul(2, 3) == field.mul(2, 3)
+
+    # chains of sample_growth(3, field, 12, seed=11), recorded before field
+    # arithmetic went through tables: the two largest fields with tables
+    # and two fields above TABLE_FIELD_SIZE, which must build none
+    LARGE_FIELD_CHAINS = [
+        (2, 10, "337aa9844292a7f7cda9eba0a0b8f6cc3a3a5b55980bcf26c6ab7c3181a60484"),
+        (1021, 1, "50433c785fbfbca03fe680a90329de4840cff7e97f818468cffe5ca8f380745d"),
+        (2, 20, "ac1ef5613a7db6c20afd31fa79444c51733ae3e3af3d004ccec04c10ddd0de6b"),
+        (1048573, 1, "351ca7eb80b88eaf77ca5d26d7a2c996d8c00685d2e55b4c2309ab8133b2c030"),
+    ]
+
+    @pytest.mark.parametrize("p, m, digest", LARGE_FIELD_CHAINS,
+                             ids=["GF2^10", "GF1021", "GF2^20", "GF1048573"])
+    def test_large_field_growth(self, monkeypatch, p, m, digest):
+        tabulated = p**m <= galois.TABLE_FIELD_SIZE
+        if not tabulated:
+            def refuse(field):
+                raise AssertionError("tables built for a field of size %d" % field.size)
+
+            monkeypatch.setattr(galois, "_tabulate", refuse)
+        start = time.perf_counter()
+        field = make_field(p, m)
+        chain = sample_growth(3, field, 12, seed=11)
+        elapsed = time.perf_counter() - start
+        bases = json.dumps([[list(row) for row in s.basis] for s in chain])
+        assert hashlib.sha256(bases.encode()).hexdigest() == digest
+        assert str(codim_word(chain)) == "111000000000"
+        assert isinstance(field._tables.mul, list) == tabulated
+        assert elapsed < 2.0
+
+    def test_size_guard_follows_the_field_limit(self):
+        assert galois.TABLE_FIELD_SIZE ** 2 <= galois.MAX_FIELD_SIZE
+        assert (galois.TABLE_FIELD_SIZE + 1) ** 2 > galois.MAX_FIELD_SIZE
+
+
 class TestRref:
     def test_hand_example(self):
         rows = rref_canonicalize(F2, 3, [(1, 1, 0), (1, 0, 1)])
@@ -139,6 +207,17 @@ class TestSubspace:
     def test_rejects_non_rref_basis(self):
         with pytest.raises(ValueError):
             Subspace(F2, 3, ((1, 1, 0), (1, 0, 1)))
+
+    def test_from_jsonable_validates(self):
+        data = Subspace.spanned(F3, 3, [(1, 0, 2)]).to_jsonable()
+        for bad in ([[2, 0, 1]], [[1, 0, 3]], [[1, 0], [0, 1]]):
+            with pytest.raises(ValueError):
+                Subspace.from_jsonable(dict(data, basis=bad))
+
+    def test_contains_checks_entries(self):
+        space = Subspace.spanned(F2, 3, [(1, 1, 0)])
+        with pytest.raises(ValueError):
+            space.contains((0, 2, 0))
 
     def test_zero_and_full(self):
         assert Subspace.zero(F2, 3).dim == 0
@@ -284,3 +363,33 @@ class TestGrowth:
 
     def test_growth_q_param(self):
         assert growth_q_param(F3).q == F(1, 3)
+
+
+def assert_canonical(space):
+    assert isinstance(space.basis, tuple)
+    assert all(isinstance(row, tuple) for row in space.basis)
+    assert rref_canonicalize(space.field, space.ambient_dim, space.basis) == space.basis
+
+
+class TestInternalBasesAreCanonical:
+    """Bases built without re-validation are the RREF of themselves."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, make_field(2, 3), make_field(5)],
+                             ids=lambda f: "GF%d" % f.size)
+    def test_growth_chains_and_projections(self, field):
+        for kappa, seed in itertools.product((0, 1, 2, 5, math.inf), range(4)):
+            chain = sample_growth(kappa, field, 9, seed=seed)
+            for prev, space in zip(chain, chain[1:]):
+                assert_canonical(space)
+                assert_canonical(project_down(space))
+                assert project_down(space) == prev
+
+    def test_grassmannians_extensions_and_projections(self):
+        for field in (F2, F3, F4):
+            for n in range(4):
+                for k in range(n + 1):
+                    for space in enumerate_grassmannian(field, n, k):
+                        assert_canonical(space)
+                        for ext in list_extensions(space):
+                            assert_canonical(ext)
+                            assert_canonical(project_down(ext))
