@@ -16,27 +16,25 @@ c_m = 1.  With m = 1 the default modulus is x, so elements are the
 usual integers mod p.  Subspaces are kept in reduced row echelon form,
 which makes equality checks and JSON round-trips canonical.
 
-Arithmetic goes through lookup tables (add, sub, mul, neg, inv), built
-from the exact polynomial and modular arithmetic the first time a field
-is used.  Only fields with q * q <= MAX_FIELD_SIZE get them (q up to
-TABLE_FIELD_SIZE = 1024); larger fields compute each entry with that
-arithmetic instead.  Row reduction checks its input entries once, then
-works on rows by table lookup, and a growth step inserts its one new
-vector into the current basis in O(dim * n).  ``Subspace(...)`` and
-``Subspace.from_jsonable`` validate their basis by row reduction; bases
-the module builds in RREF itself (growth steps, extensions, projections,
-Grassmannian enumeration) are stored without that second reduction.
+Row reduction checks its input once, then works on rows through add,
+mul, neg and inv tables built on first use from the exact arithmetic of
+``FieldSpec``, if q * q <= MAX_FIELD_SIZE (larger fields compute each
+entry).  A growth step inserts its one new vector into the current basis
+in O(dim * n).  ``Subspace(...)`` and ``from_jsonable`` validate a basis;
+bases built in RREF here (growth steps, extensions, projections,
+Grassmannians) are stored as they are.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+from collections import namedtuple
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .boundary import _check_kappa
 from .errors import (
@@ -145,15 +143,8 @@ def _check_field_order(p, m) -> None:
         raise TooLargeError("field size %d exceeds limit" % p**m)
 
 
-class _Tables(NamedTuple):
-    """Operation tables of one field: ``add[x][y]``, ``sub[x][y]``,
-    ``mul[x][y]``, ``neg[x]`` and ``inv[x]`` (``inv[0]`` is None)."""
-
-    add: Sequence
-    sub: Sequence
-    mul: Sequence
-    neg: Sequence
-    inv: Sequence
+# a field's tables: add[x][y], mul[x][y], neg[x] and inv[x] (inv[0] is None)
+_Tables = namedtuple("_Tables", "add mul neg inv")
 
 
 class _Computed:
@@ -216,82 +207,61 @@ class FieldSpec:
             out = out * self.p + c % self.p
         return out
 
-    def _check(self, element: int) -> int:
+    def _check(self, element: int) -> None:
         if not isinstance(element, int) or not 0 <= element < self.size:
             raise ValueError("not an element of this field: %r" % (element,))
-        return element
+
+    # the exact arithmetic: the table builder, the arithmetic of fields
+    # too large to tabulate and the tests' oracle
 
     def add(self, x: int, y: int) -> int:
-        return self._tables.add[self._check(x)][self._check(y)]
-
-    def neg(self, x: int) -> int:
-        return self._tables.neg[self._check(x)]
-
-    def sub(self, x: int, y: int) -> int:
-        return self._tables.sub[self._check(x)][self._check(y)]
-
-    def mul(self, x: int, y: int) -> int:
-        return self._tables.mul[self._check(x)][self._check(y)]
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._tables.inv[self._check(x)]
-
-    def __getstate__(self) -> dict:
-        # the tables are a cache: a copy or an unpickled field rebuilds them
-        return {k: v for k, v in vars(self).items() if k != "_tables"}
-
-    @cached_property
-    def _tables(self) -> _Tables:
-        """The operation tables, built on first use; above TABLE_FIELD_SIZE
-        the entries are computed on each lookup instead."""
-        if self.size <= TABLE_FIELD_SIZE:
-            return _tabulate(self)
-
-        def binary(op):
-            return _Computed(lambda x: _Computed(partial(op, x)))
-
-        return _Tables(
-            binary(self._add), binary(self._sub), binary(self._mul),
-            _Computed(self._neg), _Computed(self._inv),
-        )
-
-    # The exact polynomial and modular arithmetic: the table builder, the
-    # arithmetic of fields too large to tabulate and the tests' oracle.
-
-    def _add(self, x: int, y: int) -> int:
         if self.m == 1:
+            self._check(x)
+            self._check(y)
             return (x + y) % self.p
         a, b = self.decode(x), self.decode(y)
         return self.encode([(u + v) % self.p for u, v in zip(a, b)])
 
-    def _neg(self, x: int) -> int:
+    def neg(self, x: int) -> int:
         if self.m == 1:
+            self._check(x)
             return -x % self.p
         return self.encode([-c % self.p for c in self.decode(x)])
 
-    def _sub(self, x: int, y: int) -> int:
-        return self._add(x, self._neg(y))
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
 
-    def _mul(self, x: int, y: int) -> int:
+    def mul(self, x: int, y: int) -> int:
         if self.m == 1:
+            self._check(x)
+            self._check(y)
             return x * y % self.p
         prod = _poly_mul(self.decode(x), self.decode(y), self.p)
         return self.encode(_poly_divmod_tail(prod, self.modulus, self.p))
 
-    def _inv(self, x: int) -> int:
+    def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self.m == 1:
+            self._check(x)
             return pow(x, self.p - 2, self.p)
         out, base, e = 1, x, self.size - 2
         while e:
             if e & 1:
-                out = self._mul(out, base)
-            base = self._mul(base, base)
+                out = self.mul(out, base)
+            base = self.mul(base, base)
             e >>= 1
         return out
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        """Row reduction's tables, built on first use (computed above
+        TABLE_FIELD_SIZE)."""
+        if self.size <= TABLE_FIELD_SIZE:
+            return _tabulate(self)
+        add = _Computed(lambda x: _Computed(lambda y: self.add(x, y)))
+        mul = _Computed(lambda x: _Computed(lambda y: self.mul(x, y)))
+        return _Tables(add, mul, _Computed(self.neg), _Computed(self.inv))
 
     def to_jsonable(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
@@ -312,14 +282,12 @@ def _tabulate(field: FieldSpec) -> _Tables:
         if x == t * p:
             t = x
         if x == t:
-            add.append([field._add(x, y) for y in range(q)])
+            add.append([field.add(x, y) for y in range(q)])
         else:
             add.append([add[t][e] for e in add[x - t]])
-    neg = [field._neg(x) for x in range(q)]
-    sub = [[row[y] for y in neg] for row in add]
     for g in range(1, q):
         powers = [1]
-        while (x := field._mul(powers[-1], g)) != 1:
+        while (x := field.mul(powers[-1], g)) != 1:
             powers.append(x)
         if len(powers) == q - 1:
             break
@@ -328,8 +296,9 @@ def _tabulate(field: FieldSpec) -> _Tables:
         log[x] = i
     twice, logs = powers + powers, log[1:]
     mul = [[0] * q] + [[0] + [twice[i + j] for j in logs] for i in logs]
+    neg = [field.neg(x) for x in range(q)]
     inv = [None] + [powers[-i] for i in logs]
-    return _Tables(add, sub, mul, neg, inv)
+    return _Tables(add, mul, neg, inv)
 
 
 def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> FieldSpec:
@@ -353,15 +322,20 @@ def _axpy(tables: _Tables, row: list[int], c: int, src, start: int = 0) -> None:
     row[start:] = [add[e][mc[s]] for e, s in zip(row[start:], src[start:])]
 
 
-def _insert(tables: _Tables, rows: list, pivots: list, vec: list[int]) -> None:
-    """Add vec to the span of ``rows``, an RREF basis with pivot columns
-    ``pivots``, keeping both in RREF: reduce vec against each row, scale
-    its leading entry to 1 and clear that column from the other rows.
-    O(len(rows) * n) lookups; a vec already in the span changes nothing."""
-    neg = tables.neg
+def _reduce(tables: _Tables, rows, pivots, vec: list[int]) -> None:
+    """Subtract from vec, in place, its multiples of the RREF rows with
+    pivot columns ``pivots``: vec ends zero in every pivot column."""
     for row, piv in zip(rows, pivots):
         if vec[piv]:
-            _axpy(tables, vec, neg[vec[piv]], row, piv)
+            _axpy(tables, vec, tables.neg[vec[piv]], row, piv)
+
+
+def _insert(tables: _Tables, rows: list, pivots: list, vec: list[int]) -> None:
+    """Add vec to the span of ``rows``, an RREF basis with pivot columns
+    ``pivots``, keeping both in RREF: reduce vec, scale its leading entry
+    to 1 and clear that column from the other rows.  O(len(rows) * n)
+    lookups; a vec already in the span changes nothing."""
+    _reduce(tables, rows, pivots, vec)
     lead = next((j for j, e in enumerate(vec) if e), None)
     if lead is None:
         return
@@ -369,7 +343,7 @@ def _insert(tables: _Tables, rows: list, pivots: list, vec: list[int]) -> None:
     vec[lead:] = [scale[e] for e in vec[lead:]]
     for row in rows:
         if row[lead]:
-            _axpy(tables, row, neg[row[lead]], vec, lead)
+            _axpy(tables, row, tables.neg[row[lead]], vec, lead)
     i = bisect.bisect(pivots, lead)
     rows.insert(i, vec)
     pivots.insert(i, lead)
@@ -379,8 +353,7 @@ def rref_canonicalize(
     field: FieldSpec, n: int, vectors: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form of the span; zero rows dropped."""
-    rows: list[list[int]] = []
-    pivots: list[int] = []
+    rows, pivots = [], []
     for vector in vectors:
         vec = list(vector)
         if len(vec) != n:
@@ -409,8 +382,7 @@ class Subspace:
 
     @classmethod
     def _trusted(cls, field: FieldSpec, ambient_dim: int, basis: tuple) -> "Subspace":
-        """A subspace whose basis, a tuple of tuples of field elements, the
-        caller built in RREF: stored without re-validation."""
+        """A subspace on a tuple-of-tuples basis its caller built in RREF."""
         space = object.__new__(cls)
         vars(space).update(field=field, ambient_dim=ambient_dim, basis=basis)
         return space
@@ -446,15 +418,14 @@ class Subspace:
         return tuple(next(j for j, e in enumerate(row) if e) for row in self.basis)
 
     def contains(self, vector: Sequence[int]) -> bool:
+        """Whether vector lies in the subspace; False for a wrong length,
+        ValueError for an entry that is not a field element."""
         v = list(vector)
         if len(v) != self.ambient_dim:
             return False
         for entry in v:
             self.field._check(entry)
-        tables = self.field._tables
-        for row, piv in zip(self.basis, self.pivots):
-            if v[piv]:
-                _axpy(tables, v, tables.neg[v[piv]], row, piv)
+        _reduce(self.field._tables, self.basis, self.pivots, v)
         return not any(v)
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
@@ -511,8 +482,7 @@ def list_extensions(subspace: Subspace) -> list[Subspace]:
     field, n = subspace.field, subspace.ambient_dim
     padded = tuple(row + (0,) for row in subspace.basis)
     out = [Subspace._trusted(field, n + 1, padded)]
-    pivots = subspace.pivots
-    free_cols = [j for j in range(n) if j not in pivots]
+    free_cols = [j for j in range(n) if j not in subspace.pivots]
     for values in itertools.product(field.elements(), repeat=len(free_cols)):
         xi = [0] * (n + 1)
         for col, val in zip(free_cols, values):
@@ -523,8 +493,7 @@ def list_extensions(subspace: Subspace) -> list[Subspace]:
 
 
 def _grown(subspace: Subspace, xi: list[int]) -> Subspace:
-    """The span of subspace and xi in field^(n+1), for xi[n] != 0, by
-    one incremental RREF insertion."""
+    """The span of subspace and xi (xi[n] != 0) in field^(n+1)."""
     rows = [list(row) + [0] for row in subspace.basis]
     _insert(subspace.field._tables, rows, list(subspace.pivots), xi)
     return Subspace._trusted(
