@@ -35,6 +35,7 @@ from .exactq import (
     format_rational,
     parse_rational,
     q_binomial,
+    q_pochhammer,
 )
 from .laws import ForwardChain, VArray
 
@@ -155,17 +156,10 @@ def extreme_kernel(
     xf = as_fraction(x)
     if not 0 <= xf <= 1:
         raise ValueError("x must lie in [0, 1], got %s" % xf)
-    qq = q.q
-    prod = Fraction(1)
-    power = Fraction(1)  # q^(-i)
-    for _ in range(k):
-        prod *= 1 - xf * power
-        if prod == 0:
-            break
-        power /= qq
+    prod = q_pochhammer(xf, q.inverse, k)
     if prod == 0:
         return Fraction(0), Fraction(0)
-    value = qq ** (-k * (n - k)) * xf ** (n - k) * prod
+    value = q.q ** (-k * (n - k)) * xf ** (n - k) * prod
     return value, q_binomial(n, k, q) * value
 
 

@@ -151,6 +151,10 @@ def _build_array(args) -> VArray:
             raise ValueError("--measure-file is required for a mixture")
         with open(args.measure_file, encoding="utf-8") as fh:
             measure = BoundaryMeasure.from_jsonable(json.load(fh))
+        if measure.q != q:
+            raise ValueError(
+                "--q %s does not match the measure file's q = %s" % (q, measure.q)
+            )
         return mixture_array(measure, args.depth)
     if args.law == "theta":
         if args.theta is None:

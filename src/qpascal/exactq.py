@@ -121,28 +121,20 @@ def q_integer(n: int, q: QParam) -> Fraction:
     """[n] = 1 + q + ... + q^(n-1); zero for n = 0."""
     if n < 0:
         raise ValueError("q_integer needs n >= 0, got %d" % n)
-    qq = q.q
-    if qq == 1:
-        return Fraction(n)
-    return (1 - qq**n) / (1 - qq)
+    return _q_integer(n, q.q)
+
+
+def _q_integer(x, qq):
+    """[x] = (1 - qq^x) / (1 - qq), and x at qq = 1, in the number type
+    of qq: a Fraction, or a float in the urn's float mode."""
+    return x * qq if qq == 1 else (1 - qq**x) / (1 - qq)
 
 
 def q_factorial(n: int, q: QParam) -> Fraction:
     """[n]! = [1][2]...[n]; empty product 1 for n = 0."""
     if n < 0:
         raise ValueError("q_factorial needs n >= 0, got %d" % n)
-    return _q_factorial(n, q.q)
-
-
-@lru_cache(maxsize=None)
-def _q_factorial(n: int, qq: Fraction) -> Fraction:
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        if qq == 1:
-            out *= i
-        else:
-            out *= (1 - qq**i) / (1 - qq)
-    return out
+    return math.prod((q_integer(i, q) for i in range(1, n + 1)), start=Fraction(1))
 
 
 def q_binomial(n: int, k: int, q: QParam) -> Fraction:

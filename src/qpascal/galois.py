@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .boundary import _check_kappa
+from .boundary import _check_kappa, extreme_stay
 from .errors import (
     FieldConstructionError,
     NotIrreducibleError,
@@ -211,40 +211,28 @@ class FieldSpec:
         if not isinstance(element, int) or not 0 <= element < self.size:
             raise ValueError("not an element of this field: %r" % (element,))
 
-    # the exact arithmetic: the table builder, the arithmetic of fields
-    # too large to tabulate and the tests' oracle
+    # the exact polynomial arithmetic (a prime field is its degree-1
+    # case): the table builder, the arithmetic of fields too large to
+    # tabulate and the tests' oracle
 
     def add(self, x: int, y: int) -> int:
-        if self.m == 1:
-            self._check(x)
-            self._check(y)
-            return (x + y) % self.p
         a, b = self.decode(x), self.decode(y)
         return self.encode([(u + v) % self.p for u, v in zip(a, b)])
 
     def neg(self, x: int) -> int:
-        if self.m == 1:
-            self._check(x)
-            return -x % self.p
         return self.encode([-c % self.p for c in self.decode(x)])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        if self.m == 1:
-            self._check(x)
-            self._check(y)
-            return x * y % self.p
         prod = _poly_mul(self.decode(x), self.decode(y), self.p)
         return self.encode(_poly_divmod_tail(prod, self.modulus, self.p))
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.m == 1:
-            self._check(x)
-            return pow(x, self.p - 2, self.p)
+        self._check(x)  # over GF(2) the loop below multiplies nothing
         out, base, e = 1, x, self.size - 2
         while e:
             if e & 1:
@@ -533,31 +521,24 @@ def enumerate_grassmannian(
 # ------------------------------------------------------------ growth chains
 
 
-def _grow_probability(kappa, codim: int, field: FieldSpec) -> Fraction:
-    # extreme forward law at q-bar = 1/size: a 0-bit (dimension growth)
-    # has probability q-bar^(kappa - codim)
-    if isinstance(kappa, float):  # math.inf
-        return Fraction(0)
-    return Fraction(1, field.size) ** (kappa - codim)
-
-
 def sample_growth(
     kappa, field: FieldSpec, n_max: int, seed: int
 ) -> tuple[Subspace, ...]:
     """One growing chain V_0 subset V_1 subset ... subset V_{n_max}.
 
-    Each step consumes one decision draw (grow iff draw < threshold);
-    a growth step then draws its new vector as n coordinate draws
-    (uniform_below(size), index order) plus one draw for the last
-    coordinate (1 + uniform_below(size - 1)).
+    Each step consumes one decision draw: the space grows iff the draw
+    is below the threshold of extreme_stay(kappa, 1/size, codim), the
+    extreme law's chance of a 0-bit.  A growth step then draws its new
+    vector as n coordinate draws (uniform_below(size), index order) plus
+    one draw for the last coordinate (1 + uniform_below(size - 1)).
     """
     _check_kappa(kappa)
+    qbar = growth_q_param(field)
     rng = SplitMix64(seed)
     chain = [Subspace.zero(field, 0)]
     for n in range(n_max):
         current = chain[-1]
-        p_grow = _grow_probability(kappa, current.codim, field)
-        t = bernoulli_threshold(p_grow)
+        t = bernoulli_threshold(extreme_stay(kappa, qbar, current.codim))
         if rng.next_uint64() < t:
             xi = [uniform_below(rng, field.size) for _ in range(n)]
             xi.append(1 + uniform_below(rng, field.size - 1))
@@ -588,6 +569,7 @@ def exact_growth_law(
     """Law of the full chain by exact branching: p_grow splits evenly
     over the q^(n-k) grown extensions, 1 - p_grow stays."""
     _check_kappa(kappa)
+    qbar = growth_q_param(field)
     states: dict[tuple[Subspace, ...], Fraction] = {
         (Subspace.zero(field, 0),): Fraction(1)
     }
@@ -595,7 +577,7 @@ def exact_growth_law(
         nxt: dict[tuple[Subspace, ...], Fraction] = {}
         for chain, prob in states.items():
             current = chain[-1]
-            p_grow = _grow_probability(kappa, current.codim, field)
+            p_grow = extreme_stay(kappa, qbar, current.codim)
             extensions = list_extensions(current)
             stay, grown = extensions[0], extensions[1:]
             if p_grow != 1:

@@ -50,6 +50,25 @@ def _coerce_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return out
 
 
+def _to_wire(array, key: str) -> dict:
+    """The triangle file format: q, depth and the rows under ``key``."""
+    return {
+        "q": str(array.q),
+        "depth": array.depth,
+        key: [[format_rational(x) for x in row] for row in array.rows],
+    }
+
+
+def _from_wire(cls, obj: Mapping, key: str):
+    rows = tuple(tuple(parse_rational(x) for x in row) for row in obj[key])
+    arr = cls(QParam(parse_rational(obj["q"])), rows)
+    if "depth" in obj and int(obj["depth"]) != arr.depth:
+        raise InvalidArrayError(
+            "declared depth %s does not match %d rows" % (obj["depth"], arr.depth + 1)
+        )
+    return arr
+
+
 @dataclass(frozen=True)
 class VArray:
     """Canonical-word probability triangle of a q-exchangeable law."""
@@ -72,24 +91,11 @@ class VArray:
         return tuple(row[0] for row in self.rows)
 
     def to_jsonable(self) -> dict:
-        return {
-            "q": str(self.q),
-            "depth": self.depth,
-            "v": [[format_rational(x) for x in row] for row in self.rows],
-        }
+        return _to_wire(self, "v")
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "VArray":
-        rows = tuple(
-            tuple(parse_rational(x) for x in row) for row in obj["v"]
-        )
-        arr = cls(QParam(parse_rational(obj["q"])), rows)
-        if "depth" in obj and int(obj["depth"]) != arr.depth:
-            raise InvalidArrayError(
-                "declared depth %s does not match %d rows"
-                % (obj["depth"], arr.depth + 1)
-            )
-        return arr
+        return _from_wire(cls, obj, "v")
 
 
 @dataclass(frozen=True)
@@ -121,24 +127,11 @@ class TildeArray:
         return self.rows[n]
 
     def to_jsonable(self) -> dict:
-        return {
-            "q": str(self.q),
-            "depth": self.depth,
-            "tv": [[format_rational(x) for x in row] for row in self.rows],
-        }
+        return _to_wire(self, "tv")
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "TildeArray":
-        rows = tuple(
-            tuple(parse_rational(x) for x in row) for row in obj["tv"]
-        )
-        arr = cls(QParam(parse_rational(obj["q"])), rows)
-        if "depth" in obj and int(obj["depth"]) != arr.depth:
-            raise InvalidArrayError(
-                "declared depth %s does not match %d rows"
-                % (obj["depth"], arr.depth + 1)
-            )
-        return arr
+        return _from_wire(cls, obj, "tv")
 
 
 class RecursionCheck(NamedTuple):

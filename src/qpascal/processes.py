@@ -60,8 +60,8 @@ from .exactq import (
     QParam,
     Regime,
     TruncationPolicy,
+    _q_integer,
     as_fraction,
-    q_integer,
     q_pochhammer_bounds,
     q_pochhammer_infinite,
 )
@@ -264,27 +264,22 @@ class PolyaParams:
         return not (isinstance(self.a, int) and isinstance(self.b, int))
 
 
-def _q_int_real(x: float, qf: float) -> float:
-    if qf == 1.0:
-        return x
-    return (1.0 - qf**x) / (1.0 - qf)
+def _urn_numbers(params: PolyaParams):
+    """a, b and q: integer strengths with a Fraction q, or all floats."""
+    a, b, q = params.a, params.b, params.q.q
+    if params.float_mode:
+        return float(a), float(b), float(q)
+    return a, b, q
 
 
 def polya_forward_probs(params: PolyaParams, n: int, k: int):
     """(P(next bit 0), P(next bit 1)) from state (n, k); exact when possible."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    a, b = params.a, params.b
-    if not params.float_mode:
-        q = params.q
-        total = q_integer(a + b + n, q)
-        p_zero = q_integer(b + n - k, q) / total
-        p_one = q.q ** (n - k + b) * q_integer(a + k, q) / total
-        return p_zero, p_one
-    qf = float(params.q.q)
-    total = _q_int_real(float(a) + float(b) + n, qf)
-    p_zero = _q_int_real(float(b) + n - k, qf) / total
-    p_one = qf ** (n - k + float(b)) * _q_int_real(float(a) + k, qf) / total
+    a, b, q = _urn_numbers(params)
+    total = _q_integer(a + b + n, q)
+    p_zero = _q_integer(b + n - k, q) / total
+    p_one = q ** (n - k + b) * _q_integer(a + k, q) / total
     return p_zero, p_one
 
 
@@ -338,46 +333,30 @@ def polya_boundary_measure(
     q = params.q
     q.require_sub_unit("urn mixing measure")
     pol = policy or DEFAULT_POLICY
-    qq = q.q
-
+    a, b, qq = _urn_numbers(params)
     if params.float_mode:
-        qf = float(qq)
-        af, bf = float(params.a), float(params.b)
         ratio = (
-            q_pochhammer_infinite(qf**bf, q, pol).value
-            / q_pochhammer_infinite(qf ** (af + bf), q, pol).value
+            q_pochhammer_infinite(qq**b, q, pol).value
+            / q_pochhammer_infinite(qq ** (a + b), q, pol).value
         )
-        masses = []
-        poch_a = 1.0  # (q^a, q)_kappa
-        poch_q = 1.0  # (q, q)_kappa
-        for kappa in range(kmax + 1):
-            masses.append(poch_a * qf ** (kappa * bf) / poch_q * ratio)
-            poch_a *= 1.0 - qf ** (af + kappa)
-            poch_q *= 1.0 - qf ** (kappa + 1)
-        atoms = {kappa: Fraction(m) for kappa, m in enumerate(masses)}
-        total = sum(atoms.values())
-        if total > 1:  # numeric overshoot: rescale once, exactly
-            atoms = {kappa: m / total for kappa, m in atoms.items()}
-            total = Fraction(1)
-        return BoundaryMeasure.of(q, atoms, 1 - total)
-
-    a, b = params.a, params.b
-    if a == 1:
+    elif a == 1:
         base = qq**b
         atoms = {kappa: (1 - base) * base**kappa for kappa in range(kmax + 1)}
         return BoundaryMeasure.of(q, atoms, base ** (kmax + 1))
-
-    n_lo, _ = q_pochhammer_bounds(qq**b, q, pol)
-    _, d_hi = q_pochhammer_bounds(qq ** (a + b), q, pol)
-    ratio = n_lo / d_hi
+    else:  # a certified lower bound of the ratio
+        n_lo, _ = q_pochhammer_bounds(qq**b, q, pol)
+        _, d_hi = q_pochhammer_bounds(qq ** (a + b), q, pol)
+        ratio = n_lo / d_hi
     atoms = {}
-    poch_a = Fraction(1)
-    poch_q = Fraction(1)
+    poch_a = poch_q = 1  # (q^a, q)_kappa and (q, q)_kappa
     for kappa in range(kmax + 1):
-        atoms[kappa] = poch_a * qq ** (kappa * b) / poch_q * ratio
+        atoms[kappa] = Fraction(poch_a * qq ** (kappa * b) / poch_q * ratio)
         poch_a *= 1 - qq ** (a + kappa)
         poch_q *= 1 - qq ** (kappa + 1)
     total = sum(atoms.values())
+    if params.float_mode and total > 1:  # float overshoot: rescale once, exactly
+        atoms = {kappa: m / total for kappa, m in atoms.items()}
+        total = Fraction(1)
     return BoundaryMeasure.of(q, atoms, 1 - total)
 
 

@@ -73,10 +73,6 @@ def bernoulli_threshold(p: Fraction) -> int:
     return -((-p.numerator << 64) // p.denominator)  # ceil(p * 2^64)
 
 
-def bernoulli(rng: SplitMix64, p: Fraction) -> bool:
-    return rng.next_uint64() < bernoulli_threshold(p)
-
-
 def geometric_failures(rng: SplitMix64, ratio: Fraction) -> int:
     """Failures before the first success; success probability 1 - ratio."""
     if not 0 <= ratio < 1:

@@ -7,7 +7,10 @@ input, 5 field error, 6 guard).
 
 import hashlib
 import json
+import re
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +175,23 @@ class TestTable:
         code, _ = run(capsys, "table", "--law", "extreme", "--q", "1/2",
                       "--depth", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["v", "tilde"])
+    def test_mixture_q_must_match_the_measure_file(self, capsys, tmp_path, kind):
+        measure = {"q": "2/3", "atoms": [{"kappa": 1, "mass": "1"}], "zero_mass": "0"}
+        path = write_json(tmp_path / "measure.json", measure)
+        argv = ("table", "--law", "mixture", "--measure-file", path,
+                "--depth", "3", "--kind", kind)
+        code = main([*argv, "--q", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "does not match the measure file's q = 2/3" in captured.err
+        # the same rational written another way is the same q
+        code, out = run(capsys, *argv, "--q", "4/6")
+        assert code == 0
+        code, same = run(capsys, *argv, "--q", "2/3")
+        assert (code, out) == (0, same)
 
 
 class TestSample:
@@ -454,3 +474,24 @@ class TestNumberArguments:
                         "--trials", "1")
         assert code == 0
         assert out.splitlines()[0] == "k,count,frequency,expected"
+
+
+def readme_examples():
+    """(command line, printed text) of every README block that starts
+    with a ``qpascal`` command."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```\n(qpascal .*?\n)```$", readme.read_text(encoding="utf-8"),
+                        flags=re.S | re.M)
+    return [tuple(block.split("\n", 1)) for block in blocks]
+
+
+def test_readme_has_command_examples():
+    assert [cmd.split()[1] for cmd, _ in readme_examples()] == ["table", "sample", "flip"]
+
+
+@pytest.mark.parametrize("example", readme_examples(), ids=lambda e: e[0].split()[1])
+def test_readme_example_prints_what_it_shows(capsys, example):
+    command, printed = example
+    code, out = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    assert out == printed

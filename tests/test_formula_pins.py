@@ -1,0 +1,150 @@
+"""Values of formulas that each had two homes, frozen before they were
+merged into one: the urn's float-mode forward probabilities and mixing
+measures, its exact measures, q-factorials, the extreme kernel and the
+input check of a prime field's inverse.  Every value was recorded from
+the code that still held both copies."""
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from qpascal import QParam, make_field, q_factorial
+from qpascal.boundary import extreme_kernel
+from qpascal.processes import PolyaParams, polya_boundary_measure, polya_forward_probs
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def measure_json(a, b, q, kmax):
+    measure = polya_boundary_measure(PolyaParams(a, b, QParam(q)), kmax=kmax)
+    return json.dumps(measure.to_jsonable())
+
+
+class TestUrnFloatMode:
+    def test_forward_probs_bits(self):
+        lines = []
+        for q in (F(1, 2), F(9, 10), F(1)):
+            for a in (F(1, 2), F(3, 2)):
+                for b in (F(1, 2), F(3, 2)):
+                    params = PolyaParams(a, b, QParam(q))
+                    assert params.float_mode
+                    for n in range(7):
+                        for k in range(n + 1):
+                            p0, p1 = polya_forward_probs(params, n, k)
+                            lines.append(
+                                "%s %s %s %d %d %s %s" % (q, a, b, n, k, p0.hex(), p1.hex())
+                            )
+        assert lines[0] == "1/2 1/2 1/2 0 0 0x1.2bec333018866p-1 0x1.a827999fcef32p-2"
+        assert lines[-1] == "1 3/2 3/2 6 6 0x1.5555555555555p-3 0x1.aaaaaaaaaaaabp-1"
+        assert len(lines) == 336
+        assert sha256("\n".join(lines)) == (
+            "2e4c88ed7bbf99126de16a49efb3007981e6bb7b33062261edfcd5f957c4bbcf"
+        )
+
+    def test_measure_atoms(self):
+        measure = polya_boundary_measure(
+            PolyaParams(F(1, 2), F(3, 2), QParam(F(1, 2))), kmax=5
+        )
+        assert [(k, str(m)) for k, m in measure.atoms] == [
+            (0, "6916300864189723/9007199254740992"),
+            (1, "2864825619400141/18014398509481984"),
+            (2, "3492083246786015/72057594037927936"),
+            (3, "1161580193384043/72057594037927936"),
+            (4, "3194719870068631/576460752303423488"),
+            (5, "8915295331828813/4611686018427387904"),
+        ]
+        assert str(measure.zero_mass) == "4837102932552059/4611686018427387904"
+
+    @pytest.mark.parametrize(
+        "a, b, q, kmax, digest",
+        [
+            (F(1, 2), F(3, 2), F(9, 10), 40,
+             "5d42ff9a796b6ea96aead0e6c023027a6eb9ebd52b7f036a4a202d12ad3afa61"),
+            (F(5, 2), F(1, 3), F(19, 20), 60,
+             "e208d1cdde1697c1b8fcb96363484d9e616239edd4eec27eb07dcbee1fb917a1"),
+            # the float atoms overshoot 1 by about 4e-13 and are rescaled
+            (F(1, 2), F(1, 2), F(1, 3), 120,
+             "7cadbb9075d79fe23a283231790f25b96cc61efa980cebccd38b546a2df51857"),
+        ],
+    )
+    def test_measure_digests(self, a, b, q, kmax, digest):
+        assert sha256(measure_json(a, b, q, kmax)) == digest
+
+
+class TestUrnExactMeasure:
+    def test_a_equal_one(self):
+        measure = polya_boundary_measure(PolyaParams(1, 2, QParam(F(1, 2))), kmax=5)
+        assert [(k, str(m)) for k, m in measure.atoms] == [
+            (0, "3/4"), (1, "3/16"), (2, "3/64"), (3, "3/256"), (4, "3/1024"), (5, "3/4096"),
+        ]
+        assert str(measure.zero_mass) == "1/4096"
+
+    def test_a_other_than_one(self):
+        measure = polya_boundary_measure(PolyaParams(2, 1, QParam(F(1, 2))), kmax=3)
+        assert [(k, str(m)) for k, m in measure.atoms] == [
+            (0, "1649267441661/4398046511104"),
+            (1, "4947802324983/17592186044416"),
+            (2, "11544872091627/70368744177664"),
+            (3, "24739011624915/281474976710656"),
+        ]
+        assert str(measure.zero_mass) == "25838523253201/281474976710656"
+
+    @pytest.mark.parametrize(
+        "a, b, q, kmax, digest",
+        [
+            (3, 2, F(2, 3), 12,
+             "c31a62bfa2ab1003a1a541bb03cc1f65cc8d192b8914695ac194c75b17ce9f39"),
+            (1, 3, F(9, 10), 20,
+             "211eff7d7dd9110cc28a98c274a351274f0ead5327ea0e455c2b41bc31dfb11c"),
+        ],
+    )
+    def test_measure_digests(self, a, b, q, kmax, digest):
+        assert sha256(measure_json(a, b, q, kmax)) == digest
+
+
+@pytest.mark.parametrize(
+    "q, values",
+    [
+        (F(1), ["1", "1", "2", "6", "24", "120", "720"]),
+        (F(1, 2), ["1", "1", "3/2", "21/8", "315/64", "9765/1024", "615195/32768"]),
+        (F(3), ["1", "1", "4", "52", "2080", "251680", "91611520"]),
+    ],
+)
+def test_q_factorial(q, values):
+    out = [q_factorial(n, QParam(q)) for n in range(7)]
+    assert all(isinstance(x, F) for x in out)
+    assert [str(x) for x in out] == values
+
+
+TWO_THIRDS = QParam(F(2, 3))
+
+
+@pytest.mark.parametrize(
+    "x, row",
+    [
+        (F(0), [("0", "0"), ("0", "0"), ("0", "0"), ("0", "0"), ("1", "1")]),
+        # x = q^kappa with kappa = 2: zero beyond k = 2
+        (F(4, 9), [("256/6561", "256/6561"), ("40/243", "2600/6561"),
+                   ("5/27", "1235/2187"), ("0", "0"), ("0", "0")]),
+        (F(1, 3), [("1/81", "1/81"), ("1/12", "65/324"), ("3/16", "247/432"),
+                   ("3/32", "65/288"), ("-1/96", "-1/96")]),
+        (F(1), [("1", "1"), ("0", "0"), ("0", "0"), ("0", "0"), ("0", "0")]),
+    ],
+)
+def test_extreme_kernel_row(x, row):
+    got = [extreme_kernel(4, k, x, TWO_THIRDS) for k in range(5)]
+    assert [(str(v), str(w)) for v, w in got] == row
+
+
+def test_prime_field_inverse_checks_its_input():
+    # over GF(2) the exponent p - 2 is 0, so no multiplication checks x
+    with pytest.raises(ValueError):
+        make_field(2).inv(5)
+    with pytest.raises(ValueError):
+        make_field(3).inv(3)
+    with pytest.raises(ZeroDivisionError):
+        make_field(2).inv(0)
