@@ -33,7 +33,6 @@ from .exactq import (
     QParam,
     as_fraction,
     format_rational,
-    parse_rational,
     q_binomial,
     q_pochhammer,
 )
@@ -65,13 +64,12 @@ class BoundaryMeasure:
 
     def __post_init__(self) -> None:
         self.q.require_sub_unit("boundary measure")
-        fixed = tuple(
-            (int(kappa), as_fraction(mass)) for kappa, mass in self.atoms
-        )
-        fixed = tuple(sorted(fixed))
+        if any(
+            isinstance(k, bool) or not isinstance(k, int) or k < 0 for k, _ in self.atoms
+        ):
+            raise InvalidArrayError("atom indices must be non-negative integers")
+        fixed = tuple(sorted((kappa, as_fraction(mass)) for kappa, mass in self.atoms))
         kappas = [kappa for kappa, _ in fixed]
-        if any(k < 0 for k in kappas):
-            raise InvalidArrayError("atom indices must be non-negative")
         if len(set(kappas)) != len(kappas):
             raise InvalidArrayError("duplicate atom index")
         zero = as_fraction(self.zero_mass)
@@ -87,7 +85,7 @@ class BoundaryMeasure:
 
     @classmethod
     def of(cls, q: QParam, atoms: Mapping[int, object], zero_mass=0) -> "BoundaryMeasure":
-        return cls(q, tuple(atoms.items()), as_fraction(zero_mass))
+        return cls(q, tuple(atoms.items()), zero_mass)
 
     def mass(self, kappa: int) -> Fraction:
         for k, m in self.atoms:
@@ -110,14 +108,8 @@ class BoundaryMeasure:
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "BoundaryMeasure":
-        atoms = tuple(
-            (int(a["kappa"]), parse_rational(a["mass"])) for a in obj["atoms"]
-        )
-        return cls(
-            QParam(parse_rational(obj["q"])),
-            atoms,
-            parse_rational(obj.get("zero_mass", "0")),
-        )
+        atoms = tuple((a["kappa"], a["mass"]) for a in obj["atoms"])
+        return cls(QParam(obj["q"]), atoms, obj.get("zero_mass", 0))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ Exit codes: 0 success, 2 usage, 3 regime violation, 4 invalid input or
 failed check, 5 field construction error, 6 enumeration guard tripped.
 All structured output is JSON (or CSV where stated) on stdout; -o sends
 it to a file instead.
+
+Input files (triangle, measure, law, moments) are JSON whose rationals
+are strings ("3/4", "0.5") or JSON integers.  A file that is not JSON,
+lacks a key, has the wrong shape or holds a JSON float where an exact
+number belongs is a usage error (exit 2); a well-formed file whose
+values break the object's constraints is invalid input (exit 4).
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .boundary import (
     BoundaryMeasure,
@@ -38,7 +43,7 @@ from .errors import (
     RegimeError,
     TooLargeError,
 )
-from .exactq import QParam, format_rational, parse_rational, q_binomial
+from .exactq import QParam, as_fraction, format_rational, q_binomial
 from .galois import (
     codim_word,
     enumerate_grassmannian,
@@ -91,10 +96,6 @@ _trials = _int_in(1)
 _seed = _int_in(0, 1 << 64)
 
 
-def _parse_q(text: str) -> QParam:
-    return QParam(parse_rational(text))
-
-
 def _parse_kappa(text: str):
     if text == "inf":
         return math.inf
@@ -105,16 +106,7 @@ def _parse_kappa(text: str):
 
 
 def _parse_theta(text: str):
-    if text == "inf":
-        return math.inf
-    return parse_rational(text)
-
-
-def _parse_strength(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return Fraction(text)
+    return math.inf if text == "inf" else text
 
 
 def _emit(args, text: str) -> None:
@@ -125,23 +117,23 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _load_varray(path: str) -> VArray:
+def _read(path: str, kind: str, build):
+    """``build`` applied to the JSON in ``path``; a file of the wrong
+    shape is a usage error, a constraint it breaks is invalid input."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        return VArray.from_jsonable(data)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(
-            "%s is not a triangle file (expected keys q, depth, v): %s"
-            % (path, exc)
-        ) from exc
+        try:
+            return build(json.load(fh))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ValueError(
+                "%s is not a %s file: %s: %s" % (path, kind, type(exc).__name__, exc)
+            ) from exc
 
 
 # ------------------------------------------------------------------- table
 
 
 def _build_array(args) -> VArray:
-    q = _parse_q(args.q)
+    q = QParam(args.q)
     if args.law == "extreme":
         if args.kappa is None:
             raise ValueError("--kappa is required for the extreme law")
@@ -149,8 +141,7 @@ def _build_array(args) -> VArray:
     if args.law == "mixture":
         if not args.measure_file:
             raise ValueError("--measure-file is required for a mixture")
-        with open(args.measure_file, encoding="utf-8") as fh:
-            measure = BoundaryMeasure.from_jsonable(json.load(fh))
+        measure = _read(args.measure_file, "measure", BoundaryMeasure.from_jsonable)
         if measure.q != q:
             raise ValueError(
                 "--q %s does not match the measure file's q = %s" % (q, measure.q)
@@ -163,13 +154,13 @@ def _build_array(args) -> VArray:
     if args.a is None or args.b is None:
         raise ValueError("--a and --b are required for the urn process")
     return polya_array(
-        PolyaParams(_parse_strength(args.a), _parse_strength(args.b), q), args.depth
+        PolyaParams(as_fraction(args.a), as_fraction(args.b), q), args.depth
     )
 
 
 def _triangle_rows(kind: str, args):
     if kind == "d":
-        q = _parse_q(args.q)
+        q = QParam(args.q)
         return (
             {"q": format_rational(q.q), "depth": args.depth},
             [
@@ -215,7 +206,7 @@ def _cmd_table(args) -> int:
 
 def _make_sampler(args):
     """The sampler, the echoed parameters and the exact level law of n letters."""
-    q = _parse_q(args.q)
+    q = QParam(args.q)
     if args.process == "extreme":
         if args.kappa is None:
             raise ValueError("--kappa is required for the extreme process")
@@ -231,7 +222,7 @@ def _make_sampler(args):
         return chain.sampler(), params, chain.level
     if args.a is None or args.b is None:
         raise ValueError("--a and --b are required for the urn process")
-    chain = polya_chain(PolyaParams(_parse_strength(args.a), _parse_strength(args.b), q))
+    chain = polya_chain(PolyaParams(as_fraction(args.a), as_fraction(args.b), q))
     params = {"a": args.a, "b": args.b, "q": args.q}
     return chain.sampler(), params, chain.level
 
@@ -269,7 +260,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    array = _load_varray(args.input)
+    array = _read(args.input, "triangle", VArray.from_jsonable)
     measure = recover_measure(array, nu=args.nu, kmax=args.kmax)
     payload = {"nu": args.nu, "kmax": args.kmax, "measure": measure.to_jsonable()}
     _emit(args, json.dumps(payload, indent=2))
@@ -281,30 +272,24 @@ def _cmd_recover(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.kind == "recursion":
-        result = check_recursion(_load_varray(args.input))
+        result = check_recursion(_read(args.input, "triangle", VArray.from_jsonable))
         witness = None if result.ok else {"n": result.witness[0], "k": result.witness[1]}
         payload = {"kind": args.kind, "ok": result.ok, "witness": witness}
         _emit(args, json.dumps(payload, indent=2))
         return 0 if result.ok else 4
-    with open(args.input, encoding="utf-8") as fh:
-        data = json.load(fh)
+    if not args.q:
+        raise ValueError("--q is required for --kind %s" % args.kind)
+    q = QParam(args.q)
     if args.kind == "exchangeable":
-        if not args.q:
-            raise ValueError("--q is required for the exchangeability check")
-        law = FiniteLaw(
-            int(data["n"]),
-            {w: parse_rational(p) for w, p in data["probs"].items()},
-        )
-        result = check_q_exchangeable(law, _parse_q(args.q))
+        law = _read(args.input, "law", FiniteLaw.from_jsonable)
+        result = check_q_exchangeable(law, q)
         witness = None
         if not result.ok:
             word, i = result.witness
             witness = {"word": str(word), "position": i}
     else:
-        if not args.q:
-            raise ValueError("--q is required for the monotonicity check")
-        moments = MomentSequence(tuple(parse_rational(v) for v in data["moments"]))
-        result = is_q_completely_monotone(moments, _parse_q(args.q), depth=args.depth)
+        moments = _read(args.input, "moments", lambda data: MomentSequence(data["moments"]))
+        result = is_q_completely_monotone(moments, q, depth=args.depth)
         witness = None
         if not result.ok:
             iterate, index = result.witness
@@ -334,8 +319,6 @@ def _cmd_grassmann(args) -> int:
         }
         _emit(args, json.dumps(payload, indent=2))
         return 0
-    if args.grow is None:
-        raise ValueError("one of --enumerate or --grow is required")
     chain = sample_growth(_parse_kappa(args.grow), field, args.nmax, args.seed)
     payload = {
         "field": field.to_jsonable(),
@@ -355,16 +338,14 @@ def _cmd_grassmann(args) -> int:
 
 
 def _cmd_flip(args) -> int:
-    if args.word:
+    if args.word is not None:
         if not args.q:
             raise ValueError("--q is required when flipping a word")
-        word, q_new = flip_reduction(BinaryWord.from_string(args.word), _parse_q(args.q))
+        word, q_new = flip_reduction(BinaryWord.from_string(args.word), QParam(args.q))
         payload = {"word": str(word), "q": format_rational(q_new.q)}
         _emit(args, json.dumps(payload, indent=2))
         return 0
-    if not args.input:
-        raise ValueError("one of --word or --input is required")
-    flipped, q_new = flip_reduction(_load_varray(args.input))
+    flipped, q_new = flip_reduction(_read(args.input, "triangle", VArray.from_jsonable))
     payload = flipped.to_jsonable()
     _emit(args, json.dumps(payload, indent=2))
     return 0
@@ -430,17 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--modulus", help="comma-separated coefficients, low degree first")
-    p.add_argument("--enumerate", nargs=2, type=_count, metavar=("N", "K"))
-    p.add_argument("--grow", help="kappa, or 'inf'")
+    task = p.add_mutually_exclusive_group(required=True)
+    task.add_argument("--enumerate", nargs=2, type=_count, metavar=("N", "K"))
+    task.add_argument("--grow", help="kappa, or 'inf'")
     p.add_argument("--nmax", type=_count, default=8)
     p.add_argument("--seed", type=_seed, default=0)
     add_output(p)
     p.set_defaults(handler=_cmd_grassmann)
 
     p = sub.add_parser("flip", help="map the q > 1 regime to q < 1")
-    p.add_argument("--word")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--word")
+    source.add_argument("--input", help="triangle JSON file")
     p.add_argument("--q", help="required with --word; must be > 1")
-    p.add_argument("--input", help="triangle JSON file")
     add_output(p)
     p.set_defaults(handler=_cmd_flip)
 

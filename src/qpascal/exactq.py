@@ -14,8 +14,9 @@ truncation error is computed alongside the value, and
 callers that need exact downstream guarantees.
 
 Rationals serialize as canonical strings ("3/4", "2", "0") via
-:func:`format_rational` / :func:`parse_rational`; this is the wire
-format used by every JSON and CSV surface of the package.
+:func:`format_rational`, and every reader turns text or a JSON integer
+back into a Fraction through :func:`as_fraction` alone; this is the
+wire format used by every JSON and CSV surface of the package.
 """
 
 from __future__ import annotations
@@ -31,12 +32,15 @@ from .errors import InfiniteProductOutsideSubUnit
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings and Fractions to Fraction; reject floats.
+    """Coerce ints and strings to Fraction, return a Fraction as it is;
+    reject floats and bools.
 
     Floats are refused on exact surfaces because Fraction(0.1) silently
     captures the binary approximation, not the decimal the caller meant.
     """
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (bool, float)):
         raise TypeError(
             "exact interfaces take Fraction, int or string, not %r" % (value,)
         )
@@ -44,11 +48,12 @@ def as_fraction(value) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(as_fraction(x))
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(str(text).strip())
+    """The wire format's reader; the same rule as :func:`as_fraction`."""
+    return as_fraction(text)
 
 
 class Regime(Enum):

@@ -27,7 +27,6 @@ from .exactq import (
     QParam,
     as_fraction,
     format_rational,
-    parse_rational,
     q_binomial,
     q_integer,
 )
@@ -60,8 +59,7 @@ def _to_wire(array, key: str) -> dict:
 
 
 def _from_wire(cls, obj: Mapping, key: str):
-    rows = tuple(tuple(parse_rational(x) for x in row) for row in obj[key])
-    arr = cls(QParam(parse_rational(obj["q"])), rows)
+    arr = cls(QParam(obj["q"]), obj[key])
     if "depth" in obj and int(obj["depth"]) != arr.depth:
         raise InvalidArrayError(
             "declared depth %s does not match %d rows" % (obj["depth"], arr.depth + 1)

@@ -95,6 +95,16 @@ class TestBoundaryMeasure:
         with pytest.raises(RegimeError):
             BoundaryMeasure.of(QParam(F(2)), {0: F(1)})
 
+    @pytest.mark.parametrize("kappa", [1.5, 1.0, True, "1", None])
+    def test_non_integer_atom_index_rejected(self, kappa):
+        # int() would truncate 1.5 to the atom at kappa = 1
+        with pytest.raises(InvalidArrayError):
+            BoundaryMeasure(HALF, ((kappa, F(1)),), F(0))
+        with pytest.raises(InvalidArrayError):
+            BoundaryMeasure.from_jsonable(
+                {"q": "1/2", "atoms": [{"kappa": kappa, "mass": "1"}]}
+            )
+
     def test_zero_mass_component(self):
         m = BoundaryMeasure.of(HALF, {0: F(1, 4)}, zero_mass=F(3, 4))
         assert m.zero_mass == F(3, 4)

@@ -439,6 +439,103 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestInputFiles:
+    """Every input file goes through one reader: a file of the wrong shape
+    is a usage error (exit 2) with a message naming the file, never a
+    traceback; a constraint the values break stays exit 4."""
+
+    def expect_not_a(self, capsys, kind, argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "is not a %s file" % kind in err
+        assert "Traceback" not in err
+
+    def test_measure_file_with_scalar_atoms(self, capsys, tmp_path):
+        path = write_json(tmp_path / "m.json", {"q": "1/2", "atoms": 5})
+        self.expect_not_a(capsys, "measure", ["table", "--law", "mixture", "--q", "1/2",
+                                              "--depth", "3", "--measure-file", path])
+
+    def test_law_file_with_list_probs(self, capsys, tmp_path):
+        path = write_json(tmp_path / "law.json", {"n": 1, "probs": [1]})
+        self.expect_not_a(capsys, "law", ["check", "--kind", "exchangeable",
+                                          "--input", path, "--q", "1/2"])
+
+    def test_moments_file_with_scalar_moments(self, capsys, tmp_path):
+        path = write_json(tmp_path / "mom.json", {"moments": 5})
+        self.expect_not_a(capsys, "moments", ["check", "--kind", "monotone",
+                                              "--input", path, "--q", "1/2"])
+
+    def test_triangle_file_that_is_not_json(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text("{not json", encoding="utf-8")
+        self.expect_not_a(capsys, "triangle", ["recover", "--input", str(path)])
+
+    @pytest.mark.parametrize("where", ["cell", "q"])
+    def test_json_float_in_a_triangle_is_refused(self, capsys, tmp_path, where):
+        data = {"q": "1/2", "depth": 1, "v": [["1"], ["1/2", "1"]]}
+        if where == "cell":
+            data["v"][1][0] = 0.5
+        else:
+            data["q"] = 0.5
+        path = write_json(tmp_path / "t.json", data)
+        self.expect_not_a(capsys, "triangle", ["check", "--kind", "recursion",
+                                               "--input", path])
+
+    def test_json_float_in_a_law_is_refused(self, capsys, tmp_path):
+        path = write_json(tmp_path / "law.json", {"n": 1, "probs": {"0": 0.5, "1": "1/2"}})
+        self.expect_not_a(capsys, "law", ["check", "--kind", "exchangeable",
+                                          "--input", path, "--q", "1/2"])
+
+    def test_json_integer_cells_load(self, capsys, tmp_path):
+        path = write_json(tmp_path / "t.json", {"q": "1/2", "depth": 1, "v": [[1], [1, 0]]})
+        code, out = run(capsys, "check", "--kind", "recursion", "--input", path)
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    def test_decimal_strings_and_integers_load(self, capsys, tmp_path):
+        # the moments of the atom at x = q: 1, q, q^2
+        path = write_json(tmp_path / "mom.json", {"moments": [1, "0.5", " 1/4 "]})
+        code, out = run(capsys, "check", "--kind", "monotone", "--input", path,
+                        "--q", "1/2")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    def test_non_integer_atom_index_is_invalid_input(self, capsys, tmp_path):
+        measure = {"q": "1/2", "atoms": [{"kappa": 1.5, "mass": "1"}], "zero_mass": "0"}
+        path = write_json(tmp_path / "m.json", measure)
+        code = main(["table", "--law", "mixture", "--q", "1/2", "--depth", "3",
+                     "--measure-file", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert "non-negative integers" in captured.err
+
+    def test_bad_values_in_a_well_formed_file_stay_exit_4(self, capsys, tmp_path):
+        path = write_json(tmp_path / "t.json", {"q": "1/2", "depth": 2, "v": [["1"], ["1", "0"]]})
+        code = main(["recover", "--input", path, "--nu", "1", "--kmax", "1"])
+        assert code == 4
+        assert "declared depth" in capsys.readouterr().err
+
+
+class TestOneTask:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grassmann", "--p", "2", "--enumerate", "2", "1", "--grow", "3"),
+            ("grassmann", "--p", "2"),
+            ("flip", "--word", "10", "--q", "2", "--input", "t.json"),
+            ("flip", "--q", "2"),
+        ],
+        ids=["grassmann-both", "grassmann-neither", "flip-both", "flip-neither"],
+    )
+    def test_exactly_one_is_required(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with" in err or "is required" in err
+
+
 class TestNumberArguments:
     SAMPLE = ("sample", "--process", "extreme", "--kappa", "1", "--q", "1/2")
 

@@ -71,6 +71,17 @@ class TestCoercion:
         with pytest.raises(TypeError):
             as_fraction(True)
 
+    def test_fraction_is_not_copied(self):
+        x = F(10, 7)
+        assert as_fraction(x) is x
+
+    def test_text_reader_follows_the_same_rule(self):
+        assert parse_rational(" 3/4 ") == F(3, 4)
+        assert parse_rational("0.5") == F(1, 2)
+        assert parse_rational(3) == F(3)
+        with pytest.raises(TypeError):
+            parse_rational(0.5)
+
     def test_wire_format_roundtrip(self):
         for x in (F(0), F(2), F(-3, 4), F(10, 7)):
             assert parse_rational(format_rational(x)) == x
