@@ -46,7 +46,7 @@ def _check_kappa(kappa) -> None:
         if math.isinf(kappa) and kappa > 0:
             return
         raise ValueError("kappa must be a natural number or math.inf")
-    if not isinstance(kappa, int) or kappa < 0:
+    if isinstance(kappa, bool) or not isinstance(kappa, int) or kappa < 0:
         raise ValueError("kappa must be a natural number or math.inf")
 
 

@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 2 usage, 3 regime violation, 4 invalid input or
 failed check, 5 field construction error, 6 enumeration guard tripped.
 All structured output is JSON (or CSV where stated) on stdout; -o sends
-it to a file instead.
+it to a file instead.  The JSON bytes are those of
+``json.dumps(payload, indent=2)``, a contract ``_dumps`` keeps.
 
 Input files (triangle, measure, law, moments) are JSON whose rationals
 are strings ("3/4", "0.5") or JSON integers.  A file that is not JSON,
@@ -23,9 +24,11 @@ values break the object's constraints is invalid input (exit 4).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .boundary import (
     BoundaryMeasure,
@@ -109,6 +112,48 @@ def _parse_theta(text: str):
     return math.inf if text == "inf" else text
 
 
+def _dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
+    set, one generator step per value; here a list of plain ints or of
+    strings goes out in one ``join``.  A dict key that is not a ``str``
+    raises ``TypeError`` (``json.dumps`` would coerce it)."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        types = set(map(type, obj))  # type(), not isinstance: a bool is no int here
+        if types == {int}:
+            body = map(str, obj)
+        elif types == {str}:
+            body = map(_quote, obj)
+        else:
+            body = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError("JSON keys must be str, not %s" % type(key).__name__)
+            items.append(_quote(key) + ": " + _dumps(value, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if type(obj) is int:
+        return str(obj)
+    return json.dumps(obj)  # a float or an int subclass: json's own spelling
+
+
 def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -178,7 +223,7 @@ def _cmd_table(args) -> int:
     if args.kind == "v" and args.format == "json":
         # emit the triangle file format so the output feeds straight
         # back into recover / check / flip
-        _emit(args, json.dumps(_build_array(args).to_jsonable(), indent=2))
+        _emit(args, _dumps(_build_array(args).to_jsonable()))
         return 0
     header, rows = _triangle_rows(args.kind, args)
     if args.format == "json":
@@ -186,7 +231,7 @@ def _cmd_table(args) -> int:
         payload["law"] = args.law if args.kind != "d" else None
         payload["kind"] = args.kind
         payload["rows"] = [[format_rational(v) for v in row] for row in rows]
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, _dumps(payload))
     elif args.format == "csv":
         lines = ["n,k,value"]
         for n, row in enumerate(rows):
@@ -252,7 +297,7 @@ def _cmd_sample(args) -> int:
         "word": str(word),
         "ones": word.ones,
     }
-    _emit(args, json.dumps(payload, indent=2))
+    _emit(args, _dumps(payload))
     return 0
 
 
@@ -263,7 +308,7 @@ def _cmd_recover(args) -> int:
     array = _read(args.input, "triangle", VArray.from_jsonable)
     measure = recover_measure(array, nu=args.nu, kmax=args.kmax)
     payload = {"nu": args.nu, "kmax": args.kmax, "measure": measure.to_jsonable()}
-    _emit(args, json.dumps(payload, indent=2))
+    _emit(args, _dumps(payload))
     return 0
 
 
@@ -275,7 +320,7 @@ def _cmd_check(args) -> int:
         result = check_recursion(_read(args.input, "triangle", VArray.from_jsonable))
         witness = None if result.ok else {"n": result.witness[0], "k": result.witness[1]}
         payload = {"kind": args.kind, "ok": result.ok, "witness": witness}
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, _dumps(payload))
         return 0 if result.ok else 4
     if not args.q:
         raise ValueError("--q is required for --kind %s" % args.kind)
@@ -295,7 +340,7 @@ def _cmd_check(args) -> int:
             iterate, index = result.witness
             witness = {"iterate": iterate, "index": index}
     payload = {"kind": args.kind, "ok": result.ok, "witness": witness}
-    _emit(args, json.dumps(payload, indent=2))
+    _emit(args, _dumps(payload))
     return 0 if result.ok else 4
 
 
@@ -317,7 +362,7 @@ def _cmd_grassmann(args) -> int:
             "count": len(subspaces),
             "subspaces": [[list(row) for row in s.basis] for s in subspaces],
         }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, _dumps(payload))
         return 0
     chain = sample_growth(_parse_kappa(args.grow), field, args.nmax, args.seed)
     payload = {
@@ -330,7 +375,7 @@ def _cmd_grassmann(args) -> int:
             for s in chain
         ],
     }
-    _emit(args, json.dumps(payload, indent=2))
+    _emit(args, _dumps(payload))
     return 0
 
 
@@ -343,11 +388,14 @@ def _cmd_flip(args) -> int:
             raise ValueError("--q is required when flipping a word")
         word, q_new = flip_reduction(BinaryWord.from_string(args.word), QParam(args.q))
         payload = {"word": str(word), "q": format_rational(q_new.q)}
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, _dumps(payload))
         return 0
-    flipped, q_new = flip_reduction(_read(args.input, "triangle", VArray.from_jsonable))
+    flipped, q_new = flip_reduction(
+        _read(args.input, "triangle", VArray.from_jsonable),
+        QParam(args.q) if args.q else None,
+    )
     payload = flipped.to_jsonable()
-    _emit(args, json.dumps(payload, indent=2))
+    _emit(args, _dumps(payload))
     return 0
 
 
@@ -423,16 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--word")
     source.add_argument("--input", help="triangle JSON file")
-    p.add_argument("--q", help="required with --word; must be > 1")
+    p.add_argument("--q", help="required with --word (> 1); with --input, the file's q")
     add_output(p)
     p.set_defaults(handler=_cmd_flip)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except RegimeError as exc:

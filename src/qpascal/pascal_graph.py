@@ -204,7 +204,7 @@ def flip_reduction(obj, q: QParam | None = None):
 
     if isinstance(obj, VArray):
         if q is not None and q.q != obj.q.q:
-            raise ValueError("q does not match the array parameter")
+            raise ValueError("q = %s does not match the triangle's q = %s" % (q, obj.q))
         qp = obj.q
         if qp.regime is not Regime.SUPER_UNIT:
             raise NotSuperUnitError("flip reduction applies only for q > 1")

@@ -22,7 +22,7 @@ from qpascal import (
     theta_array,
     tilde_of_v,
 )
-from qpascal.processes import PolyaParams, ThetaParams
+from qpascal.processes import PolyaParams, ThetaParams, extreme_sampler
 
 HALF = QParam(F(1, 2))
 HALF_MIX = BoundaryMeasure.of(HALF, {0: F(1, 2), 1: F(1, 2)})
@@ -71,6 +71,15 @@ class TestExtremeArray:
             extreme_array(-1, HALF, 3)
         with pytest.raises(ValueError):
             extreme_array(1.5, HALF, 3)
+
+    @pytest.mark.parametrize("kappa", [True, False])
+    def test_bool_kappa_rejected(self, kappa):
+        # a bool is an int to isinstance, but no atom index, as in
+        # BoundaryMeasure; the runs sampler checks kappa on its own path
+        with pytest.raises(ValueError):
+            extreme_array(kappa, HALF, 3)
+        with pytest.raises(ValueError):
+            extreme_sampler(kappa, HALF, "runs")
 
 
 class TestBoundaryMeasure:

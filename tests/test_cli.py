@@ -13,6 +13,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpascal import (
     PolyaParams,
@@ -29,6 +31,7 @@ from qpascal import (
     theta_array,
     tilde_of_v,
 )
+from qpascal import cli
 from qpascal.cli import main
 
 HALF = QParam(F(1, 2))
@@ -421,6 +424,22 @@ class TestFlip:
         code, _ = run(capsys, "flip", "--word", "10", "--q", "1/2")
         assert code == 3
 
+    def test_input_q_must_match_the_file(self, capsys, tmp_path):
+        path = write_json(tmp_path / "half.json", extreme_array(1, HALF, 3).to_jsonable())
+        code = main(["flip", "--input", path, "--q", "7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "q = 7 does not match the triangle's q = 1/2" in captured.err
+
+    def test_input_q_that_matches_changes_nothing(self, capsys, tmp_path):
+        pre = VArray(QParam(F(2)), ((F(1),), (F(1, 3), F(2, 3))))
+        path = write_json(tmp_path / "super.json", pre.to_jsonable())
+        code, plain = run(capsys, "flip", "--input", path)
+        assert code == 0
+        for q in ("2", "4/2"):
+            assert run(capsys, "flip", "--input", path, "--q", q) == (0, plain)
+
 
 class TestExitCodes:
     def test_theta_super_unit_q_regime(self, capsys):
@@ -571,6 +590,123 @@ class TestNumberArguments:
                         "--trials", "1")
         assert code == 0
         assert out.splitlines()[0] == "k,count,frequency,expected"
+
+
+# JSON values of every kind the emitter must spell as json.dumps does;
+# the text alphabet favours quotes, backslashes, controls and non-ASCII
+TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600'))
+INTS = (st.integers() | st.integers(min_value=2**64, max_value=2**200)
+        | st.integers(min_value=-(2**200), max_value=-(2**64)))
+SCALARS = st.none() | st.booleans() | INTS | TEXT | st.floats()
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.lists(INTS) | st.lists(TEXT) | st.dictionaries(TEXT, inner),
+    max_leaves=20,
+)
+
+
+class TestJsonEmitter:
+    """Every command prints ``cli._dumps(payload)``; its bytes are
+    ``json.dumps(payload, indent=2)``'s, which README states as a contract."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_VALUES)
+    def test_bytes_match_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[]], [{}], {"": []}, [True, 1], [1, True], [False], [None],
+        [1, "1"], [2**64, -(2**64)], ["\u00e9", "\n"], [1.0, 1], [float("nan")],
+    ], ids=repr)
+    def test_edge_cases(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)], ids=repr)
+    def test_non_str_key_raises(self, key):
+        with pytest.raises(TypeError):
+            cli._dumps({"a": [{key: 1}]})
+
+    JSON_COMMANDS = {
+        "table-v": ["table", "--kappa", "2", "--q", "1/2", "--depth", "4"],
+        "table-tilde": ["table", "--law", "theta", "--theta", "3/2", "--q", "2/3",
+                        "--depth", "4", "--kind", "tilde"],
+        "table-d": ["table", "--kind", "d", "--q", "3", "--depth", "4"],
+        "sample": ["sample", "--process", "polya", "--a", "2", "--b", "1", "--q", "1/2",
+                   "--n", "9", "--seed", "4"],
+        "recover": ["recover", "--input", "{half}", "--nu", "8", "--kmax", "3"],
+        "check-recursion": ["check", "--kind", "recursion", "--input", "{half}"],
+        "check-recursion-fails": ["check", "--kind", "recursion", "--input", "{broken}"],
+        "check-exchangeable": ["check", "--kind", "exchangeable", "--input", "{law}",
+                               "--q", "1/2"],
+        "check-monotone": ["check", "--kind", "monotone", "--input", "{moments}",
+                           "--q", "1/2"],
+        "grassmann-enumerate": ["grassmann", "--p", "3", "--enumerate", "3", "2"],
+        "grassmann-grow": ["grassmann", "--p", "2", "--m", "2", "--grow", "3",
+                           "--nmax", "6", "--seed", "9"],
+        "flip-word": ["flip", "--word", "1101", "--q", "3"],
+        "flip-input": ["flip", "--input", "{super}"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+    def test_command_output_is_json_dumps_indent_2(self, capsys, tmp_path, name):
+        half = extreme_array(2, HALF, 8)
+        broken = half.to_jsonable()
+        broken["v"][3][1] = "1/7"
+        files = {
+            "half": half.to_jsonable(),
+            "broken": broken,
+            "law": exact_extreme_law(1, HALF, 3).to_jsonable(),
+            "moments": {"moments": ["1", "1/2", "1/4", "1/8"]},
+            "super": VArray(QParam(F(2)), ((F(1),), (F(1, 3), F(2, 3)))).to_jsonable(),
+        }
+        paths = {key: write_json(tmp_path / (key + ".json"), obj) for key, obj in files.items()}
+        code, out = run(capsys, *(arg.format(**paths) for arg in self.JSON_COMMANDS[name]))
+        assert code in (0, 4)
+        # an oracle that shares nothing with the emitter
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestParserReuse:
+    """``main`` parses with one parser built on first use; nothing of one
+    call may reach the next."""
+
+    SAMPLE = ("sample", "--process", "extreme", "--kappa", "1", "--q", "1/2",
+              "--n", "5", "--seed", "2")
+
+    def test_one_parser_serves_every_call(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli._parser()
+
+    def test_histogram_then_word(self, capsys):
+        code, out = run(capsys, *self.SAMPLE, "--trials", "3")
+        assert code == 0
+        assert out.startswith("k,count,frequency,expected\n")
+        code, out = run(capsys, *self.SAMPLE)
+        assert code == 0
+        assert json.loads(out)["word"] == str(sample_extreme(1, HALF, 5, 2))
+
+    def test_output_file_then_stdout(self, capsys, tmp_path):
+        argv = ("table", "--kind", "d", "--q", "2", "--depth", "2")
+        target = tmp_path / "d.json"
+        assert run(capsys, *argv, "-o", str(target)) == (0, "")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == target.read_text(encoding="utf-8")
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["grassmann", "--p", "2", "--enumerate", "3", "1", "--grow", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out = run(capsys, "grassmann", "--p", "2", "--enumerate", "3", "1")
+        assert code == 0
+        assert json.loads(out)["count"] == 7
+        # a usage error found by a handler, not by argparse, exits 2 too
+        assert run(capsys, "table", "--q", "1/2", "--depth", "3")[0] == 2
+        code, out = run(capsys, "table", "--q", "1/2", "--depth", "1", "--kappa", "0")
+        assert code == 0
+        assert json.loads(out) == extreme_array(0, HALF, 1).to_jsonable()
 
 
 def readme_examples():
