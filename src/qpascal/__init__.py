@@ -45,10 +45,9 @@ from .errors import (
     UnreachableError,
 )
 from .exactq import (
-    DEFAULT_POLICY,
     QParam,
     Regime,
-    TruncationPolicy,
+    as_count,
     as_fraction,
     format_rational,
     parse_rational,

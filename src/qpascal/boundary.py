@@ -119,6 +119,8 @@ class MomentSequence:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.values, (list, tuple)):
+            raise TypeError("moments are a list, not %r" % (self.values,))
         vals = tuple(as_fraction(x) for x in self.values)
         if not vals:
             raise ValueError("moment sequence must be non-empty")

@@ -7,16 +7,20 @@ q-factorial, q-binomial and q-Pochhammer building blocks, plus
 (below, at, or above 1).  Operations that only make sense on one side
 of q = 1 raise :class:`~qpascal.errors.RegimeError`.
 
-Floating point enters in exactly one place: the infinite q-Pochhammer
-product, which cannot be evaluated in finitely many exact steps.  Its
-truncation error is computed alongside the value, and
-:func:`q_pochhammer_bounds` gives a certified *rational* enclosure for
-callers that need exact downstream guarantees.
+Floating point enters in exactly one place: the value of the infinite
+q-Pochhammer product, :func:`q_pochhammer_infinite`, which cannot be
+evaluated in finitely many exact steps.  Its truncation error is
+computed alongside the value, and :func:`q_pochhammer_bounds` gives a
+certified *rational* enclosure for callers that need exact downstream
+guarantees.  Both truncate by one rule: at most TRUNCATION_TERMS
+factors, stopping once the running term |x| q^i falls below
+TRUNCATION_TARGET.
 
 Rationals serialize as canonical strings ("3/4", "2", "0") via
 :func:`format_rational`, and every reader turns text or a JSON integer
-back into a Fraction through :func:`as_fraction` alone; this is the
-wire format used by every JSON and CSV surface of the package.
+back into a Fraction through :func:`as_fraction` alone, and a count
+field into an int through :func:`as_count`; this is the wire format
+used by every JSON and CSV surface of the package.
 """
 
 from __future__ import annotations
@@ -44,7 +48,18 @@ def as_fraction(value) -> Fraction:
         raise TypeError(
             "exact interfaces take Fraction, int or string, not %r" % (value,)
         )
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (value,)) from None
+
+
+def as_count(value) -> int:
+    """A count read from a file (a depth, a length, a field entry): a
+    JSON integer only, never a bool, float, string or list."""
+    if type(value) is not int:
+        raise TypeError("a count must be an integer, not %r" % (value,))
+    return value
 
 
 def format_rational(x: Fraction) -> str:
@@ -97,29 +112,9 @@ class QParam:
         return format_rational(self.q)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Stopping rule for infinite products.
-
-    Iteration stops once the running term |x| * q^i drops below
-    ``target_relative_error``, or after ``max_terms`` factors, whichever
-    comes first.
-    """
-
-    max_terms: int = 10_000
-    target_relative_error: Fraction = Fraction(1, 10**12)
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        object.__setattr__(
-            self, "target_relative_error", as_fraction(self.target_relative_error)
-        )
-        if self.target_relative_error <= 0:
-            raise ValueError("target_relative_error must be positive")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+# the one truncation rule of the infinite products (module docstring)
+TRUNCATION_TERMS = 10_000
+TRUNCATION_TARGET = Fraction(1, 10**12)
 
 
 def q_integer(n: int, q: QParam) -> Fraction:
@@ -160,23 +155,11 @@ def _q_binomial(n: int, k: int, qq: Fraction) -> Fraction:
     return out
 
 
-def q_pochhammer(
-    x: Fraction | int | str,
-    q: QParam,
-    k: int | float,
-    policy: TruncationPolicy | None = None,
-) -> Fraction | float:
-    """(x, q)_k = prod_{i<k} (1 - x q^i).
-
-    Finite k gives an exact Fraction.  k = math.inf delegates to
-    :func:`q_pochhammer_infinite` and returns only its float value.
-    """
-    if isinstance(k, float):
-        if math.isinf(k) and k > 0:
-            return q_pochhammer_infinite(x, q, policy).value
-        raise ValueError("k must be a natural number or math.inf")
-    if k < 0:
-        raise ValueError("k must be a natural number or math.inf")
+def q_pochhammer(x: Fraction | int | str, q: QParam, k: int) -> Fraction:
+    """(x, q)_k = prod_{i<k} (1 - x q^i), exactly; the infinite product
+    is :func:`q_pochhammer_infinite`."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("k must be a natural number, got %r" % (k,))
     xf = as_fraction(x)
     qq = q.q
     out = Fraction(1)
@@ -198,13 +181,11 @@ class InfiniteProduct(NamedTuple):
 
 
 def q_pochhammer_infinite(
-    x: Fraction | int | str | float,
-    q: QParam,
-    policy: TruncationPolicy | None = None,
+    x: Fraction | int | str | float, q: QParam
 ) -> InfiniteProduct:
     """(x, q)_inf for 0 < q < 1, in floating point.
 
-    Stops once |x| q^i < target_relative_error (or at max_terms) and
+    Stops once |x| q^i < TRUNCATION_TARGET (or at TRUNCATION_TERMS) and
     reports |true - value| <= error_bound, obtained from the elementary
     enclosure prod_{i>=N} (1 - x q^i) in [1 - s, 1/(1 - s)] where
     s = |x| q^N / (1 - q) < 1.
@@ -213,30 +194,29 @@ def q_pochhammer_infinite(
         raise InfiniteProductOutsideSubUnit(
             "infinite product diverges unless 0 < q < 1, got q = %s" % q.q
         )
-    pol = policy or DEFAULT_POLICY
     xf = float(x if isinstance(x, float) else as_fraction(x))
     qf = float(q.q)
-    target = float(pol.target_relative_error)
+    target = float(TRUNCATION_TARGET)
     value = 1.0
     term = abs(xf)
     n = 0
-    while term >= target and n < pol.max_terms:
+    while term >= target and n < TRUNCATION_TERMS:
         value *= 1.0 - xf * qf**n
         n += 1
         term *= qf
     s = term / (1.0 - qf)
     if s >= 1.0:
         raise ValueError(
-            "truncation policy too loose: tail estimate %.3g has not converged" % s
+            "tail estimate %.3g has not converged within TRUNCATION_TERMS = %d "
+            "terms and TRUNCATION_TARGET = %s"
+            % (s, TRUNCATION_TERMS, TRUNCATION_TARGET)
         )
     error = abs(value) * s / (1.0 - s)
     return InfiniteProduct(value=value, error_bound=error, terms=n)
 
 
 def q_pochhammer_bounds(
-    x: Fraction | int | str,
-    q: QParam,
-    policy: TruncationPolicy | None = None,
+    x: Fraction | int | str, q: QParam
 ) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure [lo, hi] of (x, q)_inf for x < 1.
 
@@ -251,21 +231,23 @@ def q_pochhammer_bounds(
     xf = as_fraction(x)
     if xf >= 1:
         raise ValueError("rational enclosure implemented only for x < 1")
-    pol = policy or DEFAULT_POLICY
     qq = q.q
     partial = Fraction(1)
     power = Fraction(1)  # q^n
     n = 0
     # Also force |x| q^n / (1-q) < 1/2 so the tail enclosure is valid.
-    while n < pol.max_terms:
+    while n < TRUNCATION_TERMS:
         term = abs(xf) * power
-        if term < pol.target_relative_error and term < (1 - qq) / 2:
+        if term < TRUNCATION_TARGET and term < (1 - qq) / 2:
             break
         partial *= 1 - xf * power
         power *= qq
         n += 1
     else:
-        raise ValueError("max_terms reached before the tail bound converged")
+        raise ValueError(
+            "TRUNCATION_TERMS = %d reached before the tail bound converged"
+            % TRUNCATION_TERMS
+        )
     s = abs(xf) * power / (1 - qq)
     if xf >= 0:
         # factors in (0, 1]: the tail only shrinks the product

@@ -43,7 +43,7 @@ from .errors import (
     NotPrimeError,
     TooLargeError,
 )
-from .exactq import QParam, q_binomial
+from .exactq import QParam, as_count, q_binomial
 from .guards import check_count
 from .pascal_graph import BinaryWord
 from .rng import SplitMix64, bernoulli_threshold, uniform_below
@@ -256,7 +256,8 @@ class FieldSpec:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "FieldSpec":
-        return cls(int(data["p"]), int(data["m"]), tuple(data["modulus"]))
+        modulus = tuple(map(as_count, data["modulus"]))
+        return cls(as_count(data["p"]), as_count(data["m"]), modulus)
 
 
 def _tabulate(field: FieldSpec) -> _Tables:
@@ -438,8 +439,8 @@ class Subspace:
         field = FieldSpec.from_jsonable(data["field"])
         return cls(
             field,
-            int(data["n"]),
-            tuple(tuple(int(e) for e in row) for row in data["basis"]),
+            as_count(data["n"]),
+            tuple(tuple(map(as_count, row)) for row in data["basis"]),
         )
 
 
@@ -489,19 +490,14 @@ def _grown(subspace: Subspace, xi: list[int]) -> Subspace:
     )
 
 
-def enumerate_grassmannian(
-    field: FieldSpec, n: int, k: int, limit: int | None = None
-) -> Iterator[Subspace]:
+def enumerate_grassmannian(field: FieldSpec, n: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional subspaces of field^n, one reduced row echelon
-    matrix each.  Count is the Gaussian binomial at q = field size."""
+    matrix each.  Count is the Gaussian binomial at q = field size;
+    above DEFAULT_SUBSPACE_LIMIT (or QB_MAX_ENUM) it raises TooLargeError."""
     if not 0 <= k <= n:
         return
     count = q_binomial(n, k, QParam(Fraction(field.size)))
-    check_count(
-        int(count),
-        DEFAULT_SUBSPACE_LIMIT if limit is None else limit,
-        "subspaces",
-    )
+    check_count(int(count), DEFAULT_SUBSPACE_LIMIT, "subspaces")
     for pivots in itertools.combinations(range(n), k):
         free = [
             (i, c)

@@ -15,24 +15,20 @@ from .errors import TooLargeError
 ENV_VAR = "QB_MAX_ENUM"
 
 
-def env_limit() -> int | None:
-    raw = os.environ.get(ENV_VAR)
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise TooLargeError("%s must be an integer, got %r" % (ENV_VAR, raw)) from exc
-    if value < 1:
-        raise TooLargeError("%s must be positive, got %d" % (ENV_VAR, value))
-    return value
-
-
 def check_count(count: int, default_limit: int, what: str) -> None:
-    """Raise TooLargeError if count exceeds the effective limit."""
-    limit = env_limit()
-    if limit is None:
-        limit = default_limit
+    """Raise TooLargeError if count exceeds the effective limit:
+    ``default_limit``, or QB_MAX_ENUM when it is set."""
+    limit = default_limit
+    raw = os.environ.get(ENV_VAR, "").strip()
+    if raw:
+        try:
+            limit = int(raw)
+        except ValueError as exc:
+            raise TooLargeError(
+                "%s must be an integer, got %r" % (ENV_VAR, raw)
+            ) from exc
+        if limit < 1:
+            raise TooLargeError("%s must be positive, got %d" % (ENV_VAR, limit))
     if count > limit:
         raise TooLargeError(
             "%s would enumerate %d objects, above the limit %d "

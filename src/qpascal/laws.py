@@ -25,6 +25,7 @@ from typing import Callable, Mapping, NamedTuple
 from .errors import InvalidArrayError
 from .exactq import (
     QParam,
+    as_count,
     as_fraction,
     format_rational,
     q_binomial,
@@ -38,6 +39,10 @@ MAX_WORD_LENGTH = 20  # default cap for whole-law enumerations
 
 
 def _coerce_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in rows
+    ):
+        raise TypeError("a triangle is a list of rows, each a list of cells")
     out = tuple(tuple(as_fraction(x) for x in row) for row in rows)
     if not out:
         raise InvalidArrayError("array needs at least the root row")
@@ -60,7 +65,7 @@ def _to_wire(array, key: str) -> dict:
 
 def _from_wire(cls, obj: Mapping, key: str):
     arr = cls(QParam(obj["q"]), obj[key])
-    if "depth" in obj and int(obj["depth"]) != arr.depth:
+    if "depth" in obj and as_count(obj["depth"]) != arr.depth:
         raise InvalidArrayError(
             "declared depth %s does not match %d rows" % (obj["depth"], arr.depth + 1)
         )
@@ -254,7 +259,7 @@ class FiniteLaw:
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "FiniteLaw":
-        return cls(int(obj["n"]), dict(obj["probs"]))
+        return cls(as_count(obj["n"]), dict(obj["probs"]))
 
 
 def law_of_array(array: VArray, n: int) -> FiniteLaw:

@@ -22,12 +22,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSuperUnitError, TooLargeError, UnreachableError
+from .errors import NotSuperUnitError, UnreachableError
 from .exactq import QParam, Regime, q_binomial
 from . import guards
-
-# Default cap on segment length for explicit path enumeration.
-MAX_BRUTE_FORCE_STEPS = 22
 
 
 @dataclass(frozen=True)
@@ -151,24 +148,15 @@ def brute_force_weight_sum(
     """Same sum by explicit enumeration of every lattice path.
 
     Kept deliberately independent of :func:`segment_weight_sum` so the
-    two can cross-check each other.  Guarded: at most
-    ``MAX_BRUTE_FORCE_STEPS`` steps unless QB_MAX_ENUM lifts the cap.
+    two can cross-check each other.  Guarded: at most C(22, 11) =
+    705,432 paths unless QB_MAX_ENUM sets another bound.
     """
     if to.l < frm.l or to.k < frm.k:
         raise UnreachableError("no path from %s to %s" % (frm, to))
     dl = to.l - frm.l
     dk = to.k - frm.k
     steps = dl + dk
-    limit = guards.env_limit()
-    if limit is None:
-        if steps > MAX_BRUTE_FORCE_STEPS:
-            raise TooLargeError(
-                "segment of %d steps exceeds the enumeration cap %d "
-                "(override with %s)"
-                % (steps, MAX_BRUTE_FORCE_STEPS, guards.ENV_VAR)
-            )
-    else:
-        guards.check_count(math.comb(steps, dk), limit, "path enumeration")
+    guards.check_count(math.comb(steps, dk), math.comb(22, 11), "path enumeration")
 
     # For a path whose 1-steps sit at positions p_0 < ... < p_{dk-1},
     # the primal exponent is frm.l*dk + sum(p_j - j), and the dual

@@ -42,8 +42,8 @@ trial t from derive_seed(seed, t), so trial order cannot matter.
 The measure constructors certify their truncation error with exact
 rational bounds, so the returned atom masses never overshoot: the
 masses plus the reported zero_mass sum to exactly 1, and the atom total
-undershoots the true normalization by less than the policy's target
-relative error.
+undershoots the true normalization by less than the relative error
+exactq.TRUNCATION_TARGET (at most exactq.TRUNCATION_TERMS factors).
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ from typing import Callable, Mapping, Sequence
 from .boundary import BoundaryMeasure, _check_kappa, extreme_chain, extreme_stay
 from .errors import NonIntegerParamsInExactMode
 from .exactq import (
-    DEFAULT_POLICY,
     QParam,
     Regime,
-    TruncationPolicy,
     _q_integer,
     as_fraction,
     q_pochhammer_bounds,
@@ -193,11 +191,7 @@ def exact_theta_law(params: ThetaParams, n: int) -> FiniteLaw:
     return theta_chain(params).law(n)
 
 
-def theta_boundary_measure(
-    params: ThetaParams,
-    kmax: int = 80,
-    policy: TruncationPolicy | None = None,
-) -> BoundaryMeasure:
+def theta_boundary_measure(params: ThetaParams, kmax: int = 80) -> BoundaryMeasure:
     """Mixing measure of the theta process (q-Poisson weights).
 
     mass(kappa) proportional to q^(kappa(kappa-1)/2) theta^kappa / (q,q)_kappa,
@@ -209,7 +203,7 @@ def theta_boundary_measure(
         raise ValueError("theta must be finite for the mixing measure")
     theta, q = params.theta, params.q
     qq = q.q
-    _, z_hi = q_pochhammer_bounds(-theta, q, policy or DEFAULT_POLICY)
+    _, z_hi = q_pochhammer_bounds(-theta, q)
     atoms = {}
     poch = Fraction(1)  # (q, q)_kappa
     for kappa in range(kmax + 1):
@@ -314,11 +308,7 @@ def exact_polya_law(params: PolyaParams, n: int) -> FiniteLaw:
     return polya_chain(params).law(n)
 
 
-def polya_boundary_measure(
-    params: PolyaParams,
-    kmax: int = 80,
-    policy: TruncationPolicy | None = None,
-) -> BoundaryMeasure:
+def polya_boundary_measure(params: PolyaParams, kmax: int = 80) -> BoundaryMeasure:
     """Mixing measure of the urn process (q-beta weights).
 
     mass(kappa) = (q^a,q)_kappa q^(kappa b) / (q,q)_kappa
@@ -332,20 +322,19 @@ def polya_boundary_measure(
     """
     q = params.q
     q.require_sub_unit("urn mixing measure")
-    pol = policy or DEFAULT_POLICY
     a, b, qq = _urn_numbers(params)
     if params.float_mode:
         ratio = (
-            q_pochhammer_infinite(qq**b, q, pol).value
-            / q_pochhammer_infinite(qq ** (a + b), q, pol).value
+            q_pochhammer_infinite(qq**b, q).value
+            / q_pochhammer_infinite(qq ** (a + b), q).value
         )
     elif a == 1:
         base = qq**b
         atoms = {kappa: (1 - base) * base**kappa for kappa in range(kmax + 1)}
         return BoundaryMeasure.of(q, atoms, base ** (kmax + 1))
     else:  # a certified lower bound of the ratio
-        n_lo, _ = q_pochhammer_bounds(qq**b, q, pol)
-        _, d_hi = q_pochhammer_bounds(qq ** (a + b), q, pol)
+        n_lo, _ = q_pochhammer_bounds(qq**b, q)
+        _, d_hi = q_pochhammer_bounds(qq ** (a + b), q)
         ratio = n_lo / d_hi
     atoms = {}
     poch_a = poch_q = 1  # (q^a, q)_kappa and (q, q)_kappa

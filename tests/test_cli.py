@@ -5,6 +5,7 @@ the documented table (0 ok, 2 usage, 3 regime, 4 failed check or bad
 input, 5 field error, 6 guard).
 """
 
+import copy
 import hashlib
 import json
 import re
@@ -13,7 +14,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qpascal import (
@@ -534,6 +535,130 @@ class TestInputFiles:
         code = main(["recover", "--input", path, "--nu", "1", "--kmax", "1"])
         assert code == 4
         assert "declared depth" in capsys.readouterr().err
+
+
+class TestZeroDenominator:
+    """A rational with denominator 0 is a usage error, on the command line
+    and in every input file."""
+
+    def test_q_argument(self, capsys):
+        code = main(["table", "--q", "1/0", "--depth", "2", "--kappa", "1"])
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_triangle_cell(self, capsys, tmp_path):
+        path = write_json(tmp_path / "t.json", {"q": "1/2", "depth": 1, "v": [["1"], ["1/0", "1"]]})
+        code = main(["check", "--kind", "recursion", "--input", path])
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_measure_mass(self, capsys, tmp_path):
+        measure = {"q": "1/2", "atoms": [{"kappa": 1, "mass": "1/0"}], "zero_mass": "0"}
+        path = write_json(tmp_path / "m.json", measure)
+        code = main(["table", "--law", "mixture", "--q", "1/2", "--depth", "3",
+                     "--measure-file", path])
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+
+class TestStrictReaders:
+    """A count is a JSON integer and a row or a moment window is a list:
+    anything else is a file of the wrong shape (exit 2)."""
+
+    expect_not_a = TestInputFiles.expect_not_a
+
+    @pytest.mark.parametrize("triangle", [
+        {"q": "1/2", "depth": 1.9, "v": [["1"], "10"]},
+        {"q": "1/2", "depth": 1.9, "v": [["1"], ["1", "0"]]},
+        {"q": "1/2", "depth": True, "v": [["1"], ["1", "0"]]},
+        {"q": "1/2", "depth": "1", "v": [["1"], ["1", "0"]]},
+        {"q": "1/2", "depth": 1, "v": [["1"], "10"]},
+        {"q": "1/2", "v": "1"},
+    ], ids=["found-case", "float-depth", "bool-depth", "string-depth", "string-row",
+            "string-rows"])
+    def test_triangle(self, capsys, tmp_path, triangle):
+        path = write_json(tmp_path / "t.json", triangle)
+        self.expect_not_a(capsys, "triangle", ["check", "--kind", "recursion",
+                                               "--input", path])
+
+    @pytest.mark.parametrize("n", [1.7, True, "1"], ids=repr)
+    def test_law_length(self, capsys, tmp_path, n):
+        path = write_json(tmp_path / "law.json", {"n": n, "probs": {"0": "1/2", "1": "1/2"}})
+        self.expect_not_a(capsys, "law", ["check", "--kind", "exchangeable",
+                                          "--input", path, "--q", "1/2"])
+
+    def test_moments_string(self, capsys, tmp_path):
+        path = write_json(tmp_path / "mom.json", {"moments": "1"})
+        self.expect_not_a(capsys, "moments", ["check", "--kind", "monotone",
+                                              "--input", path, "--q", "1/2"])
+
+
+def _locations(value, path=()):
+    """Every key or index path below the root of a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _locations(item, path + (key,))
+
+
+class TestMalformedFiles:
+    """Valid input files, each mutated once: a key or element dropped, a
+    value replaced by a float, bool, string, list or null, a value nested
+    one level deeper, or the text cut short.  Every mutant exits with a
+    code from README's list; no exception escapes ``main``."""
+
+    FILES = {
+        "triangle": extreme_array(2, HALF, 3).to_jsonable(),
+        "measure": {"q": "1/2", "atoms": [{"kappa": 0, "mass": "1/2"},
+                                          {"kappa": 2, "mass": "1/4"}],
+                    "zero_mass": "1/4"},
+        "law": exact_extreme_law(1, HALF, 2).to_jsonable(),
+        "moments": {"moments": ["1", "1/2", "1/4", "1/8"]},
+    }
+    COMMANDS = {
+        "triangle": [["check", "--kind", "recursion", "--input"],
+                     ["recover", "--nu", "3", "--kmax", "1", "--input"],
+                     ["flip", "--input"]],
+        "measure": [["table", "--law", "mixture", "--q", "1/2", "--depth", "3",
+                     "--measure-file"]],
+        "law": [["check", "--kind", "exchangeable", "--q", "1/2", "--input"]],
+        "moments": [["check", "--kind", "monotone", "--q", "1/2", "--input"]],
+    }
+    REPLACEMENTS = [0.5, 2.0, True, False, "", "x", "1/0", "1", [], ["1"], None]
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutant_exits_with_a_documented_code(self, capsys, tmp_path, data):
+        kind = data.draw(st.sampled_from(sorted(self.FILES)))
+        obj = copy.deepcopy(self.FILES[kind])
+        op = data.draw(st.sampled_from(["drop", "replace", "nest", "truncate"]))
+        if op == "truncate":
+            text = json.dumps(obj)
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        else:
+            path = data.draw(st.sampled_from(list(_locations(obj))))
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if op == "drop":
+                del parent[path[-1]]
+            elif op == "replace":
+                parent[path[-1]] = data.draw(st.sampled_from(self.REPLACEMENTS))
+            else:
+                parent[path[-1]] = [parent[path[-1]]]
+            text = json.dumps(obj)
+        target = tmp_path / "input.json"
+        target.write_text(text, encoding="utf-8")
+        for argv in self.COMMANDS[kind]:
+            code = main(argv + [str(target)])
+            assert code in (0, 2, 3, 4, 5, 6)
+            assert "Traceback" not in capsys.readouterr().err
 
 
 class TestOneTask:

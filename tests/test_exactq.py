@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -6,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpascal import (
-    DEFAULT_POLICY,
     InfiniteProductOutsideSubUnit,
     QParam,
     Regime,
-    TruncationPolicy,
     as_fraction,
     format_rational,
     parse_rational,
@@ -150,6 +147,12 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             q_pochhammer(1, HALF, -1)
 
+    def test_finite_is_the_only_kind(self):
+        # the infinite product is q_pochhammer_infinite, not k = inf
+        with pytest.raises(ValueError):
+            q_pochhammer(F(1, 2), HALF, float("inf"))
+        assert isinstance(q_pochhammer(F(1, 2), HALF, 3), F)
+
     def test_infinite_requires_sub_unit(self):
         with pytest.raises(InfiniteProductOutsideSubUnit):
             q_pochhammer_infinite(F(1, 3), TWO)
@@ -159,11 +162,6 @@ class TestPochhammer:
         # Euler: (1/2, 1/2)_inf = prod (1 - 2^-(i+1)) = 0.2887880950866...
         assert abs(res.value - 0.28878809508660242) < 1e-12
         assert res.error_bound < 1e-10
-
-    def test_infinite_via_kwarg(self):
-        assert q_pochhammer(F(1, 2), HALF, math.inf) == pytest.approx(
-            0.28878809508660242, abs=1e-10
-        )
 
     def test_bounds_bracket_truth(self):
         for x in (F(1, 2), F(0), F(-1), F(-3)):
@@ -180,10 +178,3 @@ class TestPochhammer:
     def test_bounds_reject_x_at_least_one(self):
         with pytest.raises(ValueError):
             q_pochhammer_bounds(F(3, 2), HALF)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(max_terms=0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(target_relative_error=F(0))
-        assert DEFAULT_POLICY.max_terms >= 100

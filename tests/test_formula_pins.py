@@ -6,13 +6,26 @@ the code that still held both copies."""
 
 import hashlib
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from qpascal import QParam, make_field, q_factorial
+from qpascal import (
+    QParam,
+    make_field,
+    q_factorial,
+    q_pochhammer_bounds,
+    q_pochhammer_infinite,
+)
 from qpascal.boundary import extreme_kernel
-from qpascal.processes import PolyaParams, polya_boundary_measure, polya_forward_probs
+from qpascal.processes import (
+    PolyaParams,
+    ThetaParams,
+    polya_boundary_measure,
+    polya_forward_probs,
+    theta_boundary_measure,
+)
 
 
 def sha256(text):
@@ -148,3 +161,96 @@ def test_prime_field_inverse_checks_its_input():
         make_field(3).inv(3)
     with pytest.raises(ZeroDivisionError):
         make_field(2).inv(0)
+
+
+# The truncation rule of the infinite q-Pochhammer products (10,000
+# terms at most, stop below 1/10^12), recorded while it was still a
+# policy object that every caller passed as its default.
+
+
+@pytest.fixture
+def long_integers():
+    """Lift the 4300-digit limit on int-to-str conversion: theta
+    measures at q = 9/10 carry denominators of about 33,000 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "theta, q, digest",
+    [
+        (F(1, 2), F(1, 2),
+         "5052009b5841d38e5ee3cce050dd9571ccecd2fef9bfa5984a4bcf76f33e7dde"),
+        (F(1, 2), F(9, 10),
+         "2c488a657f2cd5ff5e00b84b8ff671eebf30d105be2f5c3f7e8d390c8a2ee6ee"),
+        (F(3), F(1, 2),
+         "e773bddd4035fd14852b21f5ad69f64ba2d5d79cff0c46000b9901e576a55eb6"),
+        (F(3), F(9, 10),
+         "9b371cdd1c2358a043a2ed92f1b2e6afd4e0806b92b1df7b33213ff9250278de"),
+    ],
+)
+def test_theta_measure_digest(long_integers, theta, q, digest):
+    measure = theta_boundary_measure(ThetaParams(theta, QParam(q)), kmax=40)
+    assert sha256(json.dumps(measure.to_jsonable())) == digest
+
+
+@pytest.mark.parametrize(
+    "x, q, value, error_bound, terms",
+    [
+        (F(1, 2), F(1, 2), "0x1.27b810ff7e4ffp-2", "0x1.27b810ff809f6p-41", 39),
+        (F(1, 3), F(1, 2), "0x1.df37b044fb119p-2", "0x1.3f7a758353b5bp-41", 39),
+        (F(-1, 2), F(1, 3), "0x1.e61db93493b7ep+0", "0x1.d91e47f6a1970p-40", 25),
+        (F(-3), F(9, 10), "0x1.7ac9d5ac721adp+27", "0x1.f74e8f3acdcc2p-10", 273),
+        (F(1, 3), F(99, 100), "0x1.19b88feffb41fp-53", "0x1.e3c2fe339f3bap-87", 2640),
+        (F(0), F(1, 2), "0x1.0000000000000p+0", "0x0.0p+0", 0),
+    ],
+)
+def test_infinite_product(x, q, value, error_bound, terms):
+    res = q_pochhammer_infinite(x, QParam(q))
+    assert (res.value.hex(), res.error_bound.hex(), res.terms) == (
+        value, error_bound, terms
+    )
+
+
+def test_bounds_strings():
+    lo, hi = q_pochhammer_bounds(F(1, 2), QParam(F(1, 10)))
+    assert str(lo) == (
+        "3482633825770823785646260494915584632304430969366916552879993961554429569418621781"
+        "/7372800000000000000000000000000000000000000000000000000000000000000000000000000000"
+    )
+    assert str(hi) == (
+        "1934796569873754767897852360935268047036314576341084926364630581378219"
+        "/4096000000000000000000000000000000000000000000000000000000000000000000"
+    )
+    lo, hi = q_pochhammer_bounds(F(-2), QParam(F(1, 10)))
+    assert str(lo) == (
+        "449238482484989433206810846855524780101107145930356360688719107337122474959"
+        "/122070312500000000000000000000000000000000000000000000000000000000000000000"
+    )
+    assert str(hi) == (
+        "577592334623557842694471088814246145844280616196172463742638852290586039233"
+        "/156947544642822265625000000000000000000000000000000000000000000000000000000"
+    )
+
+
+@pytest.mark.parametrize(
+    "x, q, digest",
+    [
+        (F(1, 2), F(1, 2),
+         "622ebf1e0615b4ad6412ea0f9391c20035546d4c82c93f8d2af4dcb536d6f944"),
+        (F(-1), F(1, 2),
+         "ff57d425a53953cc8464c5b75bb73f107ac760a1fb1c1c49a21bd52ec2c9f5ec"),
+        (F(-3), F(1, 2),
+         "97f98154e3a69e01d59fdb733e151bfa5a9d3f91d01b36f272f72807ba6f90f8"),
+        (F(1, 3), F(2, 3),
+         "2b3836d572c097b07c5518c386048deb3a74052eb8022fc2e285f1932cf327e7"),
+    ],
+)
+def test_bounds_digest(x, q, digest):
+    lo, hi = q_pochhammer_bounds(x, QParam(q))
+    assert sha256("%s %s" % (lo, hi)) == digest

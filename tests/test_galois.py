@@ -205,6 +205,20 @@ class TestSubspace:
             with pytest.raises(ValueError):
                 Subspace.from_jsonable(dict(data, basis=bad))
 
+    @pytest.mark.parametrize("field, n, basis", [
+        ({"p": 3, "m": 1, "modulus": [0, 1]}, 2.7, [[1, 0, 2]]),
+        ({"p": 3, "m": 1, "modulus": [0, 1]}, 3, [[1, 0, 0.9]]),
+        ({"p": 3, "m": 1, "modulus": [0, 1]}, 3, ["102"]),
+        ({"p": 3, "m": 1, "modulus": [0, True]}, 3, [[1, 0, 2]]),
+        ({"p": "3", "m": 1, "modulus": [0, 1]}, 3, [[1, 0, 2]]),
+        ({"p": 3, "m": 1.0, "modulus": [0, 1]}, 3, [[1, 0, 2]]),
+    ], ids=["float-n", "float-entry", "string-row", "bool-modulus", "string-p",
+            "float-m"])
+    def test_from_jsonable_takes_only_integers(self, field, n, basis):
+        # int() would have read 2.7 as 2 and 0.9 as 0
+        with pytest.raises(TypeError):
+            Subspace.from_jsonable({"field": field, "n": n, "basis": basis})
+
     def test_contains_checks_entries(self):
         space = Subspace.spanned(F2, 3, [(1, 1, 0)])
         with pytest.raises(ValueError):
@@ -287,7 +301,7 @@ class TestGrassmannian:
 
     def test_guard(self):
         with pytest.raises(TooLargeError):
-            list(enumerate_grassmannian(F2, 40, 20, limit=1000))
+            list(enumerate_grassmannian(F2, 40, 20))
 
     def test_empty_outside_range(self):
         assert list(enumerate_grassmannian(F2, 2, 3)) == []

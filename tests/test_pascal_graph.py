@@ -125,6 +125,12 @@ class TestSegmentSum:
         with pytest.raises(TooLargeError):
             brute_force_weight_sum(ROOT, Vertex(20, 20), HALF)
 
+    def test_long_segment_with_few_paths(self):
+        # 30 steps but only C(30, 2) = 435 paths: within the default guard
+        assert brute_force_weight_sum(ROOT, Vertex(28, 2), HALF) == segment_weight_sum(
+            ROOT, Vertex(28, 2), HALF
+        )
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "100")
         # 24 steps but only C(24,1) = 24 paths: allowed under the override
