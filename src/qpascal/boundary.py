@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidArrayError
 from .exactq import (
@@ -36,7 +36,7 @@ from .exactq import (
     q_binomial,
     q_pochhammer,
 )
-from .laws import ForwardChain, VArray
+from .laws import Check, ForwardChain, VArray
 
 ZERO_POINT = math.inf  # boundary point x = 0, "kappa = infinity"
 
@@ -128,12 +128,6 @@ class MomentSequence:
             raise ValueError("u_0 must be 1 for a probability measure")
         object.__setattr__(self, "values", vals)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
 
 def extreme_kernel(
     n: int, k: int, x, q: QParam
@@ -170,7 +164,7 @@ def extreme_stay(kappa, q: QParam, k: int) -> Fraction:
 
 def extreme_chain(kappa, q: QParam) -> ForwardChain:
     """The extreme law at x = q^kappa as a forward chain, p1 = 1 - q^(kappa-k)."""
-    q.require_sub_unit("extreme array")
+    q.require_sub_unit("extreme law")
     _check_kappa(kappa)
     return ForwardChain(q, lambda n, k: 1 - extreme_stay(kappa, q, k))
 
@@ -230,14 +224,9 @@ def q_difference(u: Sequence[Fraction], q: QParam) -> tuple[Fraction, ...]:
     )
 
 
-class MonotoneCheck(NamedTuple):
-    ok: bool
-    witness: tuple[int, int] | None  # (iterate, index) of first negative entry
-
-
 def is_q_completely_monotone(
-    u: MomentSequence | Sequence, q: QParam, depth: int | None = None
-) -> MonotoneCheck:
+    u: MomentSequence, q: QParam, depth: int | None = None
+) -> Check:
     """Truncated q-complete monotonicity check.
 
     Applies the difference operator up to ``depth`` times (default: as
@@ -246,24 +235,19 @@ def is_q_completely_monotone(
     is the exact triangular criterion available from finite data.
     """
     q.require_sub_unit("monotonicity check")
-    seq: Sequence[Fraction]
-    if isinstance(u, MomentSequence):
-        seq = u.values
-    else:
-        seq = tuple(as_fraction(x) for x in u)
-    max_depth = len(seq) - 1
+    current = u.values
+    max_depth = len(current) - 1
     if depth is None:
         depth = max_depth
     if not 0 <= depth <= max_depth:
         raise ValueError("depth must lie in [0, %d]" % max_depth)
-    current = tuple(seq)
     for it in range(depth + 1):
         for idx, value in enumerate(current):
             if value < 0:
-                return MonotoneCheck(False, (it, idx))
+                return Check(False, (it, idx))
         if it < depth:
             current = q_difference(current, q)
-    return MonotoneCheck(True, None)
+    return Check(True, None)
 
 
 def moments_of(array: VArray) -> MomentSequence:
@@ -271,7 +255,7 @@ def moments_of(array: VArray) -> MomentSequence:
     return MomentSequence(array.first_column)
 
 
-def array_from_moments(u: MomentSequence | Sequence, q: QParam) -> VArray:
+def array_from_moments(u: MomentSequence, q: QParam) -> VArray:
     """Rebuild the full triangle from its first column.
 
     v[n][k] = (delta^k u)_{n-k}; the result satisfies the backward
@@ -279,14 +263,8 @@ def array_from_moments(u: MomentSequence | Sequence, q: QParam) -> VArray:
     triangle reproduces it exactly.
     """
     q.require_sub_unit("triangle rebuild")
-    if isinstance(u, MomentSequence):
-        seq = u.values
-    else:
-        seq = tuple(as_fraction(x) for x in u)
-    if not seq or seq[0] != 1:
-        raise ValueError("first column must start at 1")
-    depth = len(seq) - 1
-    iterates = [tuple(seq)]
+    depth = len(u.values) - 1
+    iterates = [u.values]
     for _ in range(depth):
         iterates.append(q_difference(iterates[-1], q))
     rows = tuple(

@@ -72,6 +72,7 @@ from .processes import (
     theta_array,
     theta_chain,
 )
+from .rng import SplitMix64
 
 LAWS = ("extreme", "mixture", "theta", "polya")
 PROCESSES = ("extreme", "theta", "polya")
@@ -100,12 +101,8 @@ _seed = _int_in(0, 1 << 64)
 
 
 def _parse_kappa(text: str):
-    if text == "inf":
-        return math.inf
-    value = int(text)
-    if value < 0:
-        raise ValueError("kappa must be >= 0 or 'inf'")
-    return value
+    """``inf`` or an integer; the process checks that it is not negative."""
+    return math.inf if text == "inf" else int(text)
 
 
 def _parse_theta(text: str):
@@ -286,8 +283,6 @@ def _cmd_sample(args) -> int:
             )
         _emit(args, "\n".join(lines))
         return 0
-    from .rng import SplitMix64
-
     word = sampler(args.n, SplitMix64(args.seed))
     payload = {
         "process": args.process,
@@ -360,7 +355,7 @@ def _cmd_grassmann(args) -> int:
             "n": n,
             "k": k,
             "count": len(subspaces),
-            "subspaces": [[list(row) for row in s.basis] for s in subspaces],
+            "subspaces": [s.basis for s in subspaces],
         }
         _emit(args, _dumps(payload))
         return 0
@@ -371,7 +366,7 @@ def _cmd_grassmann(args) -> int:
         "seed": args.seed,
         "word": str(codim_word(chain)),
         "chain": [
-            {"n": s.ambient_dim, "dim": s.dim, "basis": [list(r) for r in s.basis]}
+            {"n": s.ambient_dim, "dim": s.dim, "basis": s.basis}
             for s in chain
         ],
     }

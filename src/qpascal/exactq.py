@@ -26,13 +26,14 @@ used by every JSON and CSV surface of the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InfiniteProductOutsideSubUnit
+from .errors import InfiniteProductOutsideSubUnit, RegimeError
 
 
 def as_fraction(value) -> Fraction:
@@ -41,6 +42,8 @@ def as_fraction(value) -> Fraction:
 
     Floats are refused on exact surfaces because Fraction(0.1) silently
     captures the binary approximation, not the decimal the caller meant.
+    A decimal exponent beyond the int-to-str digit limit is refused before
+    10**exponent is built: such a number could not be printed back.
     """
     if isinstance(value, Fraction):
         return value
@@ -48,6 +51,11 @@ def as_fraction(value) -> Fraction:
         raise TypeError(
             "exact interfaces take Fraction, int or string, not %r" % (value,)
         )
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        exponent = value.lower().partition("e")[2].replace("_", "").strip()
+        bound = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if bound and exponent.lstrip("+-").isdecimal() and abs(int(exponent)) > bound:
+            raise ValueError("decimal exponent %s exceeds %d in size" % (exponent, bound))
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -101,8 +109,6 @@ class QParam:
         return QParam(1 / self.q)
 
     def require_sub_unit(self, operation: str) -> None:
-        from .errors import RegimeError
-
         if self.regime is not Regime.SUB_UNIT:
             raise RegimeError(
                 "%s requires 0 < q < 1, got q = %s" % (operation, self.q)
@@ -148,10 +154,7 @@ def q_binomial(n: int, k: int, q: QParam) -> Fraction:
 def _q_binomial(n: int, k: int, qq: Fraction) -> Fraction:
     out = Fraction(1)
     for i in range(1, k + 1):
-        if qq == 1:
-            out = out * (n - k + i) / i
-        else:
-            out = out * (1 - qq ** (n - k + i)) / (1 - qq**i)
+        out = out * _q_integer(n - k + i, qq) / _q_integer(i, qq)
     return out
 
 

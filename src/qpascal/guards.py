@@ -15,22 +15,26 @@ from .errors import TooLargeError
 ENV_VAR = "QB_MAX_ENUM"
 
 
-def check_count(count: int, default_limit: int, what: str) -> None:
-    """Raise TooLargeError if count exceeds the effective limit:
-    ``default_limit``, or QB_MAX_ENUM when it is set."""
-    limit = default_limit
+def limit(default_limit: int) -> int:
+    """The effective bound: ``default_limit``, or QB_MAX_ENUM when it is set."""
     raw = os.environ.get(ENV_VAR, "").strip()
-    if raw:
-        try:
-            limit = int(raw)
-        except ValueError as exc:
-            raise TooLargeError(
-                "%s must be an integer, got %r" % (ENV_VAR, raw)
-            ) from exc
-        if limit < 1:
-            raise TooLargeError("%s must be positive, got %d" % (ENV_VAR, limit))
-    if count > limit:
+    if not raw:
+        return default_limit
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise TooLargeError("%s must be an integer, got %r" % (ENV_VAR, raw)) from exc
+    if value < 1:
+        raise TooLargeError("%s must be positive, got %d" % (ENV_VAR, value))
+    return value
+
+
+def check_count(count: int, default_limit: int, what: str) -> None:
+    """Raise TooLargeError if count exceeds limit(default_limit).  The
+    message names the limit, not the count, which may be too long to print."""
+    bound = limit(default_limit)
+    if count > bound:
         raise TooLargeError(
-            "%s would enumerate %d objects, above the limit %d "
-            "(override with %s)" % (what, count, limit, ENV_VAR)
+            "%s would enumerate more than %d objects (override with %s)"
+            % (what, bound, ENV_VAR)
         )

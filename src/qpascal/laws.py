@@ -137,27 +137,30 @@ class TildeArray:
         return _from_wire(cls, obj, "tv")
 
 
-class RecursionCheck(NamedTuple):
+class Check(NamedTuple):
+    """A criterion's verdict, and where it fails the first witness."""
+
     ok: bool
-    witness: tuple[int, int] | None  # first offending (n, k)
+    witness: tuple | None
 
 
-def check_recursion(array: VArray) -> RecursionCheck:
-    """Exact check of v[0][0] = 1, non-negativity, and the recursion."""
+def check_recursion(array: VArray) -> Check:
+    """Exact check of v[0][0] = 1, non-negativity, and the recursion; the
+    witness is the first offending (n, k)."""
     qq = array.q.q
     rows = array.rows
     if rows[0][0] != 1:
-        return RecursionCheck(False, (0, 0))
+        return Check(False, (0, 0))
     depth = array.depth
     for n in range(depth + 1):
         for k in range(n + 1):
             if rows[n][k] < 0:
-                return RecursionCheck(False, (n, k))
+                return Check(False, (n, k))
             if n < depth:
                 expected = rows[n + 1][k] + qq ** (n - k) * rows[n + 1][k + 1]
                 if rows[n][k] != expected:
-                    return RecursionCheck(False, (n, k))
-    return RecursionCheck(True, None)
+                    return Check(False, (n, k))
+    return Check(True, None)
 
 
 def tilde_of_v(array: VArray) -> TildeArray:
@@ -230,7 +233,7 @@ class FiniteLaw:
     probs: dict
 
     def __post_init__(self) -> None:
-        guards.check_count(2**self.n, 2**MAX_WORD_LENGTH, "word law")
+        _check_word_count(self.n)
         fixed: dict[BinaryWord, Fraction] = {}
         for word, p in self.probs.items():
             if not isinstance(word, BinaryWord):
@@ -264,12 +267,19 @@ class FiniteLaw:
 
 def law_of_array(array: VArray, n: int) -> FiniteLaw:
     """Restrict the law of ``array`` to words of length n (n <= 20)."""
-    guards.check_count(2**n, 2**MAX_WORD_LENGTH, "word law")
     return FiniteLaw(n, {w: word_probability(array, w) for w in all_words(n)})
+
+
+def _check_word_count(n: int) -> None:
+    """The word-law guard on the 2**n words of length n.  It compares n
+    with the limit's bit length first, so a huge n never builds 2**n."""
+    bound = guards.limit(2**MAX_WORD_LENGTH)
+    guards.check_count(2 ** min(n, bound.bit_length()), bound, "word law")
 
 
 def all_words(n: int):
     """Every 0/1 word of length n, in lexicographic order."""
+    _check_word_count(n)
     return (BinaryWord(bits) for bits in itertools.product((0, 1), repeat=n))
 
 
@@ -329,7 +339,7 @@ class ForwardChain:
 
     def law(self, n: int) -> FiniteLaw:
         """Exact law of the first n letters, by walking the decision tree."""
-        guards.check_count(2**n, 2**MAX_WORD_LENGTH, "word law")
+        _check_word_count(n)
         p1 = self.p1
         paths = [((), 0, Fraction(1))]
         for m in range(n):
@@ -366,15 +376,11 @@ class ForwardChain:
         return draw
 
 
-class ExchangeabilityCheck(NamedTuple):
-    ok: bool
-    witness: tuple[BinaryWord, int] | None  # word and swap position
-
-
-def check_q_exchangeable(law: FiniteLaw, q: QParam) -> ExchangeabilityCheck:
+def check_q_exchangeable(law: FiniteLaw, q: QParam) -> Check:
     """Check P(word with positions i, i+1 swapped) = q^(b_i - b_{i+1}) P(word).
 
-    Scans words in lexicographic order and returns the first violation.
+    Scans words in lexicographic order; the witness is the first violation,
+    as (word, swap position).
     """
     qq = q.q
     for word in sorted(law.probs, key=str):
@@ -385,8 +391,8 @@ def check_q_exchangeable(law: FiniteLaw, q: QParam) -> ExchangeabilityCheck:
                 continue
             swapped = word.swap_adjacent(i)
             if law.prob(swapped) != qq ** (bi - bj) * p:
-                return ExchangeabilityCheck(False, (word, i))
-    return ExchangeabilityCheck(True, None)
+                return Check(False, (word, i))
+    return Check(True, None)
 
 
 @dataclass(frozen=True)

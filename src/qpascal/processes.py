@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .boundary import BoundaryMeasure, _check_kappa, extreme_chain, extreme_stay
+from .boundary import BoundaryMeasure, extreme_chain, extreme_stay
 from .errors import NonIntegerParamsInExactMode
 from .exactq import (
     QParam,
@@ -82,11 +82,10 @@ def _check_mode(mode: str) -> None:
 
 def extreme_sampler(kappa, q: QParam, mode: str = "forward") -> Sampler:
     """Reusable sampler closure for the extreme process."""
-    q.require_sub_unit("extreme sampler")
-    _check_kappa(kappa)
+    chain = extreme_chain(kappa, q)
     _check_mode(mode)
     if mode == "forward":
-        return extreme_chain(kappa, q).sampler()
+        return chain.sampler()
 
     def draw_runs(n: int, rng: SplitMix64) -> BinaryWord:
         bits: list[int] = []
@@ -112,11 +111,10 @@ def sample_extreme(
 def exact_extreme_law(kappa, q: QParam, n: int, mode: str = "forward") -> FiniteLaw:
     """Law of a length-n sample, by exact enumeration of the sampler's
     decision tree (branch probabilities taken as exact rationals)."""
-    q.require_sub_unit("extreme law")
-    _check_kappa(kappa)
+    chain = extreme_chain(kappa, q)
     _check_mode(mode)
     if mode == "forward":
-        return extreme_chain(kappa, q).law(n)
+        return chain.law(n)
     probs = {}
     for word in all_words(n):
         enc = word_to_runs(word)
@@ -217,16 +215,6 @@ def theta_boundary_measure(params: ThetaParams, kmax: int = 80) -> BoundaryMeasu
 # ------------------------------------------------------------------ Polya
 
 
-def _exactable(value) -> int | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return None
-
-
 @dataclass(frozen=True)
 class PolyaParams:
     """Urn strengths a, b > 0 with q in (0, 1].
@@ -244,12 +232,11 @@ class PolyaParams:
             raise ValueError("urn process needs q <= 1 (flip first for q > 1)")
         for name in ("a", "b"):
             value = getattr(self, name)
-            as_int = _exactable(value)
-            if as_int is not None:
-                object.__setattr__(self, name, as_int)
-                value = as_int
-            elif not isinstance(value, (float, Fraction)):
+            if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
                 raise TypeError("%s must be a positive number" % name)
+            if isinstance(value, Fraction) and value.denominator == 1:
+                value = int(value)
+                object.__setattr__(self, name, value)
             if not float(value) > 0:
                 raise ValueError("%s must be positive" % name)
 

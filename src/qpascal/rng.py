@@ -77,9 +77,6 @@ def geometric_failures(rng: SplitMix64, ratio: Fraction) -> int:
     """Failures before the first success; success probability 1 - ratio."""
     if not 0 <= ratio < 1:
         raise ValueError("failure ratio must lie in [0, 1)")
-    if ratio == 0:
-        rng.next_uint64()
-        return 0
     j = rng.next_uint64()
     # smallest t with ratio^(t+1) < (2^64 - j) / 2^64
     target = TWO64 - j

@@ -239,6 +239,33 @@ class TestSample:
         assert code == 2
 
 
+class TestMissingFlags:
+    """A law or process without the flag it needs is a usage error that
+    names the flag."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("table", "--law", "mixture"), "--measure-file"),
+            (("table", "--law", "theta"), "--theta"),
+            (("table", "--law", "polya", "--a", "1"), "--a and --b"),
+            (("table", "--law", "polya", "--b", "1"), "--a and --b"),
+            (("sample", "--process", "extreme"), "--kappa"),
+            (("sample", "--process", "polya", "--a", "1"), "--a and --b"),
+        ],
+        ids=["mixture", "theta", "polya-a", "polya-b", "sample-extreme", "sample-polya"],
+    )
+    def test_flag_is_named(self, capsys, argv, flag):
+        if argv[0] == "table":
+            argv += ("--q", "1/2", "--depth", "3")
+        else:
+            argv += ("--q", "1/2", "--n", "3", "--seed", "0")
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert flag + " " in captured.err and "required" in captured.err
+
+
 class TestRecover:
     def test_extreme_atom_recovered(self, capsys, tmp_path):
         path = write_json(
@@ -316,6 +343,21 @@ class TestCheck:
         code, out = run(capsys, "check", "--kind", "monotone", "--input", path,
                         "--q", "1/2")
         assert code == 0
+
+    def test_huge_law_length_trips_the_guard(self, capsys, tmp_path):
+        # the guard decides on n, without building 2**n or printing it
+        path = write_json(tmp_path / "law.json", {"n": 10**7, "probs": {}})
+        code = main(["check", "--kind", "exchangeable", "--input", path, "--q", "1/2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (6, "")
+        assert "word law" in captured.err
+
+    def test_exchangeable_needs_q(self, capsys, tmp_path):
+        path = write_json(tmp_path / "law.json", {"n": 1, "probs": {"0": "1"}})
+        code = main(["check", "--kind", "exchangeable", "--input", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "--q is required" in captured.err
 
 
 class TestGrassmann:
@@ -399,6 +441,31 @@ class TestGrassmann:
         code, _ = run(capsys, "grassmann", "--p", "2", "--enumerate", "40", "20")
         assert code == 6
 
+    def test_guard_count_too_long_to_print(self, capsys):
+        # [300 choose 150]_2 has about 6,800 digits, above Python's
+        # int-to-str limit; the guard message must not format it
+        code = main(["grassmann", "--p", "2", "--enumerate", "300", "150"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (6, "")
+        assert captured.err.startswith("guard: ")
+
+    def test_default_modulus_given_explicitly(self, capsys):
+        base = ("grassmann", "--p", "2", "--m", "2", "--enumerate", "2", "1")
+        code, default = run(capsys, *base)
+        assert code == 0
+        assert run(capsys, *base, "--modulus", "1,1,1") == (0, default)
+
+    def test_reducible_modulus_is_a_field_error(self, capsys):
+        # x^2 + 1 = (x + 1)^2 over GF(2)
+        code, out = run(capsys, "grassmann", "--p", "2", "--m", "2",
+                        "--modulus", "1,0,1", "--enumerate", "2", "1")
+        assert (code, out) == (5, "")
+
+    def test_malformed_modulus_is_a_usage_error(self, capsys):
+        code, out = run(capsys, "grassmann", "--p", "2", "--m", "2",
+                        "--modulus", "1,x", "--enumerate", "2", "1")
+        assert (code, out) == (2, "")
+
 
 class TestFlip:
     def test_word(self, capsys):
@@ -424,6 +491,12 @@ class TestFlip:
     def test_sub_unit_word_is_regime_error(self, capsys):
         code, _ = run(capsys, "flip", "--word", "10", "--q", "1/2")
         assert code == 3
+
+    def test_word_needs_q(self, capsys):
+        code = main(["flip", "--word", "10"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "--q is required" in captured.err
 
     def test_input_q_must_match_the_file(self, capsys, tmp_path):
         path = write_json(tmp_path / "half.json", extreme_array(1, HALF, 3).to_jsonable())
@@ -529,6 +602,14 @@ class TestInputFiles:
         captured = capsys.readouterr()
         assert (code, captured.out) == (4, "")
         assert "non-negative integers" in captured.err
+
+    def test_exponent_beyond_the_digit_limit_is_a_usage_error(self, capsys, tmp_path):
+        # 10^5000 would load as a cell and fail the check (exit 4)
+        path = write_json(tmp_path / "t.json", {"q": "1/2", "depth": 0, "v": [["1e5000"]]})
+        code = main(["check", "--kind", "recursion", "--input", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "exponent" in captured.err
 
     def test_bad_values_in_a_well_formed_file_stay_exit_4(self, capsys, tmp_path):
         path = write_json(tmp_path / "t.json", {"q": "1/2", "depth": 2, "v": [["1"], ["1", "0"]]})
@@ -703,6 +784,28 @@ class TestNumberArguments:
             main(list(argv))
         assert exc.value.code == 2
         assert "outside" in capsys.readouterr().err
+
+    def test_non_integer_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--q", "1/2", "--kappa", "1", "--depth", "1.5"])
+        assert exc.value.code == 2
+        assert "not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--q", "1/2", "--kappa", "-1", "--depth", "2"),
+            ("sample", "--process", "extreme", "--kappa", "-1", "--q", "1/2",
+             "--n", "3", "--seed", "0"),
+            ("grassmann", "--p", "2", "--grow", "-1"),
+        ],
+        ids=["table", "sample", "grassmann"],
+    )
+    def test_negative_kappa_is_a_usage_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "kappa must be" in captured.err
 
     def test_largest_seed_accepted(self, capsys):
         seed = (1 << 64) - 1

@@ -83,6 +83,17 @@ class TestCoercion:
         for x in (F(0), F(2), F(-3, 4), F(10, 7)):
             assert parse_rational(format_rational(x)) == x
 
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1E+5000", "2.5e5_000", "1e2000000"])
+    def test_exponent_beyond_the_digit_limit_refused(self, text):
+        with pytest.raises(ValueError, match="exponent"):
+            as_fraction(text)
+
+    def test_exponent_within_the_digit_limit_loads(self):
+        assert as_fraction("1e4000") == 10**4000
+        assert as_fraction("1e-4000") == F(1, 10**4000)
+        assert as_fraction("-1e4300") == -(10**4300)
+        assert format_rational(as_fraction("3e4000")) == "3" + "0" * 4000
+
 
 class TestQIntegers:
     def test_q_integer_direct_sum(self):

@@ -11,6 +11,7 @@ from qpascal import (
     QParam,
     RunEncoding,
     TildeArray,
+    TooLargeError,
     VArray,
     backward_kernel,
     check_q_exchangeable,
@@ -27,6 +28,8 @@ from qpascal import (
     word_probability,
     word_to_runs,
 )
+from qpascal.guards import ENV_VAR
+from qpascal.laws import all_words
 from qpascal.processes import ThetaParams
 
 HALF = QParam(F(1, 2))
@@ -196,6 +199,30 @@ class TestFiniteLaw:
     def test_jsonable_roundtrip(self):
         law = law_of_array(extreme_array(1, HALF, 3), 3)
         assert FiniteLaw.from_jsonable(law.to_jsonable()) == law
+
+    def test_huge_length_refused_before_two_to_the_n(self):
+        # 2**n has 3 * 10**6 bits: building it and printing it in the
+        # guard message would fail with Python's int-to-str ValueError
+        with pytest.raises(TooLargeError):
+            FiniteLaw(3 * 10**6, {})
+
+    @pytest.mark.parametrize(
+        "limit, n, refused",
+        [(None, 20, False), (None, 21, True), (2**21 - 1, 21, True),
+         (2**21, 21, False), (2**21, 22, True), (1, 0, False), (1, 1, True)],
+    )
+    def test_word_law_guard_is_exact_at_the_limit(self, monkeypatch, limit, n, refused):
+        if limit is not None:
+            monkeypatch.setenv(ENV_VAR, str(limit))
+        if refused:
+            with pytest.raises(TooLargeError):
+                all_words(n)
+            with pytest.raises(TooLargeError):
+                FiniteLaw(n, {})
+        else:
+            all_words(n)
+            with pytest.raises(InvalidArrayError):  # passes the guard, sums to 0
+                FiniteLaw(n, {})
 
 
 class TestExchangeability:

@@ -9,6 +9,7 @@ from qpascal import (
     QParam,
     SplitMix64,
     ThetaParams,
+    TooLargeError,
     ZERO_POINT,
     derive_seed,
     empirical_level_histogram,
@@ -142,6 +143,13 @@ class TestExtremeProcess:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             extreme_sampler(1, HALF, "backward")
+
+    def test_runs_law_guarded_before_the_walk(self):
+        # the runs mode enumerates every word; 2^40 words trip the guard
+        # at once, as the forward mode's decision-tree walk does
+        for mode in ("forward", "runs"):
+            with pytest.raises(TooLargeError):
+                exact_extreme_law(2, HALF, 40, mode=mode)
 
 
 class TestThetaProcess:
