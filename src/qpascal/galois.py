@@ -466,9 +466,11 @@ def project_down(subspace: Subspace) -> Subspace:
 
 
 def list_extensions(subspace: Subspace) -> list[Subspace]:
-    """All subspaces of field^(n+1) whose intersection with field^n is
-    this one: the padded copy plus q^(n-k) grown extensions."""
+    """All subspaces of field^(n+1) meeting field^n in this one: the padded
+    copy plus q^(n-k) grown ones, refused above DEFAULT_SUBSPACE_LIMIT."""
     field, n = subspace.field, subspace.ambient_dim
+    counts = (field.size**i for i in range(subspace.codim + 1))
+    check_count(counts, DEFAULT_SUBSPACE_LIMIT, "extensions")
     padded = tuple(row + (0,) for row in subspace.basis)
     out = [Subspace._trusted(field, n + 1, padded)]
     free_cols = [j for j in range(n) if j not in subspace.pivots]
@@ -496,8 +498,9 @@ def enumerate_grassmannian(field: FieldSpec, n: int, k: int) -> Iterator[Subspac
     above DEFAULT_SUBSPACE_LIMIT (or QB_MAX_ENUM) it raises TooLargeError."""
     if not 0 <= k <= n:
         return
-    count = q_binomial(n, k, QParam(Fraction(field.size)))
-    check_count(int(count), DEFAULT_SUBSPACE_LIMIT, "subspaces")
+    q, low = QParam(Fraction(field.size)), min(k, n - k)
+    counts = (q_binomial(n - low + i, i, q) for i in range(low + 1))
+    check_count(counts, DEFAULT_SUBSPACE_LIMIT, "subspaces")
     for pivots in itertools.combinations(range(n), k):
         free = [
             (i, c)

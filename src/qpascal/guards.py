@@ -9,31 +9,26 @@ replaces every bound by "at most that many enumerated objects".
 from __future__ import annotations
 
 import os
+from typing import Iterable
 
 from .errors import TooLargeError
 
 ENV_VAR = "QB_MAX_ENUM"
 
 
-def limit(default_limit: int) -> int:
-    """The effective bound: ``default_limit``, or QB_MAX_ENUM when it is set."""
+def check_count(counts: Iterable[int], default_limit: int, what: str) -> None:
+    """Raise TooLargeError at the first of ``counts`` above the bound:
+    ``counts`` is a non-decreasing sequence of partial counts ending with
+    the exact count, so a refused count is never finished.  The message
+    names the bound, not the count, which may be too long to print."""
     raw = os.environ.get(ENV_VAR, "").strip()
-    if not raw:
-        return default_limit
     try:
-        value = int(raw)
+        bound = int(raw) if raw else default_limit
     except ValueError as exc:
         raise TooLargeError("%s must be an integer, got %r" % (ENV_VAR, raw)) from exc
-    if value < 1:
-        raise TooLargeError("%s must be positive, got %d" % (ENV_VAR, value))
-    return value
-
-
-def check_count(count: int, default_limit: int, what: str) -> None:
-    """Raise TooLargeError if count exceeds limit(default_limit).  The
-    message names the limit, not the count, which may be too long to print."""
-    bound = limit(default_limit)
-    if count > bound:
+    if bound < 1:
+        raise TooLargeError("%s must be positive, got %d" % (ENV_VAR, bound))
+    if any(c > bound for c in counts):
         raise TooLargeError(
             "%s would enumerate more than %d objects (override with %s)"
             % (what, bound, ENV_VAR)

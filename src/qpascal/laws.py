@@ -271,10 +271,8 @@ def law_of_array(array: VArray, n: int) -> FiniteLaw:
 
 
 def _check_word_count(n: int) -> None:
-    """The word-law guard on the 2**n words of length n.  It compares n
-    with the limit's bit length first, so a huge n never builds 2**n."""
-    bound = guards.limit(2**MAX_WORD_LENGTH)
-    guards.check_count(2 ** min(n, bound.bit_length()), bound, "word law")
+    """The word-law guard on the 2**n words of length n."""
+    guards.check_count((2**i for i in range(n + 1)), 2**MAX_WORD_LENGTH, "word law")
 
 
 def all_words(n: int):

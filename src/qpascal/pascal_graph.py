@@ -56,8 +56,8 @@ class BinaryWord:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(map(int, self.bits))
+        if not set(bits) <= {0, 1}:
             raise ValueError("word bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
@@ -156,7 +156,8 @@ def brute_force_weight_sum(
     dl = to.l - frm.l
     dk = to.k - frm.k
     steps = dl + dk
-    guards.check_count(math.comb(steps, dk), math.comb(22, 11), "path enumeration")
+    counts = (math.comb(max(dk, dl) + i, i) for i in range(min(dk, dl) + 1))
+    guards.check_count(counts, math.comb(22, 11), "path enumeration")
 
     # For a path whose 1-steps sit at positions p_0 < ... < p_{dk-1},
     # the primal exponent is frm.l*dk + sum(p_j - j), and the dual

@@ -237,8 +237,11 @@ class PolyaParams:
             if isinstance(value, Fraction) and value.denominator == 1:
                 value = int(value)
                 object.__setattr__(self, name, value)
-            if not float(value) > 0:
-                raise ValueError("%s must be positive" % name)
+            try:
+                if not float(value) > 0:
+                    raise ValueError("%s must be positive" % name)
+            except OverflowError:
+                raise ValueError("%s is too large for a float" % name) from None
 
     @property
     def float_mode(self) -> bool:

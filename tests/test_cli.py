@@ -10,6 +10,7 @@ import hashlib
 import json
 import re
 import shlex
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -441,6 +442,18 @@ class TestGrassmann:
         code, _ = run(capsys, "grassmann", "--p", "2", "--enumerate", "40", "20")
         assert code == 6
 
+    def test_guard_refuses_without_finishing_the_count(self, capsys):
+        # the full [4000 choose 2000]_2 took 45 s to compute
+        start = time.perf_counter()
+        code = main(["grassmann", "--p", "2", "--enumerate", "4000", "2000"])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (6, "")
+        assert captured.err == (
+            "guard: subspaces would enumerate more than 262144 objects"
+            " (override with QB_MAX_ENUM)\n"
+        )
+
     def test_guard_count_too_long_to_print(self, capsys):
         # [300 choose 150]_2 has about 6,800 digits, above Python's
         # int-to-str limit; the guard message must not format it
@@ -530,6 +543,18 @@ class TestExitCodes:
     def test_unreadable_input(self, capsys):
         code, _ = run(capsys, "recover", "--input", "/nonexistent/file.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--process", "polya", "--n", "3", "--seed", "0"],
+        ["table", "--law", "polya", "--depth", "3"],
+    ], ids=["sample", "table"])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_urn_strength_beyond_a_float_is_a_usage_error(self, capsys, command, name):
+        a, b = ("1e400", "1") if name == "a" else ("1", "1e400")
+        code = main(command + ["--q", "1/2", "--a", a, "--b", b])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: %s is too large for a float\n" % name
 
 
 class TestInputFiles:

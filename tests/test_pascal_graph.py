@@ -54,6 +54,13 @@ class TestBinaryWord:
         with pytest.raises(ValueError):
             BinaryWord.from_string("01x0")
 
+    def test_bits_go_through_int(self):
+        assert BinaryWord(("1", 0, True, 1.0, F(0))).bits == (1, 0, 1, 1, 0)
+        assert BinaryWord([]).bits == ()
+        for bad in ((0, 2), (-1,), ("x",), (None,)):
+            with pytest.raises((ValueError, TypeError)):
+                BinaryWord(bad)
+
     def test_endpoint(self):
         assert BinaryWord.from_string("0110").endpoint() == Vertex(2, 2)
         assert BinaryWord.from_string("1").endpoint(Vertex(3, 1)) == Vertex(3, 2)
