@@ -12,7 +12,7 @@ Layout:
     pascal_graph  the weighted q-Pascal graph, words, path weights, flips
     laws          triangular law arrays and finite word laws
     boundary      extreme kernels, mixing measures, moment criteria
-    processes     the extreme / theta / urn processes and their samplers
+    processes     the extreme / theta / urn processes as forward chains
     galois        finite fields, subspace chains, codimension words
     rng           the deterministic sampling stream (SplitMix64)
     cli           the qpascal command-line tool
@@ -24,6 +24,7 @@ from .boundary import (
     MomentSequence,
     array_from_moments,
     extreme_array,
+    extreme_chain,
     extreme_kernel,
     is_q_completely_monotone,
     mixture_array,
@@ -75,6 +76,7 @@ from .galois import (
 )
 from .laws import (
     FiniteLaw,
+    ForwardChain,
     RunEncoding,
     TildeArray,
     VArray,
@@ -104,18 +106,14 @@ from .processes import (
     empirical_level_histogram,
     exact_extreme_law,
     exact_polya_law,
-    exact_theta_law,
     extreme_sampler,
     polya_array,
     polya_boundary_measure,
+    polya_chain,
     polya_forward_probs,
-    polya_sampler,
-    sample_extreme,
-    sample_polya,
-    sample_theta,
     theta_array,
     theta_boundary_measure,
-    theta_sampler,
+    theta_chain,
     tv_distance,
 )
 from .rng import SplitMix64, derive_seed

@@ -93,9 +93,6 @@ class BoundaryMeasure:
                 return m
         return Fraction(0)
 
-    def atom_dict(self) -> dict[int, Fraction]:
-        return dict(self.atoms)
-
     def to_jsonable(self) -> dict:
         return {
             "q": str(self.q),

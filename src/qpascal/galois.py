@@ -134,13 +134,20 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
 
 
 def _check_field_order(p, m) -> None:
-    """A prime characteristic, a positive degree and p^m within the size limit."""
-    if not isinstance(p, int) or not is_prime(p):
+    """A prime characteristic, a positive degree and p^m within the size
+    limit.  The size is checked first, one power of p at a time, so a
+    huge p or m is refused before p^m is built or p is tested."""
+    if not isinstance(p, int) or p < 2:
         raise NotPrimeError("characteristic must be prime, got %r" % (p,))
     if not isinstance(m, int) or m < 1:
         raise FieldConstructionError("extension degree must be a positive integer")
-    if p**m > MAX_FIELD_SIZE:
-        raise TooLargeError("field size %d exceeds limit" % p**m)
+    size = 1
+    for _ in range(m):
+        size *= p
+        if size > MAX_FIELD_SIZE:
+            raise TooLargeError("field size exceeds the limit %d" % MAX_FIELD_SIZE)
+    if not is_prime(p):
+        raise NotPrimeError("characteristic must be prime, got %r" % (p,))
 
 
 # a field's tables: add[x][y], mul[x][y], neg[x] and inv[x] (inv[0] is None)
@@ -498,9 +505,12 @@ def enumerate_grassmannian(field: FieldSpec, n: int, k: int) -> Iterator[Subspac
     above DEFAULT_SUBSPACE_LIMIT (or QB_MAX_ENUM) it raises TooLargeError."""
     if not 0 <= k <= n:
         return
-    q, low = QParam(Fraction(field.size)), min(k, n - k)
-    counts = (q_binomial(n - low + i, i, q) for i in range(low + 1))
-    check_count(counts, DEFAULT_SUBSPACE_LIMIT, "subspaces")
+    q, low = field.size, min(k, n - k)
+    # q^j for j <= low (n - low) bound the count from below, so a refusal
+    # never builds the Gaussian binomial
+    lower = (q**j for j in range(low * (n - low) + 1))
+    exact = (q_binomial(n, k, QParam(Fraction(q))) for _ in (0,))
+    check_count(itertools.chain(lower, exact), DEFAULT_SUBSPACE_LIMIT, "subspaces")
     for pivots in itertools.combinations(range(n), k):
         free = [
             (i, c)

@@ -29,9 +29,8 @@ from .exactq import (
     as_fraction,
     format_rational,
     q_binomial,
-    q_integer,
 )
-from .pascal_graph import BinaryWord
+from .pascal_graph import BinaryWord, Vertex, segment_weight_sum
 from .rng import SplitMix64, bernoulli_threshold
 from . import guards
 
@@ -86,9 +85,6 @@ class VArray:
     def depth(self) -> int:
         return len(self.rows) - 1
 
-    def entry(self, n: int, k: int) -> Fraction:
-        return self.rows[n][k]
-
     @property
     def first_column(self) -> tuple[Fraction, ...]:
         return tuple(row[0] for row in self.rows)
@@ -122,12 +118,6 @@ class TildeArray:
     @property
     def depth(self) -> int:
         return len(self.rows) - 1
-
-    def entry(self, n: int, k: int) -> Fraction:
-        return self.rows[n][k]
-
-    def level(self, n: int) -> tuple[Fraction, ...]:
-        return self.rows[n]
 
     def to_jsonable(self) -> dict:
         return _to_wire(self, "tv")
@@ -184,35 +174,30 @@ def backward_kernel(n: int, k: int, q: QParam) -> tuple[Fraction, Fraction]:
 
     Returns (p_stay, p_down): probability that the length-(n-1) prefix
     kept k ones, respectively k-1 ones.  These depend only on (n, k, q),
-    not on the law.
+    not on the law: the one-step case of :func:`multistep_backward`.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError("need n >= 1 and 0 <= k <= n")
-    total = q_integer(n, q)
-    p_stay = q_integer(n - k, q) / total
-    p_down = q.q ** (n - k) * q_integer(k, q) / total
+    p_stay = multistep_backward(n - 1, k, n, k, q) if k < n else Fraction(0)
+    p_down = multistep_backward(n - 1, k - 1, n, k, q) if k else Fraction(0)
     return p_stay, p_down
 
 
 def multistep_backward(
     n: int, k: int, nu: int, kappa: int, q: QParam
 ) -> Fraction:
-    """P(height k at level n | height kappa at level nu), for n <= nu."""
+    """P(height k at level n | height kappa at level nu), for n <= nu: the
+    weight of the paths through (n, k) over the weight of all paths."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if not 0 <= kappa <= nu:
         raise ValueError("need 0 <= kappa <= nu")
     if n > nu:
         raise ValueError("need n <= nu")
-    over = q_binomial(nu - n, kappa - k, q)
-    if over == 0:
+    if k > kappa or n - k > nu - kappa:
         return Fraction(0)
-    return (
-        q.q ** ((kappa - k) * (n - k))
-        * over
-        * q_binomial(n, k, q)
-        / q_binomial(nu, kappa, q)
-    )
+    through = segment_weight_sum(Vertex(n - k, k), Vertex(nu - kappa, kappa), q)
+    return through * q_binomial(n, k, q) / q_binomial(nu, kappa, q)
 
 
 def word_probability(array: VArray, word: BinaryWord) -> Fraction:
@@ -411,10 +396,6 @@ class RunEncoding:
     @property
     def trailing(self) -> bool:
         return self.open_zeros > 0
-
-    @property
-    def length(self) -> int:
-        return sum(self.runs) + len(self.runs) + self.open_zeros
 
 
 def word_to_runs(word: BinaryWord) -> RunEncoding:

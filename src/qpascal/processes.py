@@ -102,12 +102,6 @@ def extreme_sampler(kappa, q: QParam, mode: str = "forward") -> Sampler:
     return draw_runs
 
 
-def sample_extreme(
-    kappa, q: QParam, n: int, seed: int, mode: str = "forward"
-) -> BinaryWord:
-    return extreme_sampler(kappa, q, mode)(n, SplitMix64(seed))
-
-
 def exact_extreme_law(kappa, q: QParam, n: int, mode: str = "forward") -> FiniteLaw:
     """Law of a length-n sample, by exact enumeration of the sampler's
     decision tree (branch probabilities taken as exact rationals)."""
@@ -175,18 +169,6 @@ def theta_array(params: ThetaParams, depth: int) -> VArray:
     if params.infinite:
         raise ValueError("theta must be finite for the triangle")
     return theta_chain(params).triangle(depth)
-
-
-def theta_sampler(params: ThetaParams) -> Sampler:
-    return theta_chain(params).sampler()
-
-
-def sample_theta(params: ThetaParams, n: int, seed: int) -> BinaryWord:
-    return theta_sampler(params)(n, SplitMix64(seed))
-
-
-def exact_theta_law(params: ThetaParams, n: int) -> FiniteLaw:
-    return theta_chain(params).law(n)
 
 
 def theta_boundary_measure(params: ThetaParams, kmax: int = 80) -> BoundaryMeasure:
@@ -268,7 +250,8 @@ def polya_forward_probs(params: PolyaParams, n: int, k: int):
 
 
 def polya_chain(params: PolyaParams) -> ForwardChain:
-    """The urn as a forward chain; float strengths give a float p_one."""
+    """The urn as a forward chain.  Float strengths give a float p_one, so
+    the sampler's thresholds and the levels carry its rounding."""
     return ForwardChain(params.q, lambda n, k: polya_forward_probs(params, n, k)[1])
 
 
@@ -280,16 +263,6 @@ def polya_array(params: PolyaParams, depth: int) -> VArray:
             % (params.a, params.b)
         )
     return polya_chain(params).triangle(depth)
-
-
-def polya_sampler(params: PolyaParams) -> Sampler:
-    """In float mode the thresholds come from the float p_one, so they
-    carry its rounding."""
-    return polya_chain(params).sampler()
-
-
-def sample_polya(params: PolyaParams, n: int, seed: int) -> BinaryWord:
-    return polya_sampler(params)(n, SplitMix64(seed))
 
 
 def exact_polya_law(params: PolyaParams, n: int) -> FiniteLaw:

@@ -33,7 +33,6 @@ from qpascal import (
     exact_extreme_law,
     exact_growth_law,
     exact_polya_law,
-    exact_theta_law,
     extreme_array,
     extreme_sampler,
     codim_word,
@@ -50,6 +49,7 @@ from qpascal import (
     segment_weight_sum,
     theta_array,
     theta_boundary_measure,
+    theta_chain,
     tilde_of_v,
     tv_distance,
 )
@@ -142,7 +142,7 @@ def test_04_sampler_decision_trees(capsys):
         assert exact_extreme_law(2, HALF, 6, mode="runs").probs == target.probs
 
         tp = ThetaParams(F(1), HALF)
-        assert exact_theta_law(tp, 6).probs == law_of_array(theta_array(tp, 6), 6).probs
+        assert theta_chain(tp).law(6).probs == law_of_array(theta_array(tp, 6), 6).probs
 
         pp = PolyaParams(1, 2, HALF)
         assert exact_polya_law(pp, 6).probs == law_of_array(polya_array(pp, 6), 6).probs

@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 from qpascal import (
     PolyaParams,
     QParam,
+    SplitMix64,
     ThetaParams,
     VArray,
     codim_word,
     exact_extreme_law,
     extreme_array,
+    extreme_sampler,
     make_field,
-    sample_extreme,
     polya_array,
     sample_growth,
     theta_array,
@@ -206,7 +207,7 @@ class TestSample:
         code, out = run(capsys, *args)
         assert code == 0
         payload = json.loads(out)
-        assert payload["word"] == str(sample_extreme(1, HALF, 6, seed=3))
+        assert payload["word"] == str(extreme_sampler(1, HALF)(6, SplitMix64(3)))
         assert payload["n"] == 6
         assert payload["ones"] == payload["word"].count("1")
         code2, out2 = run(capsys, *args)
@@ -461,6 +462,17 @@ class TestGrassmann:
         captured = capsys.readouterr()
         assert (code, captured.out) == (6, "")
         assert captured.err.startswith("guard: ")
+
+    @pytest.mark.parametrize("p, m", [("3", "10000"), ("4", "100")])
+    def test_field_size_refused_before_it_is_built(self, capsys, p, m):
+        # 3^10000 has 4,772 digits, too many to print, so the message names
+        # the bound; a composite p above the limit is refused by size too
+        start = time.perf_counter()
+        code = main(["grassmann", "--p", p, "--m", m, "--grow", "1"])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (6, "")
+        assert captured.err == "guard: field size exceeds the limit 1048576\n"
 
     def test_default_modulus_given_explicitly(self, capsys):
         base = ("grassmann", "--p", "2", "--m", "2", "--enumerate", "2", "1")
@@ -836,7 +848,7 @@ class TestNumberArguments:
         seed = (1 << 64) - 1
         code, out = run(capsys, *self.SAMPLE, "--n", "4", "--seed", str(seed))
         assert code == 0
-        assert json.loads(out)["word"] == str(sample_extreme(1, HALF, 4, seed))
+        assert json.loads(out)["word"] == str(extreme_sampler(1, HALF)(4, SplitMix64(seed)))
 
     def test_single_trial_is_a_histogram(self, capsys):
         code, out = run(capsys, *self.SAMPLE, "--n", "4", "--seed", "1",
@@ -937,7 +949,7 @@ class TestParserReuse:
         assert out.startswith("k,count,frequency,expected\n")
         code, out = run(capsys, *self.SAMPLE)
         assert code == 0
-        assert json.loads(out)["word"] == str(sample_extreme(1, HALF, 5, 2))
+        assert json.loads(out)["word"] == str(extreme_sampler(1, HALF)(5, SplitMix64(2)))
 
     def test_output_file_then_stdout(self, capsys, tmp_path):
         argv = ("table", "--kind", "d", "--q", "2", "--depth", "2")

@@ -23,6 +23,7 @@ from qpascal import (
     list_extensions,
     make_field,
 )
+from qpascal.exactq import _q_binomial
 from qpascal.guards import ENV_VAR, check_count
 from qpascal.laws import all_words
 
@@ -64,19 +65,26 @@ class TestCheckCount:
 
 
 @pytest.mark.parametrize("refused", [
-    # each took seconds or more when the guard finished the count first;
+    # each took seconds or more when the guard finished the count (or
+    # built the field size) first, and none may touch the q_binomial cache;
     # tests/test_cli.py times grassmann --p 2 --enumerate 4000 2000
     lambda: brute_force_weight_sum(ROOT, Vertex(500000, 500000), HALF),
     lambda: FiniteLaw(10**7, {}),
     lambda: all_words(10**9),
     lambda: list_extensions(Subspace.zero(F2, 40)),
     lambda: list_extensions(Subspace.zero(F2, 10**6)),
-], ids=["paths", "law", "words", "extensions", "long_extensions"])
+    lambda: next(enumerate_grassmannian(F2, 10**8, 1)),
+    lambda: make_field(3, 10**8),
+    lambda: make_field(2**11213 - 1),
+], ids=["paths", "law", "words", "extensions", "long_extensions", "long_lines",
+        "field_degree", "field_prime"])
 def test_worst_case_refuses_at_once(refused):
+    cached = _q_binomial.cache_info()
     start = time.perf_counter()
     with pytest.raises(TooLargeError):
         refused()
     assert time.perf_counter() - start < 1
+    assert _q_binomial.cache_info() == cached
 
 
 class TestExactAtTheLimit:

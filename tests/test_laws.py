@@ -50,8 +50,8 @@ class TestVArray:
     def test_entry_and_depth(self):
         arr = extreme_array(1, HALF, 4)
         assert arr.depth == 4
-        assert arr.entry(0, 0) == 1
-        assert arr.entry(2, 1) == F(1, 2)
+        assert arr.rows[0][0] == 1
+        assert arr.rows[2][1] == F(1, 2)
 
     def test_jsonable_roundtrip(self):
         arr = extreme_array(2, HALF, 5)

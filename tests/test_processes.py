@@ -15,20 +15,16 @@ from qpascal import (
     empirical_level_histogram,
     exact_extreme_law,
     exact_polya_law,
-    exact_theta_law,
     extreme_array,
     extreme_sampler,
     polya_array,
     polya_boundary_measure,
+    polya_chain,
     polya_forward_probs,
-    polya_sampler,
     mixture_array,
-    sample_extreme,
-    sample_polya,
-    sample_theta,
     theta_array,
     theta_boundary_measure,
-    theta_sampler,
+    theta_chain,
     tilde_of_v,
     tv_distance,
     word_probability,
@@ -131,14 +127,14 @@ class TestExtremeProcess:
 
     def test_sampler_determinism(self):
         for mode in ("forward", "runs"):
-            w1 = sample_extreme(2, HALF, 12, seed=77, mode=mode)
-            w2 = sample_extreme(2, HALF, 12, seed=77, mode=mode)
+            w1 = extreme_sampler(2, HALF, mode)(12, SplitMix64(77))
+            w2 = extreme_sampler(2, HALF, mode)(12, SplitMix64(77))
             assert w1 == w2
 
     def test_kappa_edges(self):
-        assert str(sample_extreme(0, HALF, 6, seed=5)) == "000000"
-        assert str(sample_extreme(ZERO_POINT, HALF, 6, seed=5)) == "111111"
-        assert str(sample_extreme(ZERO_POINT, HALF, 6, seed=5, mode="runs")) == "111111"
+        assert str(extreme_sampler(0, HALF)(6, SplitMix64(5))) == "000000"
+        assert str(extreme_sampler(ZERO_POINT, HALF)(6, SplitMix64(5))) == "111111"
+        assert str(extreme_sampler(ZERO_POINT, HALF, "runs")(6, SplitMix64(5))) == "111111"
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -173,14 +169,14 @@ class TestThetaProcess:
     def test_exact_law_matches_array(self):
         tp = ThetaParams(F(1), HALF)
         arr = theta_array(tp, 5)
-        law = exact_theta_law(tp, 5)
+        law = theta_chain(tp).law(5)
         for word, p in law.probs.items():
             assert p == word_probability(arr, word)
 
     def test_infinite_theta_is_all_ones(self):
         tp = ThetaParams(math.inf, HALF)
-        assert str(sample_theta(tp, 7, seed=1)) == "1111111"
-        law = exact_theta_law(tp, 4)
+        assert str(theta_chain(tp).sampler()(7, SplitMix64(1))) == "1111111"
+        law = theta_chain(tp).law(4)
         assert law == exact_extreme_law(ZERO_POINT, HALF, 4)
 
     def test_boundary_measure_normalizes(self):
@@ -261,10 +257,10 @@ class TestPolyaProcess:
             assert p == word_probability(arr, word)
 
     def test_sampler_determinism_and_float_mode(self):
-        assert sample_polya(PolyaParams(1, 2, HALF), 10, seed=3) == sample_polya(
-            PolyaParams(1, 2, HALF), 10, seed=3
-        )
-        word = sample_polya(PolyaParams(F(3, 2), 1, HALF), 10, seed=3)
+        pp = PolyaParams(1, 2, HALF)
+        first, second = (polya_chain(pp).sampler()(10, SplitMix64(3)) for _ in range(2))
+        assert first == second
+        word = polya_chain(PolyaParams(F(3, 2), 1, HALF)).sampler()(10, SplitMix64(3))
         assert len(word) == 10
 
     def test_boundary_measure_geometric_head(self):
@@ -288,7 +284,7 @@ class TestPolyaProcess:
 
     def test_boundary_measure_float_mode(self):
         m = polya_boundary_measure(PolyaParams(F(3, 2), 1, HALF), kmax=80)
-        assert F(99, 100) < sum(m.atom_dict().values()) <= 1
+        assert F(99, 100) < sum(dict(m.atoms).values()) <= 1
 
     def test_boundary_measure_rejects_unit_q(self):
         from qpascal import RegimeError
@@ -299,7 +295,7 @@ class TestPolyaProcess:
 
 class TestHistogram:
     def test_reproducible(self):
-        sampler = theta_sampler(ThetaParams(F(1), HALF))
+        sampler = theta_chain(ThetaParams(F(1), HALF)).sampler()
         h1 = empirical_level_histogram(sampler, 6, 500, seed=11)
         h2 = empirical_level_histogram(sampler, 6, 500, seed=11)
         assert h1 == h2
@@ -308,7 +304,7 @@ class TestHistogram:
 
     def test_theta_histogram_close_to_exact(self):
         tp = ThetaParams(F(1), HALF)
-        counts = empirical_level_histogram(theta_sampler(tp), 8, 100_000, seed=6)
+        counts = empirical_level_histogram(theta_chain(tp).sampler(), 8, 100_000, seed=6)
         exact = list(tilde_of_v(theta_array(tp, 8)).rows[8])
         assert tv_distance(counts, 100_000, exact) <= F(2, 100)
 
@@ -327,9 +323,9 @@ TWO_THIRDS = QParam(F(2, 3))
 GOLDEN_SAMPLERS = {
     "extreme forward": lambda: extreme_sampler(6, TWO_THIRDS, "forward"),
     "extreme runs": lambda: extreme_sampler(6, TWO_THIRDS, "runs"),
-    "theta": lambda: theta_sampler(ThetaParams(F(3, 2), TWO_THIRDS)),
-    "exact urn": lambda: polya_sampler(PolyaParams(3, 1, TWO_THIRDS)),
-    "float urn": lambda: polya_sampler(PolyaParams(F(7, 2), F(3, 2), TWO_THIRDS)),
+    "theta": lambda: theta_chain(ThetaParams(F(3, 2), TWO_THIRDS)).sampler(),
+    "exact urn": lambda: polya_chain(PolyaParams(3, 1, TWO_THIRDS)).sampler(),
+    "float urn": lambda: polya_chain(PolyaParams(F(7, 2), F(3, 2), TWO_THIRDS)).sampler(),
 }
 # level counts of 300 words of length 14 (seed 2024), the word of length
 # 14 drawn from seed 2024 and the word of length 40 drawn from seed 2025
@@ -377,6 +373,8 @@ class TestGoldenBits:
         assert str(sampler(40, SplitMix64(2025))) == word40
 
     def test_sample_functions(self):
-        assert str(sample_extreme(6, TWO_THIRDS, 14, 2024, "runs")) == "11110010100000"
-        assert str(sample_theta(ThetaParams(F(3, 2), TWO_THIRDS), 14, 2024)) == "01110000000000"
-        assert str(sample_polya(PolyaParams(3, 1, TWO_THIRDS), 14, 2024)) == "01110010000000"
+        theta, urn = ThetaParams(F(3, 2), TWO_THIRDS), PolyaParams(3, 1, TWO_THIRDS)
+        runs = extreme_sampler(6, TWO_THIRDS, "runs")
+        assert str(runs(14, SplitMix64(2024))) == "11110010100000"
+        assert str(theta_chain(theta).sampler()(14, SplitMix64(2024))) == "01110000000000"
+        assert str(polya_chain(urn).sampler()(14, SplitMix64(2024))) == "01110010000000"
