@@ -9,9 +9,9 @@ arithmetic; floats appear only in explicitly approximate corners
 
 Layout:
     exactq        rationals, q-integers, Gaussian binomials, q-Pochhammer
-    pascal_graph  the weighted q-Pascal graph, words, path weights, flips
+    pascal_graph  the weighted q-Pascal graph, words, segment weight sums, flips
     laws          triangular law arrays and finite word laws
-    boundary      extreme kernels, mixing measures, moment criteria
+    boundary      extreme laws, mixing measures, moment criteria
     processes     the extreme / theta / urn processes as forward chains
     galois        finite fields, subspace chains, codimension words
     rng           the deterministic sampling stream (SplitMix64)
@@ -25,7 +25,6 @@ from .boundary import (
     array_from_moments,
     extreme_array,
     extreme_chain,
-    extreme_kernel,
     is_q_completely_monotone,
     mixture_array,
     moments_of,
@@ -53,7 +52,6 @@ from .exactq import (
     format_rational,
     parse_rational,
     q_binomial,
-    q_factorial,
     q_integer,
     q_pochhammer,
     q_pochhammer_bounds,
@@ -64,7 +62,6 @@ from .galois import (
     Subspace,
     codim_word,
     enumerate_grassmannian,
-    exact_growth_law,
     growth_q_param,
     is_irreducible,
     is_prime,
@@ -77,35 +74,26 @@ from .galois import (
 from .laws import (
     FiniteLaw,
     ForwardChain,
-    RunEncoding,
     TildeArray,
     VArray,
     backward_kernel,
     check_q_exchangeable,
     check_recursion,
-    law_of_array,
     multistep_backward,
-    runs_to_word,
     tilde_of_v,
-    v_of_tilde,
     word_probability,
-    word_to_runs,
 )
 from .pascal_graph import (
     ROOT,
     BinaryWord,
     Vertex,
-    brute_force_weight_sum,
     flip_reduction,
-    path_weight,
     segment_weight_sum,
 )
 from .processes import (
     PolyaParams,
     ThetaParams,
     empirical_level_histogram,
-    exact_extreme_law,
-    exact_polya_law,
     extreme_sampler,
     polya_array,
     polya_boundary_measure,
@@ -114,7 +102,6 @@ from .processes import (
     theta_array,
     theta_boundary_measure,
     theta_chain,
-    tv_distance,
 )
 from .rng import SplitMix64, derive_seed
 

@@ -34,7 +34,6 @@ from .exactq import (
     as_fraction,
     format_rational,
     q_binomial,
-    q_pochhammer,
 )
 from .laws import Check, ForwardChain, VArray
 
@@ -124,28 +123,6 @@ class MomentSequence:
         if vals[0] != 1:
             raise ValueError("u_0 must be 1 for a probability measure")
         object.__setattr__(self, "values", vals)
-
-
-def extreme_kernel(
-    n: int, k: int, x, q: QParam
-) -> tuple[Fraction, Fraction]:
-    """Evaluate the extreme-law kernel at x in [0, 1].
-
-    Returns (value, weighted) where weighted = qbinom(n, k) * value is
-    the corresponding level mass.  ``value`` vanishes at x = q^kappa
-    whenever k > kappa.
-    """
-    q.require_sub_unit("extreme kernel")
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    xf = as_fraction(x)
-    if not 0 <= xf <= 1:
-        raise ValueError("x must lie in [0, 1], got %s" % xf)
-    prod = q_pochhammer(xf, q.inverse, k)
-    if prod == 0:
-        return Fraction(0), Fraction(0)
-    value = q.q ** (-k * (n - k)) * xf ** (n - k) * prod
-    return value, q_binomial(n, k, q) * value
 
 
 def extreme_stay(kappa, q: QParam, k: int) -> Fraction:

@@ -2,7 +2,7 @@
 
 Every probability-carrying quantity in this package is a
 :class:`fractions.Fraction`.  This module provides the q-integer,
-q-factorial, q-binomial and q-Pochhammer building blocks, plus
+q-binomial and q-Pochhammer building blocks, plus
 :class:`QParam`, the deformation parameter together with its regime
 (below, at, or above 1).  Operations that only make sense on one side
 of q = 1 raise :class:`~qpascal.errors.RegimeError`.
@@ -25,7 +25,6 @@ used by every JSON and CSV surface of the package.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -134,13 +133,6 @@ def _q_integer(x, qq):
     """[x] = (1 - qq^x) / (1 - qq), and x at qq = 1, in the number type
     of qq: a Fraction, or a float in the urn's float mode."""
     return x * qq if qq == 1 else (1 - qq**x) / (1 - qq)
-
-
-def q_factorial(n: int, q: QParam) -> Fraction:
-    """[n]! = [1][2]...[n]; empty product 1 for n = 0."""
-    if n < 0:
-        raise ValueError("q_factorial needs n >= 0, got %d" % n)
-    return math.prod((q_integer(i, q) for i in range(1, n + 1)), start=Fraction(1))
 
 
 def q_binomial(n: int, k: int, q: QParam) -> Fraction:

@@ -512,11 +512,12 @@ def enumerate_grassmannian(field: FieldSpec, n: int, k: int) -> Iterator[Subspac
     exact = (q_binomial(n, k, QParam(Fraction(q))) for _ in (0,))
     check_count(itertools.chain(lower, exact), DEFAULT_SUBSPACE_LIMIT, "subspaces")
     for pivots in itertools.combinations(range(n), k):
+        # row i is free in the non-pivot columns right of its pivot
+        others = sorted(set(range(n)).difference(pivots))
         free = [
             (i, c)
             for i, piv in enumerate(pivots)
-            for c in range(piv + 1, n)
-            if c not in pivots
+            for c in others[bisect.bisect(others, piv):]
         ]
         for values in itertools.product(field.elements(), repeat=len(free)):
             rows = [[0] * n for _ in range(k)]
@@ -570,34 +571,6 @@ def codim_word(chain: Sequence[Subspace]) -> BinaryWord:
             raise ValueError("chain is not a growth chain")
         bits.append(step)
     return BinaryWord(tuple(bits))
-
-
-def exact_growth_law(
-    kappa, field: FieldSpec, n_max: int
-) -> dict[tuple[Subspace, ...], Fraction]:
-    """Law of the full chain by exact branching: p_grow splits evenly
-    over the q^(n-k) grown extensions, 1 - p_grow stays."""
-    _check_kappa(kappa)
-    qbar = growth_q_param(field)
-    states: dict[tuple[Subspace, ...], Fraction] = {
-        (Subspace.zero(field, 0),): Fraction(1)
-    }
-    for _ in range(n_max):
-        nxt: dict[tuple[Subspace, ...], Fraction] = {}
-        for chain, prob in states.items():
-            current = chain[-1]
-            p_grow = extreme_stay(kappa, qbar, current.codim)
-            extensions = list_extensions(current)
-            stay, grown = extensions[0], extensions[1:]
-            if p_grow != 1:
-                nxt[chain + (stay,)] = nxt.get(chain + (stay,), 0) + prob * (1 - p_grow)
-            if p_grow != 0:
-                share = prob * p_grow / len(grown)
-                for ext in grown:
-                    key = chain + (ext,)
-                    nxt[key] = nxt.get(key, 0) + share
-        states = nxt
-    return states
 
 
 def growth_q_param(field: FieldSpec) -> QParam:

@@ -161,14 +161,6 @@ def tilde_of_v(array: VArray) -> TildeArray:
     return TildeArray(array.q, rows)
 
 
-def v_of_tilde(array: TildeArray) -> VArray:
-    rows = tuple(
-        tuple(x / q_binomial(n, k, array.q) for k, x in enumerate(row))
-        for n, row in enumerate(array.rows)
-    )
-    return VArray(array.q, rows)
-
-
 def backward_kernel(n: int, k: int, q: QParam) -> tuple[Fraction, Fraction]:
     """One-step backward transition at (n, k).
 
@@ -248,11 +240,6 @@ class FiniteLaw:
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "FiniteLaw":
         return cls(as_count(obj["n"]), dict(obj["probs"]))
-
-
-def law_of_array(array: VArray, n: int) -> FiniteLaw:
-    """Restrict the law of ``array`` to words of length n (n <= 20)."""
-    return FiniteLaw(n, {w: word_probability(array, w) for w in all_words(n)})
 
 
 def _check_word_count(n: int) -> None:
@@ -376,44 +363,3 @@ def check_q_exchangeable(law: FiniteLaw, q: QParam) -> Check:
             if law.prob(swapped) != qq ** (bi - bj) * p:
                 return Check(False, (word, i))
     return Check(True, None)
-
-
-@dataclass(frozen=True)
-class RunEncoding:
-    """Run-length view of a word: zero-run lengths between successive ones.
-
-    ``runs[i]`` counts the zeros before the (i+1)-th one; ``open_zeros``
-    counts zeros after the last one (the start of an unterminated run).
-    """
-
-    runs: tuple[int, ...]
-    open_zeros: int = 0
-
-    def __post_init__(self) -> None:
-        if any(r < 0 for r in self.runs) or self.open_zeros < 0:
-            raise ValueError("run lengths must be non-negative")
-
-    @property
-    def trailing(self) -> bool:
-        return self.open_zeros > 0
-
-
-def word_to_runs(word: BinaryWord) -> RunEncoding:
-    runs = []
-    current = 0
-    for b in word:
-        if b:
-            runs.append(current)
-            current = 0
-        else:
-            current += 1
-    return RunEncoding(tuple(runs), current)
-
-
-def runs_to_word(encoding: RunEncoding) -> BinaryWord:
-    bits: list[int] = []
-    for r in encoding.runs:
-        bits.extend([0] * r)
-        bits.append(1)
-    bits.extend([0] * encoding.open_zeros)
-    return BinaryWord(tuple(bits))

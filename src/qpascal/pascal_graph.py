@@ -11,20 +11,15 @@ A binary word traces a directed path; its weight is a power of q.
 The sum of primal path weights from the root to (l, k) is the Gaussian
 binomial with n = l + k, and more generally the weight sum over any
 segment has the closed form implemented by :func:`segment_weight_sum`.
-:func:`brute_force_weight_sum` recomputes the same sums by explicit
-path enumeration and exists purely as an independent cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSuperUnitError, UnreachableError
 from .exactq import QParam, Regime, q_binomial
-from . import guards
 
 
 @dataclass(frozen=True)
@@ -110,24 +105,6 @@ class BinaryWord:
         return BinaryWord(tuple(b))
 
 
-def path_weight(
-    word: BinaryWord, q: QParam, start: Vertex = ROOT, dual: bool = False
-) -> Fraction:
-    """Weight of the path traced by ``word`` starting at ``start``."""
-    l, k = start.l, start.k
-    exponent = 0
-    for b in word:
-        if b:
-            if not dual:
-                exponent += l
-            k += 1
-        else:
-            if dual:
-                exponent += k
-            l += 1
-    return q.q**exponent
-
-
 def segment_weight_sum(frm: Vertex, to: Vertex, q: QParam) -> Fraction:
     """Sum of primal path weights over all paths from ``frm`` to ``to``.
 
@@ -140,38 +117,6 @@ def segment_weight_sum(frm: Vertex, to: Vertex, q: QParam) -> Fraction:
     n, k = frm.level, frm.k
     nu, kappa = to.level, to.k
     return q.q ** ((kappa - k) * (n - k)) * q_binomial(nu - n, kappa - k, q)
-
-
-def brute_force_weight_sum(
-    frm: Vertex, to: Vertex, q: QParam, dual: bool = False
-) -> Fraction:
-    """Same sum by explicit enumeration of every lattice path.
-
-    Kept deliberately independent of :func:`segment_weight_sum` so the
-    two can cross-check each other.  Guarded: at most C(22, 11) =
-    705,432 paths unless QB_MAX_ENUM sets another bound.
-    """
-    if to.l < frm.l or to.k < frm.k:
-        raise UnreachableError("no path from %s to %s" % (frm, to))
-    dl = to.l - frm.l
-    dk = to.k - frm.k
-    steps = dl + dk
-    counts = (math.comb(max(dk, dl) + i, i) for i in range(min(dk, dl) + 1))
-    guards.check_count(counts, math.comb(22, 11), "path enumeration")
-
-    # For a path whose 1-steps sit at positions p_0 < ... < p_{dk-1},
-    # the primal exponent is frm.l*dk + sum(p_j - j), and the dual
-    # exponent is frm.k*dl plus the complementary inversion count.
-    exponent_counts: dict[int, int] = {}
-    for positions in itertools.combinations(range(steps), dk):
-        zero_one = sum(p - j for j, p in enumerate(positions))
-        if dual:
-            e = frm.k * dl + (dl * dk - zero_one)
-        else:
-            e = frm.l * dk + zero_one
-        exponent_counts[e] = exponent_counts.get(e, 0) + 1
-    qq = q.q
-    return sum((count * qq**e for e, count in exponent_counts.items()), Fraction(0))
 
 
 def flip_reduction(obj, q: QParam | None = None):

@@ -8,7 +8,7 @@ function gives the process's v triangle (only the canonical words
 its level laws by a forward pass, its exact word law by walking the
 decision tree, and its bit-by-bit sampler with one cached threshold per
 (n, k).  The closed forms quoted below are not computed here: they
-live in the tests as independent oracles for the chain's triangles.
+live in the tests as independent checks of the chain's triangles.
 
 Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     the extreme q-exchangeable law at x = q^kappa, with
@@ -18,7 +18,7 @@ Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     the zero-run lengths T_0, T_1, ... before each successive one as
     independent geometrics (T_i counts failures before first success,
     success probability 1 - q^(kappa-i)) and pads with zeros once kappa
-    ones have appeared; its law is computed from the run lengths.
+    ones have appeared.
 
 Theta process: independent bits, P(bit m = 1) = theta q^(m-1) / (1 + theta q^(m-1)).
     Its triangle is w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i),
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 from .boundary import BoundaryMeasure, extreme_chain, extreme_stay
 from .errors import NonIntegerParamsInExactMode
@@ -63,7 +63,7 @@ from .exactq import (
     q_pochhammer_bounds,
     q_pochhammer_infinite,
 )
-from .laws import ForwardChain, FiniteLaw, VArray, all_words, word_to_runs
+from .laws import ForwardChain, VArray
 from .pascal_graph import BinaryWord
 from .rng import SplitMix64, derive_seed, geometric_failures
 
@@ -72,18 +72,14 @@ MODES = ("forward", "runs")
 Sampler = Callable[[int, SplitMix64], BinaryWord]
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s, got %r" % (MODES, mode))
-
-
 # ---------------------------------------------------------------- extreme
 
 
 def extreme_sampler(kappa, q: QParam, mode: str = "forward") -> Sampler:
     """Reusable sampler closure for the extreme process."""
     chain = extreme_chain(kappa, q)
-    _check_mode(mode)
+    if mode not in MODES:
+        raise ValueError("mode must be one of %s, got %r" % (MODES, mode))
     if mode == "forward":
         return chain.sampler()
 
@@ -100,28 +96,6 @@ def extreme_sampler(kappa, q: QParam, mode: str = "forward") -> Sampler:
         return BinaryWord(tuple(bits))
 
     return draw_runs
-
-
-def exact_extreme_law(kappa, q: QParam, n: int, mode: str = "forward") -> FiniteLaw:
-    """Law of a length-n sample, by exact enumeration of the sampler's
-    decision tree (branch probabilities taken as exact rationals)."""
-    chain = extreme_chain(kappa, q)
-    _check_mode(mode)
-    if mode == "forward":
-        return chain.law(n)
-    probs = {}
-    for word in all_words(n):
-        enc = word_to_runs(word)
-        p = Fraction(1)
-        for i, run in enumerate(enc.runs):
-            r = extreme_stay(kappa, q, i)
-            p *= r**run * (1 - r)
-            if p == 0:
-                break
-        if p != 0 and enc.open_zeros:
-            p *= extreme_stay(kappa, q, len(enc.runs)) ** enc.open_zeros
-        probs[word] = p
-    return FiniteLaw(n, probs)
 
 
 # ------------------------------------------------------------------ theta
@@ -265,12 +239,6 @@ def polya_array(params: PolyaParams, depth: int) -> VArray:
     return polya_chain(params).triangle(depth)
 
 
-def exact_polya_law(params: PolyaParams, n: int) -> FiniteLaw:
-    if params.float_mode:
-        raise NonIntegerParamsInExactMode("exact law requires integer strengths")
-    return polya_chain(params).law(n)
-
-
 def polya_boundary_measure(params: PolyaParams, kmax: int = 80) -> BoundaryMeasure:
     """Mixing measure of the urn process (q-beta weights).
 
@@ -329,16 +297,3 @@ def empirical_level_histogram(
         k = word.ones
         counts[k] = counts.get(k, 0) + 1
     return counts
-
-
-def tv_distance(
-    counts: Mapping[int, int], trials: int, exact_level: Sequence[Fraction]
-) -> Fraction:
-    """Total variation between empirical frequencies and an exact level law."""
-    keys = set(counts) | set(range(len(exact_level)))
-    total = Fraction(0)
-    for k in keys:
-        empirical = Fraction(counts.get(k, 0), trials)
-        exact = exact_level[k] if k < len(exact_level) else Fraction(0)
-        total += abs(empirical - exact)
-    return total / 2

@@ -26,31 +26,35 @@ from qpascal import (
     ThetaParams,
     UnreachableError,
     Vertex,
-    brute_force_weight_sum,
     derive_seed,
     empirical_level_histogram,
     enumerate_grassmannian,
-    exact_extreme_law,
-    exact_growth_law,
-    exact_polya_law,
     extreme_array,
+    extreme_chain,
     extreme_sampler,
     codim_word,
     check_recursion,
     is_q_completely_monotone,
-    law_of_array,
     list_extensions,
     make_field,
     mixture_array,
     moments_of,
     polya_array,
     polya_boundary_measure,
+    polya_chain,
     recover_measure,
     segment_weight_sum,
     theta_array,
     theta_boundary_measure,
     theta_chain,
     tilde_of_v,
+)
+
+from oracles import (
+    brute_force_weight_sum,
+    exact_growth_law,
+    law_of_array,
+    runs_law,
     tv_distance,
 )
 
@@ -138,18 +142,18 @@ def test_04_sampler_decision_trees(capsys):
     # reproduce the word probabilities of the corresponding triangle
     with criterion(capsys, "sampler laws", 30.0):
         target = law_of_array(extreme_array(2, HALF, 6), 6)
-        assert exact_extreme_law(2, HALF, 6, mode="forward").probs == target.probs
-        assert exact_extreme_law(2, HALF, 6, mode="runs").probs == target.probs
+        assert extreme_chain(2, HALF).law(6).probs == target.probs
+        assert runs_law(2, HALF, 6).probs == target.probs
 
         tp = ThetaParams(F(1), HALF)
         assert theta_chain(tp).law(6).probs == law_of_array(theta_array(tp, 6), 6).probs
 
         pp = PolyaParams(1, 2, HALF)
-        assert exact_polya_law(pp, 6).probs == law_of_array(polya_array(pp, 6), 6).probs
+        assert polya_chain(pp).law(6).probs == law_of_array(polya_array(pp, 6), 6).probs
 
         for kappa in (0, 1, 3, math.inf):
-            forward = exact_extreme_law(kappa, HALF, 6, mode="forward")
-            runs = exact_extreme_law(kappa, HALF, 6, mode="runs")
+            forward = extreme_chain(kappa, HALF).law(6)
+            runs = runs_law(kappa, HALF, 6)
             assert forward.probs == runs.probs
 
 
@@ -184,7 +188,7 @@ def test_07_growth_law(capsys):
         for chain, p in law.items():
             word = codim_word(chain)
             marginal[word] = marginal.get(word, F(0)) + p
-        extreme = exact_extreme_law(1, HALF, 3)
+        extreme = extreme_chain(1, HALF).law(3)
         assert marginal == {w: p for w, p in extreme.probs.items() if p > 0}
 
         for field in (f2, f3):

@@ -12,7 +12,6 @@ from qpascal import (
     ZERO_POINT,
     array_from_moments,
     extreme_array,
-    extreme_kernel,
     is_q_completely_monotone,
     mixture_array,
     moments_of,
@@ -23,6 +22,8 @@ from qpascal import (
     tilde_of_v,
 )
 from qpascal.processes import PolyaParams, ThetaParams, extreme_sampler
+
+from oracles import extreme_kernel
 
 HALF = QParam(F(1, 2))
 HALF_MIX = BoundaryMeasure.of(HALF, {0: F(1, 2), 1: F(1, 2)})

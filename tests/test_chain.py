@@ -21,7 +21,6 @@ from qpascal import (
     ThetaParams,
     ZERO_POINT,
     extreme_array,
-    extreme_kernel,
     mixture_array,
     polya_array,
     theta_array,
@@ -29,6 +28,8 @@ from qpascal import (
 )
 from qpascal.laws import ForwardChain
 from qpascal.processes import polya_chain, theta_chain
+
+from oracles import extreme_kernel
 
 DEPTH = 30
 QS = [F(1, 2), F(2, 3), F(9, 10)]

@@ -25,8 +25,8 @@ from qpascal import (
     ThetaParams,
     VArray,
     codim_word,
-    exact_extreme_law,
     extreme_array,
+    extreme_chain,
     extreme_sampler,
     make_field,
     polya_array,
@@ -308,7 +308,7 @@ class TestCheck:
         assert witness in ({"n": 2, "k": 1}, {"n": 1, "k": 0}, {"n": 1, "k": 1})
 
     def test_exchangeable_ok(self, capsys, tmp_path):
-        law = exact_extreme_law(1, HALF, 3)
+        law = extreme_chain(1, HALF).law(3)
         path = write_json(
             tmp_path / "law.json",
             {"n": 3, "probs": {str(w): str(p) for w, p in law.probs.items()}},
@@ -735,7 +735,7 @@ class TestMalformedFiles:
         "measure": {"q": "1/2", "atoms": [{"kappa": 0, "mass": "1/2"},
                                           {"kappa": 2, "mass": "1/4"}],
                     "zero_mass": "1/4"},
-        "law": exact_extreme_law(1, HALF, 2).to_jsonable(),
+        "law": extreme_chain(1, HALF).law(2).to_jsonable(),
         "moments": {"moments": ["1", "1/2", "1/4", "1/8"]},
     }
     COMMANDS = {
@@ -921,7 +921,7 @@ class TestJsonEmitter:
         files = {
             "half": half.to_jsonable(),
             "broken": broken,
-            "law": exact_extreme_law(1, HALF, 3).to_jsonable(),
+            "law": extreme_chain(1, HALF).law(3).to_jsonable(),
             "moments": {"moments": ["1", "1/2", "1/4", "1/8"]},
             "super": VArray(QParam(F(2)), ((F(1),), (F(1, 3), F(2, 3)))).to_jsonable(),
         }

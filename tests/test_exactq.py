@@ -12,12 +12,13 @@ from qpascal import (
     format_rational,
     parse_rational,
     q_binomial,
-    q_factorial,
     q_integer,
     q_pochhammer,
     q_pochhammer_bounds,
     q_pochhammer_infinite,
 )
+
+from oracles import q_factorial
 
 HALF = QParam(F(1, 2))
 TWO = QParam(F(2))

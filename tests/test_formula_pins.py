@@ -14,11 +14,9 @@ import pytest
 from qpascal import (
     QParam,
     make_field,
-    q_factorial,
     q_pochhammer_bounds,
     q_pochhammer_infinite,
 )
-from qpascal.boundary import extreme_kernel
 from qpascal.processes import (
     PolyaParams,
     ThetaParams,
@@ -26,6 +24,8 @@ from qpascal.processes import (
     polya_forward_probs,
     theta_boundary_measure,
 )
+
+from oracles import extreme_kernel, q_factorial
 
 
 def sha256(text):

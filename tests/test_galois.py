@@ -18,9 +18,9 @@ from qpascal import (
     Subspace,
     TooLargeError,
     codim_word,
+    derive_seed,
     enumerate_grassmannian,
-    exact_extreme_law,
-    exact_growth_law,
+    extreme_chain,
     growth_q_param,
     is_irreducible,
     is_prime,
@@ -32,6 +32,9 @@ from qpascal import (
     sample_growth,
 )
 from qpascal import galois
+from qpascal.laws import all_words
+
+from oracles import exact_growth_law, path_weight
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -306,6 +309,57 @@ class TestGrassmannian:
     def test_empty_outside_range(self):
         assert list(enumerate_grassmannian(F2, 2, 3)) == []
 
+    def test_square_basis_costs_its_entries(self):
+        # k = n leaves no free column; finding that must not cost k^2 n
+        start = time.perf_counter()
+        space = next(enumerate_grassmannian(F2, 1600, 1600))
+        assert time.perf_counter() - start < 1
+        identity = tuple(tuple(int(i == j) for j in range(1600)) for i in range(1600))
+        assert space.basis == identity
+
+
+def codim_word_law(field, n, ones):
+    """path_weight(w, 1/|F|) normalised over the words with ``ones`` ones."""
+    q = growth_q_param(field)
+    weights = {w: path_weight(w, q) for w in all_words(n) if w.ones == ones}
+    total = sum(weights.values())
+    return {w: x / total for w, x in weights.items()}
+
+
+class TestGrassmannianCounting:
+    """The paper's Galois-field theorem by counting: projecting a uniform
+    d-dimensional W of F^N down to F^0 and reversing the chain spells a
+    codimension word distributed as the path weights at q = 1/|F|."""
+
+    @pytest.mark.parametrize("field, n", [(F2, 6), (F3, 4), (F4, 4)], ids=["GF2", "GF3", "GF4"])
+    def test_projected_chains_follow_path_weights(self, field, n):
+        for d in range(n + 1):
+            counts = defaultdict(int)
+            for space in enumerate_grassmannian(field, n, d):
+                chain = [space]
+                while chain[-1].ambient_dim:
+                    chain.append(project_down(chain[-1]))
+                counts[codim_word(chain[::-1])] += 1
+            total = sum(counts.values())
+            empirical = {w: F(c, total) for w, c in counts.items()}
+            assert empirical == codim_word_law(field, n, n - d)
+
+    def test_sampled_growth_mixes_the_counting_laws(self):
+        # sample_growth's words against the counting law of each
+        # codimension, weighted by the exact extreme level law
+        n, kappa, trials = 6, 2, 2000
+        level = extreme_chain(kappa, growth_q_param(F4)).level(n)
+        exact = {}
+        for ones, mass in enumerate(level):
+            for w, p in codim_word_law(F4, n, ones).items():
+                exact[w] = mass * p
+        counts = defaultdict(int)
+        for t in range(trials):
+            counts[codim_word(sample_growth(kappa, F4, n, seed=derive_seed(5, t)))] += 1
+        assert set(counts) <= set(exact)
+        tv = sum(abs(F(counts[w], trials) - p) for w, p in exact.items()) / 2
+        assert tv <= F(1, 20)
+
 
 class TestGrowth:
     def test_deterministic(self):
@@ -351,7 +405,7 @@ class TestGrowth:
         marginal = defaultdict(F)
         for chain, p in law.items():
             marginal[codim_word(chain)] += p
-        extreme = exact_extreme_law(1, growth_q_param(F2), 3)
+        extreme = extreme_chain(1, growth_q_param(F2)).law(3)
         assert dict(marginal) == {w: p for w, p in extreme.probs.items() if p > 0}
 
     def test_conditional_uniformity_over_grassmannian(self):

@@ -17,15 +17,15 @@ from qpascal import (
     Subspace,
     TooLargeError,
     Vertex,
-    brute_force_weight_sum,
     enumerate_grassmannian,
-    exact_growth_law,
     list_extensions,
     make_field,
 )
 from qpascal.exactq import _q_binomial
 from qpascal.guards import ENV_VAR, check_count
 from qpascal.laws import all_words
+
+from oracles import brute_force_weight_sum, exact_growth_law
 
 HALF = QParam(F(1, 2))
 F2 = make_field(2)

@@ -9,7 +9,6 @@ from qpascal import (
     FiniteLaw,
     InvalidArrayError,
     QParam,
-    RunEncoding,
     TildeArray,
     TooLargeError,
     VArray,
@@ -18,19 +17,17 @@ from qpascal import (
     check_recursion,
     extreme_array,
     flip_reduction,
-    law_of_array,
     multistep_backward,
     q_integer,
-    runs_to_word,
     theta_array,
     tilde_of_v,
-    v_of_tilde,
     word_probability,
-    word_to_runs,
 )
 from qpascal.guards import ENV_VAR
 from qpascal.laws import all_words
 from qpascal.processes import ThetaParams
+
+from oracles import RunEncoding, law_of_array, runs_to_word, v_of_tilde, word_to_runs
 
 HALF = QParam(F(1, 2))
 TWO = QParam(F(2))

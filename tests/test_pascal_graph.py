@@ -13,12 +13,12 @@ from qpascal import (
     TooLargeError,
     UnreachableError,
     Vertex,
-    brute_force_weight_sum,
     flip_reduction,
-    path_weight,
     segment_weight_sum,
 )
 from qpascal.guards import ENV_VAR
+
+from oracles import brute_force_weight_sum, path_weight
 
 HALF = QParam(F(1, 2))
 TWO = QParam(F(2))

@@ -13,9 +13,8 @@ from qpascal import (
     ZERO_POINT,
     derive_seed,
     empirical_level_histogram,
-    exact_extreme_law,
-    exact_polya_law,
     extreme_array,
+    extreme_chain,
     extreme_sampler,
     polya_array,
     polya_boundary_measure,
@@ -26,10 +25,11 @@ from qpascal import (
     theta_boundary_measure,
     theta_chain,
     tilde_of_v,
-    tv_distance,
     word_probability,
 )
 from qpascal.rng import bernoulli_threshold, geometric_failures, uniform_below
+
+from oracles import runs_law, tv_distance
 
 HALF = QParam(F(1, 2))
 
@@ -109,20 +109,19 @@ class TestExtremeProcess:
     def test_first_bit_probability(self):
         from qpascal import BinaryWord
 
-        law = exact_extreme_law(1, HALF, 1)
+        law = extreme_chain(1, HALF).law(1)
         assert law.prob(BinaryWord.from_string("1")) == F(1, 2)
 
     def test_exact_law_matches_array(self):
         arr = extreme_array(2, HALF, 5)
-        for mode in ("forward", "runs"):
-            law = exact_extreme_law(2, HALF, 5, mode)
+        for law in (extreme_chain(2, HALF).law(5), runs_law(2, HALF, 5)):
             for word, p in law.probs.items():
                 assert p == word_probability(arr, word)
 
     def test_mode_equivalence_across_kappa(self):
         for kappa in (0, 1, 3, ZERO_POINT):
-            fwd = exact_extreme_law(kappa, HALF, 5, "forward")
-            runs = exact_extreme_law(kappa, HALF, 5, "runs")
+            fwd = extreme_chain(kappa, HALF).law(5)
+            runs = runs_law(kappa, HALF, 5)
             assert fwd == runs
 
     def test_sampler_determinism(self):
@@ -141,11 +140,12 @@ class TestExtremeProcess:
             extreme_sampler(1, HALF, "backward")
 
     def test_runs_law_guarded_before_the_walk(self):
-        # the runs mode enumerates every word; 2^40 words trip the guard
-        # at once, as the forward mode's decision-tree walk does
-        for mode in ("forward", "runs"):
-            with pytest.raises(TooLargeError):
-                exact_extreme_law(2, HALF, 40, mode=mode)
+        # the runs law enumerates every word; 2^40 words trip the guard
+        # at once, as the forward chain's decision-tree walk does
+        with pytest.raises(TooLargeError):
+            extreme_chain(2, HALF).law(40)
+        with pytest.raises(TooLargeError):
+            runs_law(2, HALF, 40)
 
 
 class TestThetaProcess:
@@ -177,7 +177,7 @@ class TestThetaProcess:
         tp = ThetaParams(math.inf, HALF)
         assert str(theta_chain(tp).sampler()(7, SplitMix64(1))) == "1111111"
         law = theta_chain(tp).law(4)
-        assert law == exact_extreme_law(ZERO_POINT, HALF, 4)
+        assert law == extreme_chain(ZERO_POINT, HALF).law(4)
 
     def test_boundary_measure_normalizes(self):
         m = theta_boundary_measure(ThetaParams(F(1), HALF), kmax=80)
@@ -253,7 +253,7 @@ class TestPolyaProcess:
     def test_exact_law_matches_array(self):
         pp = PolyaParams(2, 3, HALF)
         arr = polya_array(pp, 5)
-        for word, p in exact_polya_law(pp, 5).probs.items():
+        for word, p in polya_chain(pp).law(5).probs.items():
             assert p == word_probability(arr, word)
 
     def test_sampler_determinism_and_float_mode(self):
