@@ -23,6 +23,7 @@ The zero boundary point is passed as ``kappa = math.inf`` throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,7 @@ from .exactq import (
     QParam,
     as_fraction,
     format_rational,
-    q_binomial,
+    gaussian_rows,
 )
 from .laws import Check, ForwardChain, VArray
 
@@ -140,7 +141,8 @@ def extreme_chain(kappa, q: QParam) -> ForwardChain:
     """The extreme law at x = q^kappa as a forward chain, p1 = 1 - q^(kappa-k)."""
     q.require_sub_unit("extreme law")
     _check_kappa(kappa)
-    return ForwardChain(q, lambda n, k: 1 - extreme_stay(kappa, q, k))
+    p_one = functools.cache(lambda k: 1 - extreme_stay(kappa, q, k))
+    return ForwardChain(q, lambda n, k: p_one(k))
 
 
 def extreme_array(kappa, q: QParam, depth: int) -> VArray:
@@ -178,12 +180,9 @@ def recover_measure(array: VArray, nu: int = 40, kmax: int = 12) -> BoundaryMeas
         raise ValueError("need 0 <= kmax <= nu")
     if nu > array.depth:
         raise ValueError("nu = %d exceeds array depth %d" % (nu, array.depth))
-    atoms = {}
-    total = Fraction(0)
-    for kappa in range(kmax + 1):
-        mass = q_binomial(nu, kappa, array.q) * array.rows[nu][kappa]
-        atoms[kappa] = mass
-        total += mass
+    *_, d_row = gaussian_rows(nu, array.q)
+    atoms = {kappa: d_row[kappa] * array.rows[nu][kappa] for kappa in range(kmax + 1)}
+    total = sum(atoms.values())
     if total > 1:
         raise InvalidArrayError("level %d carries more than unit mass" % nu)
     return BoundaryMeasure.of(array.q, atoms, 1 - total)

@@ -46,7 +46,8 @@ from .errors import (
     RegimeError,
     TooLargeError,
 )
-from .exactq import QParam, as_fraction, format_rational, q_binomial
+from .exactq import QParam, as_fraction, format_rational, gaussian_rows
+from .exactq import q_binomial  # noqa: F401 (bench/tests/test_bench.py reads cli.q_binomial)
 from .galois import (
     codim_word,
     enumerate_grassmannian,
@@ -205,10 +206,7 @@ def _triangle_rows(kind: str, args):
         q = QParam(args.q)
         return (
             {"q": format_rational(q.q), "depth": args.depth},
-            [
-                [q_binomial(n, k, q) for k in range(n + 1)]
-                for n in range(args.depth + 1)
-            ],
+            gaussian_rows(args.depth, q),
         )
     array = _build_array(args)
     if kind == "tilde":

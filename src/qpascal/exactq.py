@@ -25,11 +25,11 @@ used by every JSON and CSV surface of the package.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InfiniteProductOutsideSubUnit, RegimeError
@@ -56,6 +56,14 @@ def as_fraction(value) -> Fraction:
         if bound and exponent.lstrip("+-").isdecimal() and abs(int(exponent)) > bound:
             raise ValueError("decimal exponent %s exceeds %d in size" % (exponent, bound))
     try:
+        if isinstance(value, str):
+            # a plain [+-]digits[/digits] skips Fraction's regex; int() reads
+            # the digit runs Fraction would, with the same limits and messages
+            num, slash, den = value.partition("/")
+            digits = num[1:] if num[:1] in ("+", "-") else num
+            if digits.isdecimal() and (den.isdecimal() or not slash):
+                top = -int(digits) if num[0] == "-" else int(digits)
+                return Fraction(top, int(den or 1))
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (value,)) from None
@@ -136,17 +144,43 @@ def _q_integer(x, qq):
 
 
 def q_binomial(n: int, k: int, q: QParam) -> Fraction:
-    """Gaussian binomial coefficient; zero outside 0 <= k <= n."""
+    """Gaussian binomial coefficient; zero outside 0 <= k <= n.  For q = a/b
+    in lowest terms it is prod_i (b^(n-k+i) - a^(n-k+i)) / (b^i - a^i),
+    i = 1..k, an integer, over b^(k(n-k))."""
     if n < 0 or k < 0 or k > n:
         return Fraction(0)
-    return _q_binomial(n, min(k, n - k), q.q)
-
-
-@lru_cache(maxsize=None)
-def _q_binomial(n: int, k: int, qq: Fraction) -> Fraction:
-    out = Fraction(1)
+    a, b = q.q.numerator, q.q.denominator
+    if a == b:
+        return Fraction(math.comb(n, k))
+    k = min(k, n - k)
+    top = bottom = 1
     for i in range(1, k + 1):
-        out = out * _q_integer(n - k + i, qq) / _q_integer(i, qq)
+        top *= b ** (n - k + i) - a ** (n - k + i)
+        bottom *= b**i - a**i
+    return _coprime(top // bottom, b ** (k * (n - k)))
+
+
+def gaussian_rows(depth: int, q: QParam):
+    """Rows n = 0..depth of the Gaussian binomials [n k]_q.  With q = a/b in
+    lowest terms a cell is G / b^(k(n-k)), where the integer G(n, k) =
+    b^(n-k) G(n-1, k-1) + a^k G(n-1, k) is a^(k(n-k)) mod b: coprime to b."""
+    a, b = q.q.numerator, q.q.denominator
+    a_pow = [a**k for k in range(depth + 1)]
+    b_pow = [1]
+    for _ in range(depth * depth // 4):
+        b_pow.append(b_pow[-1] * b)
+    row = [1]
+    for n in range(depth + 1):
+        if n:
+            inner = (b_pow[n - k] * row[k - 1] + a_pow[k] * row[k] for k in range(1, n))
+            row = [1, *inner, 1]
+        yield [_coprime(g, b_pow[k * (n - k)]) for k, g in enumerate(row)]
+
+
+def _coprime(top: int, bottom: int) -> Fraction:
+    """Fraction(top, bottom) for coprime top and bottom > 0, without a gcd."""
+    out = object.__new__(Fraction)
+    out._numerator, out._denominator = top, bottom
     return out
 
 

@@ -28,6 +28,7 @@ from .exactq import (
     as_count,
     as_fraction,
     format_rational,
+    gaussian_rows,
     q_binomial,
 )
 from .pascal_graph import BinaryWord, Vertex, segment_weight_sum
@@ -142,12 +143,13 @@ def check_recursion(array: VArray) -> Check:
     if rows[0][0] != 1:
         return Check(False, (0, 0))
     depth = array.depth
+    power = [qq**j for j in range(depth + 1)]  # q^(n-k)
     for n in range(depth + 1):
         for k in range(n + 1):
             if rows[n][k] < 0:
                 return Check(False, (n, k))
             if n < depth:
-                expected = rows[n + 1][k] + qq ** (n - k) * rows[n + 1][k + 1]
+                expected = rows[n + 1][k] + power[n - k] * rows[n + 1][k + 1]
                 if rows[n][k] != expected:
                     return Check(False, (n, k))
     return Check(True, None)
@@ -155,8 +157,8 @@ def check_recursion(array: VArray) -> Check:
 
 def tilde_of_v(array: VArray) -> TildeArray:
     rows = tuple(
-        tuple(q_binomial(n, k, array.q) * x for k, x in enumerate(row))
-        for n, row in enumerate(array.rows)
+        tuple(d * x for d, x in zip(d_row, row))
+        for d_row, row in zip(gaussian_rows(array.depth, array.q), array.rows)
     )
     return TildeArray(array.q, rows)
 

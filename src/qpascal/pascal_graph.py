@@ -142,11 +142,9 @@ def flip_reduction(obj, q: QParam | None = None):
         qp = obj.q
         if qp.regime is not Regime.SUPER_UNIT:
             raise NotSuperUnitError("flip reduction applies only for q > 1")
-        qq = qp.q
+        power = [qp.q**j for j in range(obj.depth**2 // 4 + 1)]  # q^(k(n-k))
         rows = tuple(
-            tuple(
-                qq ** (k * (n - k)) * obj.rows[n][n - k] for k in range(n + 1)
-            )
+            tuple(power[k * (n - k)] * obj.rows[n][n - k] for k in range(n + 1))
             for n in range(obj.depth + 1)
         )
         return VArray(qp.inverse, rows), qp.inverse

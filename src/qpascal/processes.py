@@ -7,8 +7,11 @@ function gives the process's v triangle (only the canonical words
 1^k 0^(n-k) are extended, so the triangle costs O(depth^2) products),
 its level laws by a forward pass, its exact word law by walking the
 decision tree, and its bit-by-bit sampler with one cached threshold per
-(n, k).  The closed forms quoted below are not computed here: they
-live in the tests as independent checks of the chain's triangles.
+(n, k).  A p_one memoises each factor by the one index it depends on:
+k (extreme), n (theta), and n-k, k, n for the urn's q^(n-k+b), [a+k]
+and [a+b+n], in polya_forward_probs's expression.  The closed forms
+quoted below are not computed here: they live in the tests as
+independent checks of the chain's triangles.
 
 Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     the extreme q-exchangeable law at x = q^kappa, with
@@ -48,6 +51,7 @@ exactq.TRUNCATION_TARGET (at most exactq.TRUNCATION_TERMS factors).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,13 +133,14 @@ def theta_chain(params: ThetaParams) -> ForwardChain:
     """Letter n+1 is a one with probability theta q^n / (1 + theta q^n),
     whatever came before; theta = math.inf gives the all-ones law."""
 
-    def p_one(n: int, k: int) -> Fraction:
+    @functools.cache
+    def p_one(n: int) -> Fraction:
         if params.infinite:
             return Fraction(1)
         t = params.theta * params.q.q**n
         return t / (1 + t)
 
-    return ForwardChain(params.q, p_one)
+    return ForwardChain(params.q, lambda n, k: p_one(n))
 
 
 def theta_array(params: ThetaParams, depth: int) -> VArray:
@@ -226,7 +231,11 @@ def polya_forward_probs(params: PolyaParams, n: int, k: int):
 def polya_chain(params: PolyaParams) -> ForwardChain:
     """The urn as a forward chain.  Float strengths give a float p_one, so
     the sampler's thresholds and the levels carry its rounding."""
-    return ForwardChain(params.q, lambda n, k: polya_forward_probs(params, n, k)[1])
+    a, b, q = _urn_numbers(params)
+    power = functools.cache(lambda zeros: q ** (zeros + b))
+    ones = functools.cache(lambda k: _q_integer(a + k, q))
+    total = functools.cache(lambda n: _q_integer(a + b + n, q))
+    return ForwardChain(params.q, lambda n, k: power(n - k) * ones(k) / total(n))
 
 
 def polya_array(params: PolyaParams, depth: int) -> VArray:

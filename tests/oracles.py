@@ -6,6 +6,7 @@ command of the package runs it, so it lives with the tests and not in
 the package:
 
     q_factorial              [n]!, whose ratios give the Gaussian binomial
+    q_binomial_product       the Gaussian binomial as a product of q-integers
     path_weight              the weight of one lattice path
     brute_force_weight_sum   segment weight sums by path enumeration
     extreme_kernel           the closed-form kernel Phi[n][k](x)
@@ -44,6 +45,16 @@ def q_factorial(n: int, q: QParam) -> Fraction:
     if n < 0:
         raise ValueError("q_factorial needs n >= 0, got %d" % n)
     return math.prod((q_integer(i, q) for i in range(1, n + 1)), start=Fraction(1))
+
+
+def q_binomial_product(n: int, k: int, q: QParam) -> Fraction:
+    """[n k]_q = prod_{i=1..k} [n-k+i] / [i]; zero outside 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return Fraction(0)
+    return math.prod(
+        (q_integer(n - k + i, q) / q_integer(i, q) for i in range(1, k + 1)),
+        start=Fraction(1),
+    )
 
 
 def path_weight(

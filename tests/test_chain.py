@@ -21,8 +21,10 @@ from qpascal import (
     ThetaParams,
     ZERO_POINT,
     extreme_array,
+    extreme_chain,
     mixture_array,
     polya_array,
+    polya_forward_probs,
     theta_array,
     tilde_of_v,
 )
@@ -115,6 +117,40 @@ def test_mixture_matches_kernel_sum(qq):
         for n in range(DEPTH + 1)
     )
     assert mixture_array(measure, DEPTH).rows == expected
+
+
+class TestPOneMemos:
+    """Each chain's p_one, memoised by one index, is its closed form in
+    every cell to DEPTH."""
+
+    @staticmethod
+    def cells(chain):
+        chain.level(DEPTH)  # fills the index memos in level order first
+        return [(n, k, chain.p1(n, k)) for n in range(DEPTH + 1) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("qq", [F(1, 2), F(9, 10), F(99, 100)])
+    @pytest.mark.parametrize("a, b", [(F(1, 2), F(3, 2)), (2, 3), (1, 1)])
+    def test_urn_is_its_forward_probability(self, qq, a, b):
+        params = PolyaParams(a, b, QParam(qq))
+        for n, k, p in self.cells(polya_chain(params)):
+            want = polya_forward_probs(params, n, k)[1]
+            if params.float_mode:
+                assert p.hex() == want.hex(), (n, k)
+            else:
+                assert type(p) is F and p == want, (n, k)
+
+    @pytest.mark.parametrize("qq", QS)
+    @pytest.mark.parametrize("theta", [F(0), F(1, 3), F(1), F(3, 2), math.inf])
+    def test_theta_is_its_closed_form(self, qq, theta):
+        for n, k, p in self.cells(theta_chain(ThetaParams(theta, QParam(qq)))):
+            t = theta * qq**n
+            assert p == (1 if theta == math.inf else t / (1 + t)), (n, k)
+
+    @pytest.mark.parametrize("qq", QS)
+    @pytest.mark.parametrize("kappa", [0, 1, 7, DEPTH + 3, ZERO_POINT])
+    def test_extreme_is_its_closed_form(self, qq, kappa):
+        for n, k, p in self.cells(extreme_chain(kappa, QParam(qq))):
+            assert p == (1 - qq ** (kappa - k) if k < kappa else 0), (n, k)
 
 
 class TestForwardChain:

@@ -68,6 +68,16 @@ class TestTable:
         assert "4,2,35" in lines
         assert len(lines) == 1 + 15  # header + sum_{n<=4} (n+1) cells
 
+    def test_deep_gaussian_table_in_time(self, capsys):
+        # 4.9 s when every cell was a product of q-integers; the digest was
+        # recorded from that product form
+        start = time.perf_counter()
+        code = main(["table", "--kind", "d", "--q", "9/10", "--depth", "120"])
+        assert time.perf_counter() - start < 2
+        out = capsys.readouterr().out
+        assert code == 0
+        assert sha256(out) == "f66d2df4fbda7eb30c5d5cbe712aa1137f574751028e0f1aabfb15c1a54de7e3"
+
     def test_tilde_json_matches_library(self, capsys):
         code, out = run(
             capsys, "table", "--law", "theta", "--theta", "1", "--q", "1/2",

@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpascal import (
@@ -17,8 +18,9 @@ from qpascal import (
     q_pochhammer_bounds,
     q_pochhammer_infinite,
 )
+from qpascal.exactq import gaussian_rows
 
-from oracles import q_factorial
+from oracles import q_binomial_product, q_factorial
 
 HALF = QParam(F(1, 2))
 TWO = QParam(F(2))
@@ -146,6 +148,89 @@ class TestQIntegers:
             n - 1, k, q
         )
         assert lhs == q_binomial(n, n - k, q)
+
+
+class TestGaussianRows:
+    """The integer row recursion and the one-cell product against the
+    q-integer product form, cell for cell and in lowest terms."""
+
+    @pytest.mark.parametrize(
+        "qq", [F(1, 2), F(2, 3), F(9, 10), F(1), F(2), F(3, 2), F(7, 3)], ids=str
+    )
+    def test_rows_and_cells_match_the_product_oracle(self, qq):
+        q = QParam(qq)
+        rows = list(gaussian_rows(24, q))
+        assert len(rows) == 25
+        for n, row in enumerate(rows):
+            expected = [q_binomial_product(n, k, q) for k in range(n + 1)]
+            assert row == expected
+            assert [q_binomial(n, k, q) for k in range(n + 1)] == expected
+            for k in (-3, -1, n + 1, n + 4):
+                assert q_binomial(n, k, q) == q_binomial_product(n, k, q) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.integers(min_value=1, max_value=40),
+        b=st.integers(min_value=1, max_value=40),
+        depth=st.integers(min_value=0, max_value=14),
+    )
+    def test_random_q_in_lowest_terms(self, a, b, depth):
+        q = QParam(F(a, b))
+        for n, row in enumerate(gaussian_rows(depth, q)):
+            for k, cell in enumerate(row):
+                expected = q_binomial_product(n, k, q)
+                for got in (cell, q_binomial(n, k, q)):
+                    assert type(got) is F
+                    assert (got.numerator, got.denominator) == (
+                        expected.numerator, expected.denominator,
+                    )
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except Exception as exc:  # the exception itself is the outcome
+        return type(exc), str(exc)
+
+
+# signs, ASCII and other decimal digits, a superscript two (a digit but no
+# decimal), the separators Fraction reads, spaces, and runs of digits on
+# both sides of the int-to-str limit
+_DIGITS = st.text(alphabet="0123456789\u0663\uff15", min_size=1, max_size=5)
+_READER_TOKENS = st.one_of(
+    _DIGITS,
+    st.sampled_from(["+", "-", "/", ".", "e", "E", "_", " ", "\t", "", "\u00b2", "1/0", "0"]),
+    st.integers(min_value=4295, max_value=4305).map(lambda n: "7" * n),
+)
+
+
+class TestReader:
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.lists(_READER_TOKENS, max_size=7).map("".join))
+    @example("-12/8")
+    @example("007/010")
+    @example("\u0663/\uff15")
+    @example("-0/0")
+    @example("+3/00")
+    @example("-" + "7" * 4301)
+    @example("e" + "7" * 4301)
+    def test_strings_read_as_fraction_reads_them(self, text):
+        got = _outcome(as_fraction, text)
+        exponent = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-")
+        if "e" in text.lower() and exponent.isdecimal():
+            # a decimal exponent beyond the limit is refused before Fraction
+            # would build 10**exponent; int() refuses one too long to read
+            limit = sys.get_int_max_str_digits()
+            if len(exponent) > limit:
+                assert got[1].startswith("Exceeds the limit (%d digits)" % limit)
+                return
+            if int(exponent) > limit:
+                assert got[1].startswith("decimal exponent")
+                return
+        want = _outcome(F, text)
+        if isinstance(want, tuple) and want[0] is ZeroDivisionError:
+            want = ValueError, "zero denominator in %r" % (text,)
+        assert got == want
 
 
 class TestPochhammer:

@@ -21,7 +21,7 @@ from qpascal import (
     list_extensions,
     make_field,
 )
-from qpascal.exactq import _q_binomial
+from qpascal import exactq, galois
 from qpascal.guards import ENV_VAR, check_count
 from qpascal.laws import all_words
 
@@ -66,7 +66,7 @@ class TestCheckCount:
 
 @pytest.mark.parametrize("refused", [
     # each took seconds or more when the guard finished the count (or
-    # built the field size) first, and none may touch the q_binomial cache;
+    # built the field size) first, and none may build a Gaussian binomial;
     # tests/test_cli.py times grassmann --p 2 --enumerate 4000 2000
     lambda: brute_force_weight_sum(ROOT, Vertex(500000, 500000), HALF),
     lambda: FiniteLaw(10**7, {}),
@@ -78,13 +78,21 @@ class TestCheckCount:
     lambda: make_field(2**11213 - 1),
 ], ids=["paths", "law", "words", "extensions", "long_extensions", "long_lines",
         "field_degree", "field_prime"])
-def test_worst_case_refuses_at_once(refused):
-    cached = _q_binomial.cache_info()
+def test_worst_case_refuses_at_once(refused, monkeypatch):
+    calls = []
+    original = exactq.q_binomial
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (exactq, galois):
+        monkeypatch.setattr(module, "q_binomial", counted)
     start = time.perf_counter()
     with pytest.raises(TooLargeError):
         refused()
     assert time.perf_counter() - start < 1
-    assert _q_binomial.cache_info() == cached
+    assert calls == []
 
 
 class TestExactAtTheLimit:
