@@ -245,15 +245,20 @@ def _cmd_table(args) -> int:
 
 
 def _make_sampler(args):
-    """The sampler, the echoed parameters and the exact level law of n letters."""
+    """The sampler (with its ones counter), the echoed parameters and the
+    exact level law of n letters, built from one chain."""
     q = QParam(args.q)
     if args.process == "extreme":
         if args.kappa is None:
             raise ValueError("--kappa is required for the extreme process")
         kappa = _parse_kappa(args.kappa)
-        sampler = extreme_sampler(kappa, q, args.mode)
+        chain = extreme_chain(kappa, q)
+        if args.mode == "forward":
+            sampler = chain.sampler()
+        else:
+            sampler = extreme_sampler(kappa, q, "runs")
         params = {"kappa": args.kappa, "q": args.q, "mode": args.mode}
-        return sampler, params, extreme_chain(kappa, q).level
+        return sampler, params, chain.level
     if args.process == "theta":
         if args.theta is None:
             raise ValueError("--theta is required for the theta process")

@@ -41,8 +41,9 @@ def as_fraction(value) -> Fraction:
 
     Floats are refused on exact surfaces because Fraction(0.1) silently
     captures the binary approximation, not the decimal the caller meant.
-    A decimal exponent beyond the int-to-str digit limit is refused before
-    10**exponent is built: such a number could not be printed back.
+    A decimal exponent beyond the int-to-str digit limit, after a mantissa
+    with a digit, is refused before 10**exponent is built: such a number
+    could not be printed back.
     """
     if isinstance(value, Fraction):
         return value
@@ -51,10 +52,12 @@ def as_fraction(value) -> Fraction:
             "exact interfaces take Fraction, int or string, not %r" % (value,)
         )
     if isinstance(value, str) and ("e" in value or "E" in value):
-        exponent = value.lower().partition("e")[2].replace("_", "").strip()
+        mantissa, _, exponent = value.lower().partition("e")
         bound = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-        if bound and exponent.lstrip("+-").isdecimal() and abs(int(exponent)) > bound:
-            raise ValueError("decimal exponent %s exceeds %d in size" % (exponent, bound))
+        if bound and any(c.isdecimal() for c in mantissa):
+            exponent = exponent.replace("_", "").strip()
+            if exponent.lstrip("+-").isdecimal() and abs(int(exponent)) > bound:
+                raise ValueError("decimal exponent %s exceeds %d in size" % (exponent, bound))
     try:
         if isinstance(value, str):
             # a plain [+-]digits[/digits] skips Fraction's regex; int() reads

@@ -37,6 +37,10 @@ from . import guards
 
 MAX_WORD_LENGTH = 20  # default cap for whole-law enumerations
 
+# draws a word of n letters from a stream; its ``ones`` attribute draws
+# only the number of ones, from the same draws (see _word_sampler)
+Sampler = Callable[[int, SplitMix64], BinaryWord]
+
 
 def _coerce_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     if not isinstance(rows, (list, tuple)) or not all(
@@ -323,29 +327,51 @@ class ForwardChain:
             paths = nxt
         return FiniteLaw(n, {BinaryWord(bits): p for bits, _, p in paths})
 
-    def sampler(self) -> Callable[[int, SplitMix64], BinaryWord]:
+    def sampler(self) -> Sampler:
         """Draws one word; each letter consumes one draw j and is a one
-        iff j < bernoulli_threshold(p1(n, k))."""
+        iff j < bernoulli_threshold(p1(n, k)).  Its ``ones`` counter walks
+        the same letters without building the word."""
         thresholds = self._thresholds
         p1 = self.p1
 
-        def draw(n: int, rng: SplitMix64) -> BinaryWord:
+        def walk(n: int, rng: SplitMix64, ones: list | None = None) -> int:
             _extend(thresholds, n)
-            bits = []
+            draw = rng.next_uint64
             k = 0
             for m in range(n):
                 row = thresholds[m]
                 t = row[k]
                 if t is None:
                     t = row[k] = bernoulli_threshold(Fraction(p1(m, k)))
-                if rng.next_uint64() < t:
-                    bits.append(1)
+                if draw() < t:
                     k += 1
-                else:
-                    bits.append(0)
-            return BinaryWord(tuple(bits))
+                    if ones is not None:
+                        ones.append(m)
+            return k
 
-        return draw
+        return _word_sampler(walk)
+
+
+def _word_sampler(walk: Callable[..., int]) -> Sampler:
+    """The sampler of a walk.
+
+    ``walk(n, rng, ones=None)`` draws the letters of an n-letter word from
+    ``rng`` and returns its number of ones; given a list, it also appends
+    the position of each one.  The sampler builds the word from those
+    positions, and its ``ones`` attribute is the walk itself, which draws
+    the same letters from the same draws but builds no word.
+    """
+
+    def draw(n: int, rng: SplitMix64) -> BinaryWord:
+        ones: list[int] = []
+        walk(n, rng, ones)
+        bits = [0] * n
+        for m in ones:
+            bits[m] = 1
+        return BinaryWord(tuple(bits))
+
+    draw.ones = walk
+    return draw
 
 
 def check_q_exchangeable(law: FiniteLaw, q: QParam) -> Check:

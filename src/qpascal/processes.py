@@ -7,7 +7,9 @@ function gives the process's v triangle (only the canonical words
 1^k 0^(n-k) are extended, so the triangle costs O(depth^2) products),
 its level laws by a forward pass, its exact word law by walking the
 decision tree, and its bit-by-bit sampler with one cached threshold per
-(n, k).  A p_one memoises each factor by the one index it depends on:
+(n, k).  Every sampler carries a ones counter, ``sampler.ones(n, rng)``:
+the same walk over the same draws, without building the word, which is
+all a level histogram reads.  A p_one memoises each factor by the one index it depends on:
 k (extreme), n (theta), and n-k, k, n for the urn's q^(n-k+b), [a+k]
 and [a+b+n], in polya_forward_probs's expression.  The closed forms
 quoted below are not computed here: they live in the tests as
@@ -21,7 +23,9 @@ Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     the zero-run lengths T_0, T_1, ... before each successive one as
     independent geometrics (T_i counts failures before first success,
     success probability 1 - q^(kappa-i)) and pads with zeros once kappa
-    ones have appeared.
+    ones have appeared.  It keeps, for the life of the sampler, one
+    geometric sampler per run i, which memoises the ratio q^(kappa-i)
+    and its inverse-CDF cutoffs (see :mod:`qpascal.rng`).
 
 Theta process: independent bits, P(bit m = 1) = theta q^(m-1) / (1 + theta q^(m-1)).
     Its triangle is w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i),
@@ -55,9 +59,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .boundary import BoundaryMeasure, extreme_chain, extreme_stay
+from .boundary import BoundaryMeasure, _check_kappa, extreme_chain, extreme_stay
 from .errors import NonIntegerParamsInExactMode
 from .exactq import (
     QParam,
@@ -67,39 +70,41 @@ from .exactq import (
     q_pochhammer_bounds,
     q_pochhammer_infinite,
 )
-from .laws import ForwardChain, VArray
-from .pascal_graph import BinaryWord
-from .rng import SplitMix64, derive_seed, geometric_failures
+from .laws import ForwardChain, Sampler, VArray, _word_sampler
+from .rng import SplitMix64, derive_seed, geometric_sampler
 
 MODES = ("forward", "runs")
-
-Sampler = Callable[[int, SplitMix64], BinaryWord]
 
 
 # ---------------------------------------------------------------- extreme
 
 
 def extreme_sampler(kappa, q: QParam, mode: str = "forward") -> Sampler:
-    """Reusable sampler closure for the extreme process."""
-    chain = extreme_chain(kappa, q)
+    """Reusable sampler for the extreme process; the forward mode is
+    ``extreme_chain(kappa, q).sampler()``."""
     if mode not in MODES:
         raise ValueError("mode must be one of %s, got %r" % (MODES, mode))
     if mode == "forward":
-        return chain.sampler()
+        return extreme_chain(kappa, q).sampler()
+    q.require_sub_unit("extreme law")
+    _check_kappa(kappa)
+    runs = []  # run i: a geometric sampler of ratio extreme_stay(kappa, q, i)
 
-    def draw_runs(n: int, rng: SplitMix64) -> BinaryWord:
-        bits: list[int] = []
-        i = 0
-        while len(bits) < n and i < kappa:
-            t = geometric_failures(rng, extreme_stay(kappa, q, i))
-            bits.extend([0] * min(t, n - len(bits)))
-            if len(bits) < n:
-                bits.append(1)
-            i += 1
-        bits.extend([0] * (n - len(bits)))
-        return BinaryWord(tuple(bits))
+    def walk(n: int, rng: SplitMix64, ones: list | None = None) -> int:
+        k = filled = 0
+        while filled < n and k < kappa:
+            if k == len(runs):
+                runs.append(geometric_sampler(extreme_stay(kappa, q, k)))
+            filled += runs[k](rng)
+            if filled >= n:
+                break
+            if ones is not None:
+                ones.append(filled)
+            filled += 1
+            k += 1
+        return k
 
-    return draw_runs
+    return _word_sampler(walk)
 
 
 # ------------------------------------------------------------------ theta
@@ -298,11 +303,13 @@ def empirical_level_histogram(
     """Counts of the number of ones over ``trials`` independent words.
 
     Trial t uses the stream seeded by derive_seed(seed, t); results are
-    independent of execution order.
+    independent of execution order.  Each count comes from the sampler's
+    ones counter, ``sampler.ones(n, rng)``, which draws exactly what the
+    sampler draws but builds no word.
     """
+    count = sampler.ones
     counts: dict[int, int] = {}
     for t in range(trials):
-        word = sampler(n, SplitMix64(derive_seed(seed, t)))
-        k = word.ones
+        k = count(n, SplitMix64(derive_seed(seed, t)))
         counts[k] = counts.get(k, 0) + 1
     return counts

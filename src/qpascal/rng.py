@@ -19,15 +19,21 @@ Uniform variate conventions
     * Bernoulli(p), p rational: success iff u < p, i.e. iff
       j < ceil(p * 2^64); one draw.
     * Geometric "failures before first success" with failure ratio r:
-      inverse CDF, T = min { t >= 0 : r^(t+1) < 1 - u }, evaluated with
-      exact integer cross-multiplication; one draw.
+      inverse CDF, T = min { t >= 0 : r^(t+1) < 1 - u }; one draw.  In
+      integers, T > t iff j >= c_t = 2^64 - floor(r^(t+1) * 2^64), so T
+      is the number of cutoffs c_0 <= c_1 <= ... that are <= j.  A
+      geometric sampler memoises the exact cutoffs, grows them only as
+      far as the largest draw needs and stops at the first c_t = 2^64,
+      which no draw reaches.
     * Uniform integer below m: rejection sampling on j % m, accepting
       iff j < m * floor(2^64 / m); one draw per attempt.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from typing import Callable
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -73,21 +79,30 @@ def bernoulli_threshold(p: Fraction) -> int:
     return -((-p.numerator << 64) // p.denominator)  # ceil(p * 2^64)
 
 
-def geometric_failures(rng: SplitMix64, ratio: Fraction) -> int:
-    """Failures before the first success; success probability 1 - ratio."""
+def geometric_sampler(ratio: Fraction) -> Callable[[SplitMix64], int]:
+    """Draws failures before the first success, success probability
+    1 - ratio, from memoised inverse-CDF cutoffs; one draw each."""
     if not 0 <= ratio < 1:
         raise ValueError("failure ratio must lie in [0, 1)")
-    j = rng.next_uint64()
-    # smallest t with ratio^(t+1) < (2^64 - j) / 2^64
-    target = TWO64 - j
     rn, rd = ratio.numerator, ratio.denominator
-    pn, pd = rn, rd
-    t = 0
-    while pn * TWO64 >= pd * target:
-        pn *= rn
-        pd *= rd
-        t += 1
-    return t
+    cutoffs = [TWO64 - (rn << 64) // rd]
+    pn, pd = rn * rn, rd * rd  # ratio^(len(cutoffs) + 1)
+
+    def draw(rng: SplitMix64) -> int:
+        nonlocal pn, pd
+        j = rng.next_uint64()
+        while cutoffs[-1] <= j:
+            cutoffs.append(TWO64 - (pn << 64) // pd)
+            pn *= rn
+            pd *= rd
+        return bisect_right(cutoffs, j)
+
+    return draw
+
+
+def geometric_failures(rng: SplitMix64, ratio: Fraction) -> int:
+    """Failures before the first success; success probability 1 - ratio."""
+    return geometric_sampler(ratio)(rng)
 
 
 def uniform_below(rng: SplitMix64, m: int) -> int:

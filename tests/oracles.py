@@ -15,6 +15,7 @@ the package:
     RunEncoding, word_to_runs, runs_to_word
                              the run-length view of a word
     runs_law                 the law of the extreme runs sampler
+    geometric_scan           a geometric variate by scanning powers
     tv_distance              total variation against an exact level law
     exact_growth_law         the subspace growth chain by exact branching
 
@@ -201,6 +202,21 @@ def runs_law(kappa, q: QParam, n: int) -> FiniteLaw:
             p *= extreme_stay(kappa, q, len(enc.runs)) ** enc.open_zeros
         probs[word] = p
     return FiniteLaw(n, probs)
+
+
+def geometric_scan(j: int, ratio: Fraction) -> int:
+    """Failures before the first success read from the 64-bit draw j: the
+    smallest t with ratio^(t+1) < (2^64 - j) / 2^64, found by exact
+    integer cross-multiplication one power at a time."""
+    target = (1 << 64) - j
+    rn, rd = ratio.numerator, ratio.denominator
+    pn, pd = rn, rd
+    t = 0
+    while pn << 64 >= pd * target:
+        pn *= rn
+        pd *= rd
+        t += 1
+    return t
 
 
 def tv_distance(

@@ -216,10 +216,12 @@ class TestReader:
     @example("e" + "7" * 4301)
     def test_strings_read_as_fraction_reads_them(self, text):
         got = _outcome(as_fraction, text)
-        exponent = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-")
-        if "e" in text.lower() and exponent.isdecimal():
-            # a decimal exponent beyond the limit is refused before Fraction
-            # would build 10**exponent; int() refuses one too long to read
+        mantissa, e, exponent = text.lower().partition("e")
+        exponent = exponent.replace("_", "").strip().lstrip("+-")
+        if e and any(c.isdecimal() for c in mantissa) and exponent.isdecimal():
+            # after a mantissa, a decimal exponent beyond the limit is refused
+            # before Fraction would build 10**exponent; int() refuses one too
+            # long to read
             limit = sys.get_int_max_str_digits()
             if len(exponent) > limit:
                 assert got[1].startswith("Exceeds the limit (%d digits)" % limit)

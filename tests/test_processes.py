@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpascal import (
     NonIntegerParamsInExactMode,
@@ -27,9 +29,14 @@ from qpascal import (
     tilde_of_v,
     word_probability,
 )
-from qpascal.rng import bernoulli_threshold, geometric_failures, uniform_below
+from qpascal.rng import (
+    bernoulli_threshold,
+    geometric_failures,
+    geometric_sampler,
+    uniform_below,
+)
 
-from oracles import runs_law, tv_distance
+from oracles import geometric_scan, runs_law, tv_distance
 
 HALF = QParam(F(1, 2))
 
@@ -64,6 +71,33 @@ class TestSplitMix64:
         assert len(seeds) == 1000
 
 
+class FixedDraws(SplitMix64):
+    """A stream that returns the given draws in order."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+
+    def next_uint64(self) -> int:
+        return next(self.draws)
+
+
+class CountedDraws(SplitMix64):
+    """SplitMix64 that counts its draws."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.count = 0
+
+    def next_uint64(self) -> int:
+        self.count += 1
+        return super().next_uint64()
+
+
 class TestDrawPrimitives:
     def test_bernoulli_threshold_values(self):
         assert bernoulli_threshold(F(0)) == 0
@@ -93,6 +127,30 @@ class TestDrawPrimitives:
     def test_geometric_zero_ratio(self):
         rng = SplitMix64(5)
         assert geometric_failures(rng, F(0)) == 0
+
+    def test_geometric_cutoffs_match_the_scan(self):
+        draws = [0, 1, 1 << 63, (1 << 64) - 1]
+        for ratio in (F(0), F(1, 2), F(99, 100), F(99, 100) ** 8):
+            want = [geometric_scan(j, ratio) for j in draws]
+            assert [geometric_failures(FixedDraws([j]), ratio) for j in draws] == want
+            # one memo, grown by the largest draw first and by the smallest
+            for order in (draws, draws[::-1]):
+                draw = geometric_sampler(ratio)
+                got = [draw(FixedDraws([j])) for j in order]
+                assert got == [geometric_scan(j, ratio) for j in order]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num=st.integers(0, 200),
+        extra=st.integers(1, 200),
+        draws=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=12),
+    )
+    def test_geometric_memo_property(self, num, extra, draws):
+        ratio = F(num, num + extra)
+        draw = geometric_sampler(ratio)
+        assert [draw(FixedDraws([j])) for j in draws] == [
+            geometric_scan(j, ratio) for j in draws
+        ]
 
     def test_uniform_below_range(self):
         rng = SplitMix64(3)
@@ -378,3 +436,36 @@ class TestGoldenBits:
         assert str(runs(14, SplitMix64(2024))) == "11110010100000"
         assert str(theta_chain(theta).sampler()(14, SplitMix64(2024))) == "01110000000000"
         assert str(polya_chain(urn).sampler()(14, SplitMix64(2024))) == "01110010000000"
+
+
+# each golden sampler's family, built from q and two small integers
+SAMPLER_FAMILIES = {
+    "extreme forward": lambda q, x, y: extreme_sampler(x if y > 1 else ZERO_POINT, q),
+    "extreme runs": lambda q, x, y: extreme_sampler(x if y > 1 else ZERO_POINT, q, "runs"),
+    "theta": lambda q, x, y: theta_chain(ThetaParams(F(x, y), q)).sampler(),
+    "exact urn": lambda q, x, y: polya_chain(PolyaParams(x + 1, y, q)).sampler(),
+    "float urn": lambda q, x, y: polya_chain(
+        PolyaParams(F(2 * x + 1, 2), F(2 * y + 1, 2), q)
+    ).sampler(),
+}
+
+
+class TestOnesCounter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(GOLDEN_SAMPLERS)),
+        q=st.integers(1, 99).map(lambda m: QParam(F(m, 100))),
+        x=st.integers(0, 8),
+        y=st.integers(1, 4),
+        n=st.integers(0, 30),
+        seeds=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=5),
+    )
+    def test_counter_draws_what_the_word_sampler_draws(self, name, q, x, y, n, seeds):
+        sampler = SAMPLER_FAMILIES[name](q, x, y)
+        for seed in seeds:
+            words, counts = CountedDraws(seed), CountedDraws(seed)
+            word = sampler(n, words)
+            assert len(word) == n
+            assert sampler.ones(n, counts) == word.ones
+            assert counts.count == words.count
+            assert counts.state == words.state
