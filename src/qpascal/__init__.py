@@ -94,11 +94,10 @@ from .processes import (
     PolyaParams,
     ThetaParams,
     empirical_level_histogram,
-    extreme_sampler,
+    extreme_runs_sampler,
     polya_array,
     polya_boundary_measure,
     polya_chain,
-    polya_forward_probs,
     theta_array,
     theta_boundary_measure,
     theta_chain,

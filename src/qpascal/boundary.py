@@ -34,7 +34,7 @@ from .exactq import (
     QParam,
     as_fraction,
     format_rational,
-    gaussian_rows,
+    q_binomial,
 )
 from .laws import Check, ForwardChain, VArray
 
@@ -180,8 +180,8 @@ def recover_measure(array: VArray, nu: int = 40, kmax: int = 12) -> BoundaryMeas
         raise ValueError("need 0 <= kmax <= nu")
     if nu > array.depth:
         raise ValueError("nu = %d exceeds array depth %d" % (nu, array.depth))
-    *_, d_row = gaussian_rows(nu, array.q)
-    atoms = {kappa: d_row[kappa] * array.rows[nu][kappa] for kappa in range(kmax + 1)}
+    q, row = array.q, array.rows[nu]
+    atoms = {kappa: q_binomial(nu, kappa, q) * row[kappa] for kappa in range(kmax + 1)}
     total = sum(atoms.values())
     if total > 1:
         raise InvalidArrayError("level %d carries more than unit mass" % nu)

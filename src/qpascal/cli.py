@@ -63,11 +63,10 @@ from .laws import (
 )
 from .pascal_graph import BinaryWord, flip_reduction
 from .processes import (
-    MODES,
     PolyaParams,
     ThetaParams,
     empirical_level_histogram,
-    extreme_sampler,
+    extreme_runs_sampler,
     polya_array,
     polya_chain,
     theta_array,
@@ -77,6 +76,7 @@ from .rng import SplitMix64
 
 LAWS = ("extreme", "mixture", "theta", "polya")
 PROCESSES = ("extreme", "theta", "polya")
+MODES = ("forward", "runs")
 
 
 def _int_in(low: int, high=math.inf):
@@ -172,15 +172,30 @@ def _read(path: str, kind: str, build):
             ) from exc
 
 
+# ----------------------------------------------------------- process flags
+
+
+def _process_args(process: str, args, q: QParam) -> tuple:
+    """The leading arguments of the triangle and chain builders of
+    ``process``, read from its flags."""
+    if process == "extreme":
+        if args.kappa is None:
+            raise ValueError("--kappa is required for the extreme process")
+        return _parse_kappa(args.kappa), q
+    if process == "theta":
+        if args.theta is None:
+            raise ValueError("--theta is required for the theta process")
+        return (ThetaParams(_parse_theta(args.theta), q),)
+    if args.a is None or args.b is None:
+        raise ValueError("--a and --b are required for the urn process")
+    return (PolyaParams(as_fraction(args.a), as_fraction(args.b), q),)
+
+
 # ------------------------------------------------------------------- table
 
 
 def _build_array(args) -> VArray:
     q = QParam(args.q)
-    if args.law == "extreme":
-        if args.kappa is None:
-            raise ValueError("--kappa is required for the extreme law")
-        return extreme_array(_parse_kappa(args.kappa), q, args.depth)
     if args.law == "mixture":
         if not args.measure_file:
             raise ValueError("--measure-file is required for a mixture")
@@ -190,15 +205,12 @@ def _build_array(args) -> VArray:
                 "--q %s does not match the measure file's q = %s" % (q, measure.q)
             )
         return mixture_array(measure, args.depth)
+    built = _process_args(args.law, args, q)
+    if args.law == "extreme":
+        return extreme_array(*built, args.depth)
     if args.law == "theta":
-        if args.theta is None:
-            raise ValueError("--theta is required for the theta process")
-        return theta_array(ThetaParams(_parse_theta(args.theta), q), args.depth)
-    if args.a is None or args.b is None:
-        raise ValueError("--a and --b are required for the urn process")
-    return polya_array(
-        PolyaParams(as_fraction(args.a), as_fraction(args.b), q), args.depth
-    )
+        return theta_array(*built, args.depth)
+    return polya_array(*built, args.depth)
 
 
 def _triangle_rows(kind: str, args):
@@ -247,28 +259,18 @@ def _cmd_table(args) -> int:
 def _make_sampler(args):
     """The sampler (with its ones counter), the echoed parameters and the
     exact level law of n letters, built from one chain."""
-    q = QParam(args.q)
+    built = _process_args(args.process, args, QParam(args.q))
     if args.process == "extreme":
-        if args.kappa is None:
-            raise ValueError("--kappa is required for the extreme process")
-        kappa = _parse_kappa(args.kappa)
-        chain = extreme_chain(kappa, q)
-        if args.mode == "forward":
-            sampler = chain.sampler()
-        else:
-            sampler = extreme_sampler(kappa, q, "runs")
+        chain = extreme_chain(*built)
         params = {"kappa": args.kappa, "q": args.q, "mode": args.mode}
-        return sampler, params, chain.level
-    if args.process == "theta":
-        if args.theta is None:
-            raise ValueError("--theta is required for the theta process")
-        chain = theta_chain(ThetaParams(_parse_theta(args.theta), q))
+        if args.mode == "runs":
+            return extreme_runs_sampler(*built), params, chain.level
+    elif args.process == "theta":
+        chain = theta_chain(*built)
         params = {"theta": args.theta, "q": args.q}
-        return chain.sampler(), params, chain.level
-    if args.a is None or args.b is None:
-        raise ValueError("--a and --b are required for the urn process")
-    chain = polya_chain(PolyaParams(as_fraction(args.a), as_fraction(args.b), q))
-    params = {"a": args.a, "b": args.b, "q": args.q}
+    else:
+        chain = polya_chain(*built)
+        params = {"a": args.a, "b": args.b, "q": args.q}
     return chain.sampler(), params, chain.level
 
 

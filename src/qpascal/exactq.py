@@ -12,9 +12,12 @@ q-Pochhammer product, :func:`q_pochhammer_infinite`, which cannot be
 evaluated in finitely many exact steps.  Its truncation error is
 computed alongside the value, and :func:`q_pochhammer_bounds` gives a
 certified *rational* enclosure for callers that need exact downstream
-guarantees.  Both truncate by one rule: at most TRUNCATION_TERMS
-factors, stopping once the running term |x| q^i falls below
-TRUNCATION_TARGET.
+guarantees.  They truncate by different rules.  The float value stops
+at the first N with |x| q^N < TRUNCATION_TARGET, or at
+N = TRUNCATION_TERMS, and returns unless its tail estimate
+|x| q^N / (1 - q) is 1 or more.  The enclosure stops at the first N
+with both |x| q^N < TRUNCATION_TARGET and |x| q^N < (1 - q)/2, and
+raises if it reaches TRUNCATION_TERMS factors first.
 
 Rationals serialize as canonical strings ("3/4", "2", "0") via
 :func:`format_rational`, and every reader turns text or a JSON integer
@@ -128,7 +131,7 @@ class QParam:
         return format_rational(self.q)
 
 
-# the one truncation rule of the infinite products (module docstring)
+# truncation constants; the module docstring gives each product's rule
 TRUNCATION_TERMS = 10_000
 TRUNCATION_TARGET = Fraction(1, 10**12)
 

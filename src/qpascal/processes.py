@@ -9,23 +9,24 @@ its level laws by a forward pass, its exact word law by walking the
 decision tree, and its bit-by-bit sampler with one cached threshold per
 (n, k).  Every sampler carries a ones counter, ``sampler.ones(n, rng)``:
 the same walk over the same draws, without building the word, which is
-all a level histogram reads.  A p_one memoises each factor by the one index it depends on:
-k (extreme), n (theta), and n-k, k, n for the urn's q^(n-k+b), [a+k]
-and [a+b+n], in polya_forward_probs's expression.  The closed forms
-quoted below are not computed here: they live in the tests as
-independent checks of the chain's triangles.
+all a level histogram reads.  A p_one memoises each factor by the one
+index it depends on: k (extreme), n (theta), and n-k, k, n for the
+urn's q^(n-k+b), [a+k] and [a+b+n].  The closed forms quoted below,
+the urn's forward probabilities among them, are not computed here: they
+live in the tests as independent checks of the chains.
 
 Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     the extreme q-exchangeable law at x = q^kappa, with
     P(1 | n, k) = 1 - q^(kappa-k) (and 1 for kappa = math.inf); see
     :func:`qpascal.boundary.extreme_chain`.  Its triangle is the kernel
-    Phi[n][k](q^kappa).  A second, independent sampler ("runs") draws
-    the zero-run lengths T_0, T_1, ... before each successive one as
-    independent geometrics (T_i counts failures before first success,
-    success probability 1 - q^(kappa-i)) and pads with zeros once kappa
-    ones have appeared.  It keeps, for the life of the sampler, one
-    geometric sampler per run i, which memoises the ratio q^(kappa-i)
-    and its inverse-CDF cutoffs (see :mod:`qpascal.rng`).
+    Phi[n][k](q^kappa).  A second, independent sampler,
+    :func:`extreme_runs_sampler`, draws the zero-run lengths T_0, T_1,
+    ... before each successive one as independent geometrics (T_i counts
+    failures before first success, success probability 1 - q^(kappa-i))
+    and pads with zeros once kappa ones have appeared.  It keeps, for
+    the life of the sampler, one geometric sampler per run i, which
+    memoises the ratio q^(kappa-i) and its inverse-CDF cutoffs (see
+    :mod:`qpascal.rng`).
 
 Theta process: independent bits, P(bit m = 1) = theta q^(m-1) / (1 + theta q^(m-1)).
     Its triangle is w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i),
@@ -60,7 +61,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import BoundaryMeasure, _check_kappa, extreme_chain, extreme_stay
+from .boundary import BoundaryMeasure, _check_kappa, extreme_stay
 from .errors import NonIntegerParamsInExactMode
 from .exactq import (
     QParam,
@@ -73,19 +74,14 @@ from .exactq import (
 from .laws import ForwardChain, Sampler, VArray, _word_sampler
 from .rng import SplitMix64, derive_seed, geometric_sampler
 
-MODES = ("forward", "runs")
-
 
 # ---------------------------------------------------------------- extreme
 
 
-def extreme_sampler(kappa, q: QParam, mode: str = "forward") -> Sampler:
-    """Reusable sampler for the extreme process; the forward mode is
+def extreme_runs_sampler(kappa, q: QParam) -> Sampler:
+    """Reusable sampler for the extreme process that draws one geometric
+    zero run per one; the letter-by-letter sampler is
     ``extreme_chain(kappa, q).sampler()``."""
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s, got %r" % (MODES, mode))
-    if mode == "forward":
-        return extreme_chain(kappa, q).sampler()
     q.require_sub_unit("extreme law")
     _check_kappa(kappa)
     runs = []  # run i: a geometric sampler of ratio extreme_stay(kappa, q, i)
@@ -222,17 +218,6 @@ def _urn_numbers(params: PolyaParams):
     return a, b, q
 
 
-def polya_forward_probs(params: PolyaParams, n: int, k: int):
-    """(P(next bit 0), P(next bit 1)) from state (n, k); exact when possible."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    a, b, q = _urn_numbers(params)
-    total = _q_integer(a + b + n, q)
-    p_zero = _q_integer(b + n - k, q) / total
-    p_one = q ** (n - k + b) * _q_integer(a + k, q) / total
-    return p_zero, p_one
-
-
 def polya_chain(params: PolyaParams) -> ForwardChain:
     """The urn as a forward chain.  Float strengths give a float p_one, so
     the sampler's thresholds and the levels carry its rounding."""
@@ -247,7 +232,7 @@ def polya_array(params: PolyaParams, depth: int) -> VArray:
     """Exact triangle of the urn process (integer strengths only)."""
     if params.float_mode:
         raise NonIntegerParamsInExactMode(
-            "triangle requires integer strengths, got a=%r b=%r"
+            "triangle requires integer strengths, got a=%s b=%s"
             % (params.a, params.b)
         )
     return polya_chain(params).triangle(depth)

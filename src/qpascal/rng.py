@@ -100,11 +100,6 @@ def geometric_sampler(ratio: Fraction) -> Callable[[SplitMix64], int]:
     return draw
 
 
-def geometric_failures(rng: SplitMix64, ratio: Fraction) -> int:
-    """Failures before the first success; success probability 1 - ratio."""
-    return geometric_sampler(ratio)(rng)
-
-
 def uniform_below(rng: SplitMix64, m: int) -> int:
     """Exact uniform draw from {0, ..., m-1} by rejection."""
     if m < 1:

@@ -16,6 +16,7 @@ the package:
                              the run-length view of a word
     runs_law                 the law of the extreme runs sampler
     geometric_scan           a geometric variate by scanning powers
+    polya_forward_probs      the urn's closed-form forward probabilities
     tv_distance              total variation against an exact level law
     exact_growth_law         the subspace growth chain by exact branching
 
@@ -35,10 +36,18 @@ from typing import Mapping, Sequence
 from qpascal import guards
 from qpascal.boundary import _check_kappa, extreme_chain, extreme_stay
 from qpascal.errors import UnreachableError
-from qpascal.exactq import QParam, as_fraction, q_binomial, q_integer, q_pochhammer
+from qpascal.exactq import (
+    QParam,
+    _q_integer,
+    as_fraction,
+    q_binomial,
+    q_integer,
+    q_pochhammer,
+)
 from qpascal.galois import FieldSpec, Subspace, growth_q_param, list_extensions
 from qpascal.laws import FiniteLaw, TildeArray, VArray, all_words, word_probability
 from qpascal.pascal_graph import ROOT, BinaryWord, Vertex
+from qpascal.processes import PolyaParams, _urn_numbers
 
 
 def q_factorial(n: int, q: QParam) -> Fraction:
@@ -185,7 +194,7 @@ def runs_to_word(encoding: RunEncoding) -> BinaryWord:
 
 
 def runs_law(kappa, q: QParam, n: int) -> FiniteLaw:
-    """Law of a length-n sample of ``extreme_sampler(kappa, q, "runs")``,
+    """Law of a length-n sample of ``extreme_runs_sampler(kappa, q)``,
     by exact enumeration of the sampler's decision tree (branch
     probabilities taken as exact rationals)."""
     extreme_chain(kappa, q)  # the sampler's checks of q and kappa
@@ -217,6 +226,17 @@ def geometric_scan(j: int, ratio: Fraction) -> int:
         pd *= rd
         t += 1
     return t
+
+
+def polya_forward_probs(params: PolyaParams, n: int, k: int):
+    """(P(next bit 0), P(next bit 1)) from state (n, k); exact when possible."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    a, b, q = _urn_numbers(params)
+    total = _q_integer(a + b + n, q)
+    p_zero = _q_integer(b + n - k, q) / total
+    p_one = q ** (n - k + b) * _q_integer(a + k, q) / total
+    return p_zero, p_one
 
 
 def tv_distance(

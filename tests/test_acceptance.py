@@ -31,7 +31,6 @@ from qpascal import (
     enumerate_grassmannian,
     extreme_array,
     extreme_chain,
-    extreme_sampler,
     codim_word,
     check_recursion,
     is_q_completely_monotone,
@@ -159,7 +158,7 @@ def test_04_sampler_decision_trees(capsys):
 
 def test_05_level_histogram(capsys):
     with criterion(capsys, "level histogram", 5.0):
-        sampler = extreme_sampler(2, HALF)
+        sampler = extreme_chain(2, HALF).sampler()
         counts = empirical_level_histogram(sampler, 10, 100_000, seed=20250816)
         exact = tilde_of_v(extreme_array(2, HALF, 10)).rows[10]
         assert tv_distance(counts, 100_000, exact) <= F(1, 50)
@@ -250,7 +249,7 @@ def test_10_near_unit_frequency(capsys):
         p = 0.3
         kappa = round(-math.log(1 - p) / (1 - 999 / 1000))
         assert kappa == 357
-        sampler = extreme_sampler(kappa, q)
+        sampler = extreme_chain(kappa, q).sampler()
         trials, n = 10_000, 200
         ones = 0
         for t in range(trials):

@@ -21,7 +21,7 @@ from qpascal import (
     theta_array,
     tilde_of_v,
 )
-from qpascal.processes import PolyaParams, ThetaParams, extreme_sampler
+from qpascal.processes import PolyaParams, ThetaParams, extreme_runs_sampler
 
 from oracles import extreme_kernel
 
@@ -80,7 +80,7 @@ class TestExtremeArray:
         with pytest.raises(ValueError):
             extreme_array(kappa, HALF, 3)
         with pytest.raises(ValueError):
-            extreme_sampler(kappa, HALF, "runs")
+            extreme_runs_sampler(kappa, HALF)
 
 
 class TestBoundaryMeasure:

@@ -24,14 +24,13 @@ from qpascal import (
     extreme_chain,
     mixture_array,
     polya_array,
-    polya_forward_probs,
     theta_array,
     tilde_of_v,
 )
 from qpascal.laws import ForwardChain
 from qpascal.processes import polya_chain, theta_chain
 
-from oracles import extreme_kernel
+from oracles import extreme_kernel, polya_forward_probs
 
 DEPTH = 30
 QS = [F(1, 2), F(2, 3), F(9, 10)]

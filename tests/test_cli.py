@@ -27,7 +27,7 @@ from qpascal import (
     codim_word,
     extreme_array,
     extreme_chain,
-    extreme_sampler,
+    extreme_runs_sampler,
     make_field,
     polya_array,
     sample_growth,
@@ -217,7 +217,7 @@ class TestSample:
         code, out = run(capsys, *args)
         assert code == 0
         payload = json.loads(out)
-        assert payload["word"] == str(extreme_sampler(1, HALF)(6, SplitMix64(3)))
+        assert payload["word"] == str(extreme_chain(1, HALF).sampler()(6, SplitMix64(3)))
         assert payload["n"] == 6
         assert payload["ones"] == payload["word"].count("1")
         code2, out2 = run(capsys, *args)
@@ -250,10 +250,35 @@ class TestSample:
                       "--n", "4", "--seed", "0")
         assert code == 2
 
+    def test_modes_are_the_two_extreme_samplers(self, capsys):
+        samplers = {
+            "runs": lambda: extreme_runs_sampler(3, HALF),
+            "forward": extreme_chain(3, HALF).sampler,
+        }
+        words = {}
+        for mode, make in samplers.items():
+            for seed in range(4):
+                code, out = run(capsys, "sample", "--process", "extreme", "--mode", mode,
+                                "--kappa", "3", "--q", "1/2", "--n", "12",
+                                "--seed", str(seed))
+                payload = json.loads(out)
+                assert (code, payload["params"]["mode"]) == (0, mode)
+                assert payload["word"] == str(make()(12, SplitMix64(seed)))
+                words[mode, seed] = payload["word"]
+        # the two samplers read the same draws differently
+        assert any(words["runs", seed] != words["forward", seed] for seed in range(4))
+
+    def test_unknown_mode_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--process", "extreme", "--mode", "backward",
+                  "--kappa", "1", "--q", "1/2", "--n", "3", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'backward'" in capsys.readouterr().err
+
 
 class TestMissingFlags:
     """A law or process without the flag it needs is a usage error that
-    names the flag."""
+    names the flag; table and sample refuse a process with one line."""
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -276,6 +301,22 @@ class TestMissingFlags:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert flag + " " in captured.err and "required" in captured.err
+
+    @pytest.mark.parametrize("process, given, message", [
+        ("extreme", (), "--kappa is required for the extreme process"),
+        ("theta", (), "--theta is required for the theta process"),
+        ("polya", (), "--a and --b are required for the urn process"),
+        ("polya", ("--a", "1"), "--a and --b are required for the urn process"),
+        ("polya", ("--b", "1"), "--a and --b are required for the urn process"),
+    ])
+    def test_table_and_sample_print_one_line(self, capsys, process, given, message):
+        table = ["table", "--law", process, "--q", "1/2", "--depth", "3", *given]
+        sample = ["sample", "--process", process, "--q", "1/2", "--n", "3", "--seed", "0",
+                  *given]
+        for argv in (table, sample):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", "error: %s\n" % message)
 
 
 class TestRecover:
@@ -578,6 +619,13 @@ class TestExitCodes:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: %s is too large for a float\n" % name
 
+    def test_urn_refusal_prints_strengths_in_the_wire_format(self, capsys):
+        code = main(["table", "--law", "polya", "--a", "1/2", "--b", "1", "--q", "1/2",
+                     "--depth", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: triangle requires integer strengths, got a=1/2 b=1\n"
+
 
 class TestInputFiles:
     """Every input file goes through one reader: a file of the wrong shape
@@ -858,7 +906,8 @@ class TestNumberArguments:
         seed = (1 << 64) - 1
         code, out = run(capsys, *self.SAMPLE, "--n", "4", "--seed", str(seed))
         assert code == 0
-        assert json.loads(out)["word"] == str(extreme_sampler(1, HALF)(4, SplitMix64(seed)))
+        word = extreme_chain(1, HALF).sampler()(4, SplitMix64(seed))
+        assert json.loads(out)["word"] == str(word)
 
     def test_single_trial_is_a_histogram(self, capsys):
         code, out = run(capsys, *self.SAMPLE, "--n", "4", "--seed", "1",
@@ -959,7 +1008,8 @@ class TestParserReuse:
         assert out.startswith("k,count,frequency,expected\n")
         code, out = run(capsys, *self.SAMPLE)
         assert code == 0
-        assert json.loads(out)["word"] == str(extreme_sampler(1, HALF)(5, SplitMix64(2)))
+        word = extreme_chain(1, HALF).sampler()(5, SplitMix64(2))
+        assert json.loads(out)["word"] == str(word)
 
     def test_output_file_then_stdout(self, capsys, tmp_path):
         argv = ("table", "--kind", "d", "--q", "2", "--depth", "2")

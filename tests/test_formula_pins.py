@@ -21,11 +21,11 @@ from qpascal.processes import (
     PolyaParams,
     ThetaParams,
     polya_boundary_measure,
-    polya_forward_probs,
+    polya_chain,
     theta_boundary_measure,
 )
 
-from oracles import extreme_kernel, q_factorial
+from oracles import extreme_kernel, polya_forward_probs, q_factorial
 
 
 def sha256(text):
@@ -39,15 +39,18 @@ def measure_json(a, b, q, kmax):
 
 class TestUrnFloatMode:
     def test_forward_probs_bits(self):
+        """The oracle's bits, which the production chain's p1 reproduces."""
         lines = []
         for q in (F(1, 2), F(9, 10), F(1)):
             for a in (F(1, 2), F(3, 2)):
                 for b in (F(1, 2), F(3, 2)):
                     params = PolyaParams(a, b, QParam(q))
                     assert params.float_mode
+                    chain = polya_chain(params)
                     for n in range(7):
                         for k in range(n + 1):
                             p0, p1 = polya_forward_probs(params, n, k)
+                            assert chain.p1(n, k).hex() == p1.hex()
                             lines.append(
                                 "%s %s %s %d %d %s %s" % (q, a, b, n, k, p0.hex(), p1.hex())
                             )

@@ -17,11 +17,10 @@ from qpascal import (
     empirical_level_histogram,
     extreme_array,
     extreme_chain,
-    extreme_sampler,
+    extreme_runs_sampler,
     polya_array,
     polya_boundary_measure,
     polya_chain,
-    polya_forward_probs,
     mixture_array,
     theta_array,
     theta_boundary_measure,
@@ -31,12 +30,11 @@ from qpascal import (
 )
 from qpascal.rng import (
     bernoulli_threshold,
-    geometric_failures,
     geometric_sampler,
     uniform_below,
 )
 
-from oracles import geometric_scan, runs_law, tv_distance
+from oracles import geometric_scan, polya_forward_probs, runs_law, tv_distance
 
 HALF = QParam(F(1, 2))
 
@@ -107,7 +105,7 @@ class TestDrawPrimitives:
 
     def test_geometric_frozen_stream(self):
         rng = SplitMix64(7)
-        assert [geometric_failures(rng, F(1, 2)) for _ in range(8)] == [
+        assert [geometric_sampler(F(1, 2))(rng) for _ in range(8)] == [
             0,
             0,
             3,
@@ -120,19 +118,19 @@ class TestDrawPrimitives:
 
     def test_geometric_consumes_one_draw(self):
         a, b = SplitMix64(99), SplitMix64(99)
-        geometric_failures(a, F(1, 3))
+        geometric_sampler(F(1, 3))(a)
         b.next_uint64()
         assert a.next_uint64() == b.next_uint64()
 
     def test_geometric_zero_ratio(self):
         rng = SplitMix64(5)
-        assert geometric_failures(rng, F(0)) == 0
+        assert geometric_sampler(F(0))(rng) == 0
 
     def test_geometric_cutoffs_match_the_scan(self):
         draws = [0, 1, 1 << 63, (1 << 64) - 1]
         for ratio in (F(0), F(1, 2), F(99, 100), F(99, 100) ** 8):
             want = [geometric_scan(j, ratio) for j in draws]
-            assert [geometric_failures(FixedDraws([j]), ratio) for j in draws] == want
+            assert [geometric_sampler(ratio)(FixedDraws([j])) for j in draws] == want
             # one memo, grown by the largest draw first and by the smallest
             for order in (draws, draws[::-1]):
                 draw = geometric_sampler(ratio)
@@ -183,19 +181,13 @@ class TestExtremeProcess:
             assert fwd == runs
 
     def test_sampler_determinism(self):
-        for mode in ("forward", "runs"):
-            w1 = extreme_sampler(2, HALF, mode)(12, SplitMix64(77))
-            w2 = extreme_sampler(2, HALF, mode)(12, SplitMix64(77))
-            assert w1 == w2
+        for make in (extreme_chain(2, HALF).sampler, lambda: extreme_runs_sampler(2, HALF)):
+            assert make()(12, SplitMix64(77)) == make()(12, SplitMix64(77))
 
     def test_kappa_edges(self):
-        assert str(extreme_sampler(0, HALF)(6, SplitMix64(5))) == "000000"
-        assert str(extreme_sampler(ZERO_POINT, HALF)(6, SplitMix64(5))) == "111111"
-        assert str(extreme_sampler(ZERO_POINT, HALF, "runs")(6, SplitMix64(5))) == "111111"
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            extreme_sampler(1, HALF, "backward")
+        assert str(extreme_chain(0, HALF).sampler()(6, SplitMix64(5))) == "000000"
+        assert str(extreme_chain(ZERO_POINT, HALF).sampler()(6, SplitMix64(5))) == "111111"
+        assert str(extreme_runs_sampler(ZERO_POINT, HALF)(6, SplitMix64(5))) == "111111"
 
     def test_runs_law_guarded_before_the_walk(self):
         # the runs law enumerates every word; 2^40 words trip the guard
@@ -379,8 +371,8 @@ class TestHistogram:
 
 TWO_THIRDS = QParam(F(2, 3))
 GOLDEN_SAMPLERS = {
-    "extreme forward": lambda: extreme_sampler(6, TWO_THIRDS, "forward"),
-    "extreme runs": lambda: extreme_sampler(6, TWO_THIRDS, "runs"),
+    "extreme forward": lambda: extreme_chain(6, TWO_THIRDS).sampler(),
+    "extreme runs": lambda: extreme_runs_sampler(6, TWO_THIRDS),
     "theta": lambda: theta_chain(ThetaParams(F(3, 2), TWO_THIRDS)).sampler(),
     "exact urn": lambda: polya_chain(PolyaParams(3, 1, TWO_THIRDS)).sampler(),
     "float urn": lambda: polya_chain(PolyaParams(F(7, 2), F(3, 2), TWO_THIRDS)).sampler(),
@@ -432,7 +424,7 @@ class TestGoldenBits:
 
     def test_sample_functions(self):
         theta, urn = ThetaParams(F(3, 2), TWO_THIRDS), PolyaParams(3, 1, TWO_THIRDS)
-        runs = extreme_sampler(6, TWO_THIRDS, "runs")
+        runs = extreme_runs_sampler(6, TWO_THIRDS)
         assert str(runs(14, SplitMix64(2024))) == "11110010100000"
         assert str(theta_chain(theta).sampler()(14, SplitMix64(2024))) == "01110000000000"
         assert str(polya_chain(urn).sampler()(14, SplitMix64(2024))) == "01110010000000"
@@ -440,8 +432,10 @@ class TestGoldenBits:
 
 # each golden sampler's family, built from q and two small integers
 SAMPLER_FAMILIES = {
-    "extreme forward": lambda q, x, y: extreme_sampler(x if y > 1 else ZERO_POINT, q),
-    "extreme runs": lambda q, x, y: extreme_sampler(x if y > 1 else ZERO_POINT, q, "runs"),
+    "extreme forward": lambda q, x, y: extreme_chain(
+        x if y > 1 else ZERO_POINT, q
+    ).sampler(),
+    "extreme runs": lambda q, x, y: extreme_runs_sampler(x if y > 1 else ZERO_POINT, q),
     "theta": lambda q, x, y: theta_chain(ThetaParams(F(x, y), q)).sampler(),
     "exact urn": lambda q, x, y: polya_chain(PolyaParams(x + 1, y, q)).sampler(),
     "float urn": lambda q, x, y: polya_chain(
