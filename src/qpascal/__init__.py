@@ -46,7 +46,6 @@ from .errors import (
 )
 from .exactq import (
     QParam,
-    Regime,
     as_count,
     as_fraction,
     format_rational,

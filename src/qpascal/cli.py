@@ -349,7 +349,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_grassmann(args) -> int:
     modulus = None
-    if args.modulus:
+    if args.modulus is not None:
         modulus = tuple(int(c) for c in args.modulus.split(","))
     field = make_field(args.p, args.m, modulus)
     if args.enumerate:

@@ -3,9 +3,9 @@
 Every probability-carrying quantity in this package is a
 :class:`fractions.Fraction`.  This module provides the q-integer,
 q-binomial and q-Pochhammer building blocks, plus
-:class:`QParam`, the deformation parameter together with its regime
-(below, at, or above 1).  Operations that only make sense on one side
-of q = 1 raise :class:`~qpascal.errors.RegimeError`.
+:class:`QParam`, the deformation parameter q > 0.  Operations that only
+make sense on one side of q = 1 compare q with 1 and raise
+:class:`~qpascal.errors.RegimeError`.
 
 Floating point enters in exactly one place: the value of the infinite
 q-Pochhammer product, :func:`q_pochhammer_infinite`, which cannot be
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -92,15 +91,9 @@ def parse_rational(text: str) -> Fraction:
     return as_fraction(text)
 
 
-class Regime(Enum):
-    SUB_UNIT = "sub-unit"  # 0 < q < 1
-    UNIT = "unit"  # q = 1
-    SUPER_UNIT = "super-unit"  # q > 1
-
-
 @dataclass(frozen=True)
 class QParam:
-    """The deformation parameter q > 0 with its regime derived on demand."""
+    """The deformation parameter q > 0."""
 
     q: Fraction
 
@@ -110,19 +103,11 @@ class QParam:
             raise ValueError("q must be positive, got %s" % self.q)
 
     @property
-    def regime(self) -> Regime:
-        if self.q < 1:
-            return Regime.SUB_UNIT
-        if self.q == 1:
-            return Regime.UNIT
-        return Regime.SUPER_UNIT
-
-    @property
     def inverse(self) -> "QParam":
         return QParam(1 / self.q)
 
     def require_sub_unit(self, operation: str) -> None:
-        if self.regime is not Regime.SUB_UNIT:
+        if self.q >= 1:
             raise RegimeError(
                 "%s requires 0 < q < 1, got q = %s" % (operation, self.q)
             )
@@ -225,7 +210,7 @@ def q_pochhammer_infinite(
     enclosure prod_{i>=N} (1 - x q^i) in [1 - s, 1/(1 - s)] where
     s = |x| q^N / (1 - q) < 1.
     """
-    if q.regime is not Regime.SUB_UNIT:
+    if q.q >= 1:
         raise InfiniteProductOutsideSubUnit(
             "infinite product diverges unless 0 < q < 1, got q = %s" % q.q
         )
@@ -259,7 +244,7 @@ def q_pochhammer_bounds(
     stays an exact rational and normalizations can be bounded from the
     safe side.  Requires 0 < q < 1 and x < 1 (all factors positive).
     """
-    if q.regime is not Regime.SUB_UNIT:
+    if q.q >= 1:
         raise InfiniteProductOutsideSubUnit(
             "infinite product diverges unless 0 < q < 1, got q = %s" % q.q
         )

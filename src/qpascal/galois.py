@@ -181,7 +181,12 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         _check_field_order(self.p, self.m)
-        mod = tuple(int(c) % self.p for c in self.modulus)
+        mod = tuple(map(int, self.modulus))
+        for c in mod:
+            if not 0 <= c < self.p:
+                raise FieldConstructionError(
+                    "modulus coefficient %d is outside [0, %d)" % (c, self.p)
+                )
         if len(mod) != self.m + 1 or mod[-1] != 1:
             raise FieldConstructionError(
                 "modulus must be monic of degree %d" % self.m

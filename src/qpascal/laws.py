@@ -216,6 +216,8 @@ class FiniteLaw:
     probs: dict
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise InvalidArrayError("law length %d is negative" % self.n)
         _check_word_count(self.n)
         fixed: dict[BinaryWord, Fraction] = {}
         for word, p in self.probs.items():
@@ -259,34 +261,20 @@ def all_words(n: int):
     return (BinaryWord(bits) for bits in itertools.product((0, 1), repeat=n))
 
 
-def _extend(table: list, rows: int) -> None:
-    """Grow a triangular table of unfilled (None) cells to ``rows`` rows."""
-    while len(table) < rows:
-        table.append([None] * (len(table) + 1))
-
-
 class ForwardChain:
     """A process given by its forward probabilities on the Pascal lattice.
 
     After n letters with k ones, the next letter is a one with
-    probability ``p_one(n, k)``.  That single function yields the v
-    triangle, the level laws, the word laws and a sampler.  ``rows[n][k]``
-    memoises p_one(n, k) as it is first asked for.  Exact chains return
+    probability ``p1(n, k)``, the ``p_one`` given.  That single function
+    yields the v triangle, the level laws, the word laws and a sampler;
+    every pass calls it, so pass a memoised p_one.  Exact chains return
     Fractions; a float p_one (the urn's float mode) gives float levels.
     """
 
     def __init__(self, q: QParam, p_one: Callable[[int, int], Fraction]) -> None:
         self.q = q
-        self._p_one = p_one
-        self.rows: list[list] = []
+        self.p1 = p_one
         self._thresholds: list[list] = []  # sampler: bernoulli_threshold per (n, k)
-
-    def p1(self, n: int, k: int):
-        _extend(self.rows, n + 1)
-        p = self.rows[n][k]
-        if p is None:
-            p = self.rows[n][k] = self._p_one(n, k)
-        return p
 
     def triangle(self, depth: int) -> VArray:
         """v[n+1][k] = v[n][k] (1 - p1(n, k)) and v[n+1][n+1] = v[n][n] p1(n, n):
@@ -335,7 +323,8 @@ class ForwardChain:
         p1 = self.p1
 
         def walk(n: int, rng: SplitMix64, ones: list | None = None) -> int:
-            _extend(thresholds, n)
+            while len(thresholds) < n:
+                thresholds.append([None] * (len(thresholds) + 1))
             draw = rng.next_uint64
             k = 0
             for m in range(n):

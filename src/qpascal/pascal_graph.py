@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSuperUnitError, UnreachableError
-from .exactq import QParam, Regime, q_binomial
+from .exactq import QParam, q_binomial
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def flip_reduction(obj, q: QParam | None = None):
     if isinstance(obj, BinaryWord):
         if q is None:
             raise ValueError("flip of a bare word needs q")
-        if q.regime is not Regime.SUPER_UNIT:
+        if q.q <= 1:
             raise NotSuperUnitError("flip reduction applies only for q > 1")
         return obj.flipped(), q.inverse
 
@@ -140,7 +140,7 @@ def flip_reduction(obj, q: QParam | None = None):
         if q is not None and q.q != obj.q.q:
             raise ValueError("q = %s does not match the triangle's q = %s" % (q, obj.q))
         qp = obj.q
-        if qp.regime is not Regime.SUPER_UNIT:
+        if qp.q <= 1:
             raise NotSuperUnitError("flip reduction applies only for q > 1")
         power = [qp.q**j for j in range(obj.depth**2 // 4 + 1)]  # q^(k(n-k))
         rows = tuple(

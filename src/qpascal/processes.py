@@ -9,11 +9,12 @@ its level laws by a forward pass, its exact word law by walking the
 decision tree, and its bit-by-bit sampler with one cached threshold per
 (n, k).  Every sampler carries a ones counter, ``sampler.ones(n, rng)``:
 the same walk over the same draws, without building the word, which is
-all a level histogram reads.  A p_one memoises each factor by the one
-index it depends on: k (extreme), n (theta), and n-k, k, n for the
-urn's q^(n-k+b), [a+k] and [a+b+n].  The closed forms quoted below,
-the urn's forward probabilities among them, are not computed here: they
-live in the tests as independent checks of the chains.
+all a level histogram reads.  The chain calls p_one in every pass, so
+each process memoises its own: by k (extreme), by n (theta), and per
+cell over q^(n-k+b), [a+k], [a+b+n] memoised by n-k, k, n (urn).  The
+closed forms quoted below, the urn's forward probabilities among them,
+are not computed here: they live in the tests as independent checks of
+the chains.
 
 Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     the extreme q-exchangeable law at x = q^kappa, with
@@ -65,7 +66,6 @@ from .boundary import BoundaryMeasure, _check_kappa, extreme_stay
 from .errors import NonIntegerParamsInExactMode
 from .exactq import (
     QParam,
-    Regime,
     _q_integer,
     as_fraction,
     q_pochhammer_bounds,
@@ -190,7 +190,7 @@ class PolyaParams:
     q: QParam
 
     def __post_init__(self) -> None:
-        if self.q.regime is Regime.SUPER_UNIT:
+        if self.q.q > 1:
             raise ValueError("urn process needs q <= 1 (flip first for q > 1)")
         for name in ("a", "b"):
             value = getattr(self, name)
@@ -225,7 +225,8 @@ def polya_chain(params: PolyaParams) -> ForwardChain:
     power = functools.cache(lambda zeros: q ** (zeros + b))
     ones = functools.cache(lambda k: _q_integer(a + k, q))
     total = functools.cache(lambda n: _q_integer(a + b + n, q))
-    return ForwardChain(params.q, lambda n, k: power(n - k) * ones(k) / total(n))
+    p_one = functools.cache(lambda n, k: power(n - k) * ones(k) / total(n))
+    return ForwardChain(params.q, p_one)
 
 
 def polya_array(params: PolyaParams, depth: int) -> VArray:

@@ -22,7 +22,10 @@ the package:
 
 The path-enumeration guard of ``brute_force_weight_sum`` and the
 extension guard that ``exact_growth_law`` meets in ``list_extensions``
-are the package's ``guards.check_count`` rule.
+are the package's ``guards.check_count`` rule.  The extreme stay ratio
+q^(kappa-k) and the q-number [x] = (1 - q^x) / (1 - q) are written out
+here, not imported, so a wrong power or q-integer in the package cannot
+pass its own oracle.
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from qpascal import guards
-from qpascal.boundary import _check_kappa, extreme_chain, extreme_stay
+from qpascal.boundary import extreme_chain
 from qpascal.errors import UnreachableError
 from qpascal.exactq import (
     QParam,
-    _q_integer,
     as_fraction,
     q_binomial,
     q_integer,
@@ -47,7 +49,20 @@ from qpascal.exactq import (
 from qpascal.galois import FieldSpec, Subspace, growth_q_param, list_extensions
 from qpascal.laws import FiniteLaw, TildeArray, VArray, all_words, word_probability
 from qpascal.pascal_graph import ROOT, BinaryWord, Vertex
-from qpascal.processes import PolyaParams, _urn_numbers
+from qpascal.processes import PolyaParams, extreme_runs_sampler
+
+
+def _stay(kappa, qq: Fraction, k: int) -> Fraction:
+    """P(next letter 0 | k ones) in the extreme law at x = q^kappa:
+    q^(kappa-k) below kappa ones, 1 from then on, 0 at kappa = math.inf."""
+    if kappa == math.inf:
+        return Fraction(0)
+    return qq ** (kappa - k) if k < kappa else Fraction(1)
+
+
+def _q_number(x, qq):
+    """[x] = (1 - q^x) / (1 - q), and x at q = 1, in the number type of qq."""
+    return x * qq if qq == 1 else (1 - qq**x) / (1 - qq)
 
 
 def q_factorial(n: int, q: QParam) -> Fraction:
@@ -197,18 +212,18 @@ def runs_law(kappa, q: QParam, n: int) -> FiniteLaw:
     """Law of a length-n sample of ``extreme_runs_sampler(kappa, q)``,
     by exact enumeration of the sampler's decision tree (branch
     probabilities taken as exact rationals)."""
-    extreme_chain(kappa, q)  # the sampler's checks of q and kappa
+    extreme_runs_sampler(kappa, q)  # the sampler's checks of q and kappa
     probs = {}
     for word in all_words(n):
         enc = word_to_runs(word)
         p = Fraction(1)
         for i, run in enumerate(enc.runs):
-            r = extreme_stay(kappa, q, i)
+            r = _stay(kappa, q.q, i)
             p *= r**run * (1 - r)
             if p == 0:
                 break
         if p != 0 and enc.open_zeros:
-            p *= extreme_stay(kappa, q, len(enc.runs)) ** enc.open_zeros
+            p *= _stay(kappa, q.q, len(enc.runs)) ** enc.open_zeros
         probs[word] = p
     return FiniteLaw(n, probs)
 
@@ -232,10 +247,12 @@ def polya_forward_probs(params: PolyaParams, n: int, k: int):
     """(P(next bit 0), P(next bit 1)) from state (n, k); exact when possible."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    a, b, q = _urn_numbers(params)
-    total = _q_integer(a + b + n, q)
-    p_zero = _q_integer(b + n - k, q) / total
-    p_one = q ** (n - k + b) * _q_integer(a + k, q) / total
+    a, b, q = params.a, params.b, params.q.q
+    if params.float_mode:
+        a, b, q = float(a), float(b), float(q)
+    total = _q_number(a + b + n, q)
+    p_zero = _q_number(b + n - k, q) / total
+    p_one = q ** (n - k + b) * _q_number(a + k, q) / total
     return p_zero, p_one
 
 
@@ -257,8 +274,8 @@ def exact_growth_law(
 ) -> dict[tuple[Subspace, ...], Fraction]:
     """Law of the full chain by exact branching: p_grow splits evenly
     over the q^(n-k) grown extensions, 1 - p_grow stays."""
-    _check_kappa(kappa)
     qbar = growth_q_param(field)
+    extreme_chain(kappa, qbar)  # its checks of kappa
     states: dict[tuple[Subspace, ...], Fraction] = {
         (Subspace.zero(field, 0),): Fraction(1)
     }
@@ -266,7 +283,7 @@ def exact_growth_law(
         nxt: dict[tuple[Subspace, ...], Fraction] = {}
         for chain, prob in states.items():
             current = chain[-1]
-            p_grow = extreme_stay(kappa, qbar, current.codim)
+            p_grow = _stay(kappa, qbar.q, current.codim)
             extensions = list_extensions(current)
             stay, grown = extensions[0], extensions[1:]
             if p_grow != 1:

@@ -27,7 +27,7 @@ from qpascal import (
     theta_array,
     tilde_of_v,
 )
-from qpascal.laws import ForwardChain
+from qpascal import boundary, processes
 from qpascal.processes import polya_chain, theta_chain
 
 from oracles import extreme_kernel, polya_forward_probs
@@ -159,20 +159,6 @@ class TestForwardChain:
         for n in (0, 1, 7, 12):
             assert chain.level(n) == list(tv.rows[n])
 
-    def test_p_one_memoised_per_cell(self):
-        calls = []
-
-        def p_one(n, k):
-            calls.append((n, k))
-            return F(1, 2)
-
-        chain = ForwardChain(QParam(F(1, 2)), p_one)
-        chain.triangle(5)
-        chain.level(5)
-        chain.sampler()(5, SplitMix64(1))
-        assert sorted(calls) == sorted(set(calls))
-        assert chain.rows[3] == [F(1, 2)] * 4
-
     def test_infinite_theta_level(self):
         chain = theta_chain(ThetaParams(math.inf, QParam(F(1, 2))))
         assert chain.level(4) == [0, 0, 0, 0, 1]
@@ -181,3 +167,54 @@ class TestForwardChain:
         level = polya_chain(PolyaParams(F(3, 2), F(1, 2), QParam(F(9, 10)))).level(15)
         assert all(isinstance(x, float) for x in level)
         assert abs(sum(level) - 1) < 1e-12
+
+
+class TestProcessMemos:
+    """The chain calls p1 in every pass; each process computes a factor
+    once per index it depends on, over a triangle, a level law and a
+    sampler walk of one chain."""
+
+    N = 12
+
+    def visit(self, chain):
+        chain.triangle(self.N)
+        chain.level(self.N)
+        chain.sampler()(self.N, SplitMix64(1))
+
+    def test_extreme_stay_once_per_k(self, monkeypatch):
+        calls = []
+        stay = boundary.extreme_stay
+
+        def counted(kappa, q, k):
+            calls.append(k)
+            return stay(kappa, q, k)
+
+        monkeypatch.setattr(boundary, "extreme_stay", counted)
+        self.visit(extreme_chain(3, QParam(F(1, 2))))
+        assert sorted(calls) == list(range(self.N))
+
+    def test_urn_q_integer_once_per_argument(self, monkeypatch):
+        calls = []
+        q_integer = processes._q_integer
+
+        def counted(x, qq):
+            calls.append(x)
+            return q_integer(x, qq)
+
+        monkeypatch.setattr(processes, "_q_integer", counted)
+        # b > N keeps the arguments of [a+k] and [a+b+n] apart
+        self.visit(polya_chain(PolyaParams(2, self.N + 1, QParam(F(9, 10)))))
+        assert len(calls) == len(set(calls)) == 2 * self.N
+
+    def test_urn_p1_misses_once_per_cell(self):
+        chain = polya_chain(PolyaParams(2, 3, QParam(F(2, 3))))
+        p1, cells = chain.p1, set()
+
+        def seen(n, k):
+            cells.add((n, k))
+            return p1(n, k)
+
+        chain.p1 = seen
+        self.visit(chain)
+        assert len(cells) == self.N * (self.N + 1) // 2
+        assert p1.cache_info().misses == len(cells)

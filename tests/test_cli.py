@@ -542,6 +542,18 @@ class TestGrassmann:
                         "--modulus", "1,x", "--enumerate", "2", "1")
         assert (code, out) == (2, "")
 
+    def test_empty_modulus_is_a_usage_error(self, capsys):
+        code, out = run(capsys, "grassmann", "--p", "2", "--modulus", "", "--grow", "1")
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("extra, bad", [(("--modulus", "5,1"), 5),
+                                            (("--m", "2", "--modulus", "1,1,3"), 3)])
+    def test_coefficient_outside_the_prime_field_is_a_field_error(self, capsys, extra, bad):
+        code = main(["grassmann", "--p", "2", *extra, "--grow", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (5, "")
+        assert captured.err == "field error: modulus coefficient %d is outside [0, 2)\n" % bad
+
 
 class TestFlip:
     def test_word(self, capsys):
@@ -767,6 +779,15 @@ class TestStrictReaders:
         path = write_json(tmp_path / "mom.json", {"moments": "1"})
         self.expect_not_a(capsys, "moments", ["check", "--kind", "monotone",
                                               "--input", path, "--q", "1/2"])
+
+
+def test_negative_law_length_is_invalid_input(capsys, tmp_path):
+    # a count that reads, but no law has a negative length (exit 4)
+    path = write_json(tmp_path / "law.json", {"n": -1, "probs": {}})
+    code = main(["check", "--kind", "exchangeable", "--input", path, "--q", "1/2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "invalid input: law length -1 is negative\n"
 
 
 def _locations(value, path=()):

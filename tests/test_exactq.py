@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qpascal import (
     InfiniteProductOutsideSubUnit,
     QParam,
-    Regime,
     as_fraction,
     format_rational,
     parse_rational,
@@ -30,11 +29,6 @@ SMALL_QS = st.sampled_from([F(1, 2), F(1, 3), F(3, 4), F(2), F(5, 3), F(1)])
 
 
 class TestQParam:
-    def test_regimes(self):
-        assert HALF.regime is Regime.SUB_UNIT
-        assert UNIT.regime is Regime.UNIT
-        assert TWO.regime is Regime.SUPER_UNIT
-
     def test_inverse(self):
         assert TWO.inverse == HALF
         assert HALF.inverse.q == F(2)
@@ -253,8 +247,10 @@ class TestPochhammer:
         assert isinstance(q_pochhammer(F(1, 2), HALF, 3), F)
 
     def test_infinite_requires_sub_unit(self):
-        with pytest.raises(InfiniteProductOutsideSubUnit):
-            q_pochhammer_infinite(F(1, 3), TWO)
+        for q in (UNIT, TWO):
+            for product in (q_pochhammer_infinite, q_pochhammer_bounds):
+                with pytest.raises(InfiniteProductOutsideSubUnit):
+                    product(F(1, 3), q)
 
     def test_infinite_value_and_error(self):
         res = q_pochhammer_infinite(F(1, 2), HALF)

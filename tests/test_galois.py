@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpascal import (
+    FieldConstructionError,
     FieldSpec,
     NotIrreducibleError,
     NotPrimeError,
@@ -68,6 +69,14 @@ class TestFieldConstruction:
     def test_rejects_composite_characteristic(self):
         with pytest.raises(NotPrimeError):
             make_field(6)
+
+    @pytest.mark.parametrize("p, m, modulus", [(2, 1, (5, 1)), (2, 2, (1, 1, 3)),
+                                                (3, 1, (-1, 1))])
+    def test_rejects_coefficient_outside_the_prime_field(self, p, m, modulus):
+        bad = next(c for c in modulus if not 0 <= c < p)
+        with pytest.raises(FieldConstructionError,
+                           match=r"coefficient %d is outside \[0, %d\)" % (bad, p)):
+            FieldSpec(p, m, modulus)
 
     def test_rejects_reducible_modulus(self):
         with pytest.raises(NotIrreducibleError):
@@ -221,6 +230,12 @@ class TestSubspace:
         # int() would have read 2.7 as 2 and 0.9 as 0
         with pytest.raises(TypeError):
             Subspace.from_jsonable({"field": field, "n": n, "basis": basis})
+
+    def test_from_jsonable_refuses_modulus_coefficients_outside_the_field(self):
+        # [3, 1] once read as x over GF(3), reduced mod 3
+        data = Subspace.spanned(F3, 3, [(1, 0, 2)]).to_jsonable()
+        with pytest.raises(FieldConstructionError, match="coefficient 3"):
+            Subspace.from_jsonable(dict(data, field={"p": 3, "m": 1, "modulus": [3, 1]}))
 
     def test_contains_checks_entries(self):
         space = Subspace.spanned(F2, 3, [(1, 1, 0)])

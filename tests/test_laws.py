@@ -288,3 +288,5 @@ class TestArrayFlip:
 
         with pytest.raises(NotSuperUnitError):
             flip_reduction(extreme_array(1, HALF, 3))
+        with pytest.raises(NotSuperUnitError):
+            flip_reduction(VArray(QParam(F(1)), ((F(1),), (F(1, 2), F(1, 2)))))

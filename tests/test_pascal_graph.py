@@ -171,6 +171,8 @@ class TestFlipReduction:
     def test_word_requires_super_unit(self):
         with pytest.raises(NotSuperUnitError):
             flip_reduction(BinaryWord.from_string("01"), HALF)
+        with pytest.raises(NotSuperUnitError):
+            flip_reduction(BinaryWord.from_string("01"), QParam(F(1)))
 
     def test_word_requires_q(self):
         with pytest.raises(ValueError):
