@@ -221,26 +221,3 @@ def is_q_completely_monotone(
         if it < depth:
             current = q_difference(current, q)
     return Check(True, None)
-
-
-def moments_of(array: VArray) -> MomentSequence:
-    """First column of the triangle: u_l = v[l][0] = E[x^l]."""
-    return MomentSequence(array.first_column)
-
-
-def array_from_moments(u: MomentSequence, q: QParam) -> VArray:
-    """Rebuild the full triangle from its first column.
-
-    v[n][k] = (delta^k u)_{n-k}; the result satisfies the backward
-    recursion identically, so rebuilding the first column of a valid
-    triangle reproduces it exactly.
-    """
-    q.require_sub_unit("triangle rebuild")
-    depth = len(u.values) - 1
-    iterates = [u.values]
-    for _ in range(depth):
-        iterates.append(q_difference(iterates[-1], q))
-    rows = tuple(
-        tuple(iterates[k][n - k] for k in range(n + 1)) for n in range(depth + 1)
-    )
-    return VArray(q, rows)

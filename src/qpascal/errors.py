@@ -9,16 +9,8 @@ class RegimeError(QPascalError):
     """The operation requires q on a different side of 1."""
 
 
-class InfiniteProductOutsideSubUnit(RegimeError):
-    """Infinite q-Pochhammer products converge only for 0 < q < 1."""
-
-
 class NotSuperUnitError(RegimeError):
     """The 0/1 flip reduction applies only for q > 1."""
-
-
-class UnreachableError(QPascalError):
-    """No directed path connects the two vertices."""
 
 
 class TooLargeError(QPascalError):

@@ -1,23 +1,10 @@
 """Exact arithmetic kernels for q-combinatorics.
 
 Every probability-carrying quantity in this package is a
-:class:`fractions.Fraction`.  This module provides the q-integer,
-q-binomial and q-Pochhammer building blocks, plus
-:class:`QParam`, the deformation parameter q > 0.  Operations that only
-make sense on one side of q = 1 compare q with 1 and raise
-:class:`~qpascal.errors.RegimeError`.
-
-Floating point enters in exactly one place: the value of the infinite
-q-Pochhammer product, :func:`q_pochhammer_infinite`, which cannot be
-evaluated in finitely many exact steps.  Its truncation error is
-computed alongside the value, and :func:`q_pochhammer_bounds` gives a
-certified *rational* enclosure for callers that need exact downstream
-guarantees.  They truncate by different rules.  The float value stops
-at the first N with |x| q^N < TRUNCATION_TARGET, or at
-N = TRUNCATION_TERMS, and returns unless its tail estimate
-|x| q^N / (1 - q) is 1 or more.  The enclosure stops at the first N
-with both |x| q^N < TRUNCATION_TARGET and |x| q^N < (1 - q)/2, and
-raises if it reaches TRUNCATION_TERMS factors first.
+:class:`fractions.Fraction`.  This module provides the q-integer and the
+Gaussian binomials, plus :class:`QParam`, the deformation parameter
+q > 0.  Operations that only make sense on one side of q = 1 compare q
+with 1 and raise :class:`~qpascal.errors.RegimeError`.
 
 Rationals serialize as canonical strings ("3/4", "2", "0") via
 :func:`format_rational`, and every reader turns text or a JSON integer
@@ -32,9 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import InfiniteProductOutsideSubUnit, RegimeError
+from .errors import RegimeError
 
 
 def as_fraction(value) -> Fraction:
@@ -58,7 +44,8 @@ def as_fraction(value) -> Fraction:
         bound = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
         if bound and any(c.isdecimal() for c in mantissa):
             exponent = exponent.replace("_", "").strip()
-            if exponent.lstrip("+-").isdecimal() and abs(int(exponent)) > bound:
+            digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+            if digits.isdecimal() and abs(int(exponent)) > bound:
                 raise ValueError("decimal exponent %s exceeds %d in size" % (exponent, bound))
     try:
         if isinstance(value, str):
@@ -116,11 +103,6 @@ class QParam:
         return format_rational(self.q)
 
 
-# truncation constants; the module docstring gives each product's rule
-TRUNCATION_TERMS = 10_000
-TRUNCATION_TARGET = Fraction(1, 10**12)
-
-
 def q_integer(n: int, q: QParam) -> Fraction:
     """[n] = 1 + q + ... + q^(n-1); zero for n = 0."""
     if n < 0:
@@ -173,104 +155,3 @@ def _coprime(top: int, bottom: int) -> Fraction:
     out = object.__new__(Fraction)
     out._numerator, out._denominator = top, bottom
     return out
-
-
-def q_pochhammer(x: Fraction | int | str, q: QParam, k: int) -> Fraction:
-    """(x, q)_k = prod_{i<k} (1 - x q^i), exactly; the infinite product
-    is :func:`q_pochhammer_infinite`."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a natural number, got %r" % (k,))
-    xf = as_fraction(x)
-    qq = q.q
-    out = Fraction(1)
-    power = Fraction(1)
-    for _ in range(k):
-        out *= 1 - xf * power
-        if out == 0:
-            break
-        power *= qq
-    return out
-
-
-class InfiniteProduct(NamedTuple):
-    """Truncated infinite product with a certified absolute error bound."""
-
-    value: float
-    error_bound: float
-    terms: int
-
-
-def q_pochhammer_infinite(
-    x: Fraction | int | str | float, q: QParam
-) -> InfiniteProduct:
-    """(x, q)_inf for 0 < q < 1, in floating point.
-
-    Stops once |x| q^i < TRUNCATION_TARGET (or at TRUNCATION_TERMS) and
-    reports |true - value| <= error_bound, obtained from the elementary
-    enclosure prod_{i>=N} (1 - x q^i) in [1 - s, 1/(1 - s)] where
-    s = |x| q^N / (1 - q) < 1.
-    """
-    if q.q >= 1:
-        raise InfiniteProductOutsideSubUnit(
-            "infinite product diverges unless 0 < q < 1, got q = %s" % q.q
-        )
-    xf = float(x if isinstance(x, float) else as_fraction(x))
-    qf = float(q.q)
-    target = float(TRUNCATION_TARGET)
-    value = 1.0
-    term = abs(xf)
-    n = 0
-    while term >= target and n < TRUNCATION_TERMS:
-        value *= 1.0 - xf * qf**n
-        n += 1
-        term *= qf
-    s = term / (1.0 - qf)
-    if s >= 1.0:
-        raise ValueError(
-            "tail estimate %.3g has not converged within TRUNCATION_TERMS = %d "
-            "terms and TRUNCATION_TARGET = %s"
-            % (s, TRUNCATION_TERMS, TRUNCATION_TARGET)
-        )
-    error = abs(value) * s / (1.0 - s)
-    return InfiniteProduct(value=value, error_bound=error, terms=n)
-
-
-def q_pochhammer_bounds(
-    x: Fraction | int | str, q: QParam
-) -> tuple[Fraction, Fraction]:
-    """Certified rational enclosure [lo, hi] of (x, q)_inf for x < 1.
-
-    Used by the boundary-measure constructors so that truncation error
-    stays an exact rational and normalizations can be bounded from the
-    safe side.  Requires 0 < q < 1 and x < 1 (all factors positive).
-    """
-    if q.q >= 1:
-        raise InfiniteProductOutsideSubUnit(
-            "infinite product diverges unless 0 < q < 1, got q = %s" % q.q
-        )
-    xf = as_fraction(x)
-    if xf >= 1:
-        raise ValueError("rational enclosure implemented only for x < 1")
-    qq = q.q
-    partial = Fraction(1)
-    power = Fraction(1)  # q^n
-    n = 0
-    # Also force |x| q^n / (1-q) < 1/2 so the tail enclosure is valid.
-    while n < TRUNCATION_TERMS:
-        term = abs(xf) * power
-        if term < TRUNCATION_TARGET and term < (1 - qq) / 2:
-            break
-        partial *= 1 - xf * power
-        power *= qq
-        n += 1
-    else:
-        raise ValueError(
-            "TRUNCATION_TERMS = %d reached before the tail bound converged"
-            % TRUNCATION_TERMS
-        )
-    s = abs(xf) * power / (1 - qq)
-    if xf >= 0:
-        # factors in (0, 1]: the tail only shrinks the product
-        return partial * (1 - s), partial
-    # factors >= 1: the tail only grows it, by at most 1/(1-s)
-    return partial, partial / (1 - s)

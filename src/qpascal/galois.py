@@ -21,8 +21,8 @@ mul, neg and inv tables built on first use from the exact arithmetic of
 ``FieldSpec``, if q * q <= MAX_FIELD_SIZE (larger fields compute each
 entry).  A growth step inserts its one new vector into the current basis
 in O(dim * n).  ``Subspace(...)`` and ``from_jsonable`` validate a basis;
-bases built in RREF here (growth steps, extensions, projections,
-Grassmannians) are stored as they are.
+bases built in RREF here (growth steps and Grassmannians) are stored as
+they are.
 """
 
 from __future__ import annotations
@@ -134,12 +134,13 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
 
 
 def _check_field_order(p, m) -> None:
-    """A prime characteristic, a positive degree and p^m within the size
-    limit.  The size is checked first, one power of p at a time, so a
-    huge p or m is refused before p^m is built or p is tested."""
+    """A prime characteristic, a positive degree (an int, not a bool) and
+    p^m within the size limit.  The size is checked first, one power of p
+    at a time, so a huge p or m is refused before p^m is built or p is
+    tested."""
     if not isinstance(p, int) or p < 2:
         raise NotPrimeError("characteristic must be prime, got %r" % (p,))
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise FieldConstructionError("extension degree must be a positive integer")
     size = 1
     for _ in range(m):
@@ -181,7 +182,7 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         _check_field_order(self.p, self.m)
-        mod = tuple(map(int, self.modulus))
+        mod = tuple(map(as_count, self.modulus))
         for c in mod:
             if not 0 <= c < self.p:
                 raise FieldConstructionError(
@@ -268,8 +269,7 @@ class FieldSpec:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "FieldSpec":
-        modulus = tuple(map(as_count, data["modulus"]))
-        return cls(as_count(data["p"]), as_count(data["m"]), modulus)
+        return cls(as_count(data["p"]), as_count(data["m"]), data["modulus"])
 
 
 def _tabulate(field: FieldSpec) -> _Tables:
@@ -454,45 +454,6 @@ class Subspace:
             as_count(data["n"]),
             tuple(tuple(map(as_count, row)) for row in data["basis"]),
         )
-
-
-def project_down(subspace: Subspace) -> Subspace:
-    """Intersect with the hyperplane (last coordinate 0) and drop that
-    coordinate: the backward step of the growth process."""
-    if subspace.ambient_dim == 0:
-        raise ValueError("nothing to project from ambient dimension 0")
-    field, n = subspace.field, subspace.ambient_dim
-    tables = field._tables
-    rows = [list(r) for r in subspace.basis]
-    carriers = [r for r in rows if r[-1]]
-    if carriers:
-        # the carrier with the last pivot: clearing the last column with
-        # it keeps the other rows in RREF, as no other row has that pivot
-        pivot_row = carriers[-1]
-        scale = tables.inv[pivot_row[-1]]
-        for r in rows:
-            if r is not pivot_row and r[-1]:
-                _axpy(tables, r, tables.neg[tables.mul[r[-1]][scale]], pivot_row)
-        rows.remove(pivot_row)
-    return Subspace._trusted(field, n - 1, tuple(tuple(r[:-1]) for r in rows))
-
-
-def list_extensions(subspace: Subspace) -> list[Subspace]:
-    """All subspaces of field^(n+1) meeting field^n in this one: the padded
-    copy plus q^(n-k) grown ones, refused above DEFAULT_SUBSPACE_LIMIT."""
-    field, n = subspace.field, subspace.ambient_dim
-    counts = (field.size**i for i in range(subspace.codim + 1))
-    check_count(counts, DEFAULT_SUBSPACE_LIMIT, "extensions")
-    padded = tuple(row + (0,) for row in subspace.basis)
-    out = [Subspace._trusted(field, n + 1, padded)]
-    free_cols = [j for j in range(n) if j not in subspace.pivots]
-    for values in itertools.product(field.elements(), repeat=len(free_cols)):
-        xi = [0] * (n + 1)
-        for col, val in zip(free_cols, values):
-            xi[col] = val
-        xi[n] = 1
-        out.append(_grown(subspace, xi))
-    return out
 
 
 def _grown(subspace: Subspace, xi: list[int]) -> Subspace:

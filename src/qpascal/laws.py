@@ -17,7 +17,6 @@ checked exactly by :func:`check_recursion`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
@@ -29,9 +28,8 @@ from .exactq import (
     as_fraction,
     format_rational,
     gaussian_rows,
-    q_binomial,
 )
-from .pascal_graph import BinaryWord, Vertex, segment_weight_sum
+from .pascal_graph import BinaryWord
 from .rng import SplitMix64, bernoulli_threshold
 from . import guards
 
@@ -89,10 +87,6 @@ class VArray:
     @property
     def depth(self) -> int:
         return len(self.rows) - 1
-
-    @property
-    def first_column(self) -> tuple[Fraction, ...]:
-        return tuple(row[0] for row in self.rows)
 
     def to_jsonable(self) -> dict:
         return _to_wire(self, "v")
@@ -167,47 +161,6 @@ def tilde_of_v(array: VArray) -> TildeArray:
     return TildeArray(array.q, rows)
 
 
-def backward_kernel(n: int, k: int, q: QParam) -> tuple[Fraction, Fraction]:
-    """One-step backward transition at (n, k).
-
-    Returns (p_stay, p_down): probability that the length-(n-1) prefix
-    kept k ones, respectively k-1 ones.  These depend only on (n, k, q),
-    not on the law: the one-step case of :func:`multistep_backward`.
-    """
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError("need n >= 1 and 0 <= k <= n")
-    p_stay = multistep_backward(n - 1, k, n, k, q) if k < n else Fraction(0)
-    p_down = multistep_backward(n - 1, k - 1, n, k, q) if k else Fraction(0)
-    return p_stay, p_down
-
-
-def multistep_backward(
-    n: int, k: int, nu: int, kappa: int, q: QParam
-) -> Fraction:
-    """P(height k at level n | height kappa at level nu), for n <= nu: the
-    weight of the paths through (n, k) over the weight of all paths."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    if not 0 <= kappa <= nu:
-        raise ValueError("need 0 <= kappa <= nu")
-    if n > nu:
-        raise ValueError("need n <= nu")
-    if k > kappa or n - k > nu - kappa:
-        return Fraction(0)
-    through = segment_weight_sum(Vertex(n - k, k), Vertex(nu - kappa, kappa), q)
-    return through * q_binomial(n, k, q) / q_binomial(nu, kappa, q)
-
-
-def word_probability(array: VArray, word: BinaryWord) -> Fraction:
-    """Probability of ``word`` as a prefix under the law of ``array``."""
-    n = len(word)
-    if n > array.depth:
-        raise ValueError(
-            "word of length %d exceeds array depth %d" % (n, array.depth)
-        )
-    return array.q.q ** word.inversions() * array.rows[n][word.ones]
-
-
 @dataclass(frozen=True)
 class FiniteLaw:
     """A probability law on 0/1 words of one fixed length."""
@@ -253,12 +206,6 @@ class FiniteLaw:
 def _check_word_count(n: int) -> None:
     """The word-law guard on the 2**n words of length n."""
     guards.check_count((2**i for i in range(n + 1)), 2**MAX_WORD_LENGTH, "word law")
-
-
-def all_words(n: int):
-    """Every 0/1 word of length n, in lexicographic order."""
-    _check_word_count(n)
-    return (BinaryWord(bits) for bits in itertools.product((0, 1), repeat=n))
 
 
 class ForwardChain:

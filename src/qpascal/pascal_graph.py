@@ -1,7 +1,7 @@
 """The weighted Pascal lattice underlying q-exchangeability.
 
-Vertices are pairs (l, k): l completed 0-steps, k completed 1-steps.
-A binary word traces a directed path; its weight is a power of q.
+A binary word traces a directed path through the vertices (l, k): l
+completed 0-steps, k completed 1-steps.  Its weight is a power of q.
 
     primal graph:  a 1-step taken at height l carries weight q^l,
                    0-steps carry weight 1;
@@ -9,39 +9,17 @@ A binary word traces a directed path; its weight is a power of q.
                    1-steps carry weight 1.
 
 The sum of primal path weights from the root to (l, k) is the Gaussian
-binomial with n = l + k, and more generally the weight sum over any
-segment has the closed form implemented by :func:`segment_weight_sum`.
+binomial with n = l + k; the primal weight of a word from the root is
+q^inversions.  Exchanging 0s and 1s maps the q > 1 regime to 1/q
+(:func:`flip_reduction`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NotSuperUnitError, UnreachableError
-from .exactq import QParam, q_binomial
-
-
-@dataclass(frozen=True)
-class Vertex:
-    """Lattice vertex: l completed 0-steps, k completed 1-steps."""
-
-    l: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.l < 0 or self.k < 0:
-            raise ValueError("vertex coordinates must be non-negative")
-
-    @property
-    def level(self) -> int:
-        return self.l + self.k
-
-    def __str__(self) -> str:
-        return "(%d,%d)" % (self.l, self.k)
-
-
-ROOT = Vertex(0, 0)
+from .errors import NotSuperUnitError
+from .exactq import QParam
 
 
 @dataclass(frozen=True)
@@ -76,13 +54,6 @@ class BinaryWord:
     def ones(self) -> int:
         return sum(self.bits)
 
-    @property
-    def zeros(self) -> int:
-        return len(self.bits) - self.ones
-
-    def endpoint(self, start: Vertex = ROOT) -> Vertex:
-        return Vertex(start.l + self.zeros, start.k + self.ones)
-
     def inversions(self) -> int:
         """Number of pairs i < j with bit_i = 0 and bit_j = 1."""
         zeros_seen = 0
@@ -103,20 +74,6 @@ class BinaryWord:
         b = list(self.bits)
         b[i], b[i + 1] = b[i + 1], b[i]
         return BinaryWord(tuple(b))
-
-
-def segment_weight_sum(frm: Vertex, to: Vertex, q: QParam) -> Fraction:
-    """Sum of primal path weights over all paths from ``frm`` to ``to``.
-
-    Closed form: with n, k the level and height of ``frm`` and nu, kappa
-    those of ``to``, the sum is q^((kappa-k)(n-k)) * qbinom(nu-n, kappa-k).
-    Equals the Gaussian binomial when ``frm`` is the root.
-    """
-    if to.l < frm.l or to.k < frm.k:
-        raise UnreachableError("no path from %s to %s" % (frm, to))
-    n, k = frm.level, frm.k
-    nu, kappa = to.level, to.k
-    return q.q ** ((kappa - k) * (n - k)) * q_binomial(nu - n, kappa - k, q)
 
 
 def flip_reduction(obj, q: QParam | None = None):

@@ -47,12 +47,6 @@ every binary decision consumes one 64-bit draw j and succeeds iff
 j < ceil(p * 2^64) with p the exact rational success probability; a
 geometric variable consumes one draw.  Histograms derive the stream of
 trial t from derive_seed(seed, t), so trial order cannot matter.
-
-The measure constructors certify their truncation error with exact
-rational bounds, so the returned atom masses never overshoot: the
-masses plus the reported zero_mass sum to exactly 1, and the atom total
-undershoots the true normalization by less than the relative error
-exactq.TRUNCATION_TARGET (at most exactq.TRUNCATION_TERMS factors).
 """
 
 from __future__ import annotations
@@ -62,15 +56,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import BoundaryMeasure, _check_kappa, extreme_stay
+from .boundary import _check_kappa, extreme_stay
 from .errors import NonIntegerParamsInExactMode
-from .exactq import (
-    QParam,
-    _q_integer,
-    as_fraction,
-    q_pochhammer_bounds,
-    q_pochhammer_infinite,
-)
+from .exactq import QParam, _q_integer, as_fraction
 from .laws import ForwardChain, Sampler, VArray, _word_sampler
 from .rng import SplitMix64, derive_seed, geometric_sampler
 
@@ -151,29 +139,6 @@ def theta_array(params: ThetaParams, depth: int) -> VArray:
     return theta_chain(params).triangle(depth)
 
 
-def theta_boundary_measure(params: ThetaParams, kmax: int = 80) -> BoundaryMeasure:
-    """Mixing measure of the theta process (q-Poisson weights).
-
-    mass(kappa) proportional to q^(kappa(kappa-1)/2) theta^kappa / (q,q)_kappa,
-    normalized by (-theta, q)_inf.  The normalizer is replaced by its
-    certified rational upper bound, so atom masses never overshoot and
-    the complement assigned to zero_mass stays non-negative.
-    """
-    if params.infinite:
-        raise ValueError("theta must be finite for the mixing measure")
-    theta, q = params.theta, params.q
-    qq = q.q
-    _, z_hi = q_pochhammer_bounds(-theta, q)
-    atoms = {}
-    poch = Fraction(1)  # (q, q)_kappa
-    for kappa in range(kmax + 1):
-        term = qq ** (kappa * (kappa - 1) // 2) * theta**kappa / poch
-        atoms[kappa] = term / z_hi
-        poch *= 1 - qq ** (kappa + 1)
-    total = sum(atoms.values())
-    return BoundaryMeasure.of(q, atoms, 1 - total)
-
-
 # ------------------------------------------------------------------ Polya
 
 
@@ -237,47 +202,6 @@ def polya_array(params: PolyaParams, depth: int) -> VArray:
             % (params.a, params.b)
         )
     return polya_chain(params).triangle(depth)
-
-
-def polya_boundary_measure(params: PolyaParams, kmax: int = 80) -> BoundaryMeasure:
-    """Mixing measure of the urn process (q-beta weights).
-
-    mass(kappa) = (q^a,q)_kappa q^(kappa b) / (q,q)_kappa
-                  * (q^b,q)_inf / (q^(a+b),q)_inf.
-
-    For a = 1 the infinite products cancel to (1 - q^b) and the measure
-    is computed exactly (geometric with parameter 1 - q^b).  Otherwise
-    the normalizing ratio is replaced by a certified rational lower
-    bound, so atoms never overshoot.  Non-integer strengths fall back to
-    floats with the same shape.
-    """
-    q = params.q
-    q.require_sub_unit("urn mixing measure")
-    a, b, qq = _urn_numbers(params)
-    if params.float_mode:
-        ratio = (
-            q_pochhammer_infinite(qq**b, q).value
-            / q_pochhammer_infinite(qq ** (a + b), q).value
-        )
-    elif a == 1:
-        base = qq**b
-        atoms = {kappa: (1 - base) * base**kappa for kappa in range(kmax + 1)}
-        return BoundaryMeasure.of(q, atoms, base ** (kmax + 1))
-    else:  # a certified lower bound of the ratio
-        n_lo, _ = q_pochhammer_bounds(qq**b, q)
-        _, d_hi = q_pochhammer_bounds(qq ** (a + b), q)
-        ratio = n_lo / d_hi
-    atoms = {}
-    poch_a = poch_q = 1  # (q^a, q)_kappa and (q, q)_kappa
-    for kappa in range(kmax + 1):
-        atoms[kappa] = Fraction(poch_a * qq ** (kappa * b) / poch_q * ratio)
-        poch_a *= 1 - qq ** (a + kappa)
-        poch_q *= 1 - qq ** (kappa + 1)
-    total = sum(atoms.values())
-    if params.float_mode and total > 1:  # float overshoot: rescale once, exactly
-        atoms = {kappa: m / total for kappa, m in atoms.items()}
-        total = Fraction(1)
-    return BoundaryMeasure.of(q, atoms, 1 - total)
 
 
 # -------------------------------------------------------------- histograms

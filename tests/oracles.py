@@ -7,9 +7,21 @@ the package:
 
     q_factorial              [n]!, whose ratios give the Gaussian binomial
     q_binomial_product       the Gaussian binomial as a product of q-integers
+    q_pochhammer             the finite product (x, q)_k
+    q_pochhammer_infinite, q_pochhammer_bounds
+                             (x, q)_inf as a float and as a certified
+                             rational enclosure
+    Vertex, ROOT, endpoint   lattice vertices and a word's end vertex
     path_weight              the weight of one lattice path
+    segment_weight_sum       segment weight sums by their closed form
     brute_force_weight_sum   segment weight sums by path enumeration
+    backward_kernel, multistep_backward
+                             the law of an earlier height given a later one
     extreme_kernel           the closed-form kernel Phi[n][k](x)
+    first_column, moments_of, array_from_moments
+                             the moment view of a triangle
+    all_words                every word of one length
+    word_probability         a word's probability under a triangle
     law_of_array             a triangle's law on words of one length
     v_of_tilde               the inverse of ``laws.tilde_of_v``
     RunEncoding, word_to_runs, runs_to_word
@@ -17,15 +29,33 @@ the package:
     runs_law                 the law of the extreme runs sampler
     geometric_scan           a geometric variate by scanning powers
     polya_forward_probs      the urn's closed-form forward probabilities
+    theta_boundary_measure, polya_boundary_measure
+                             the mixing measures of the theta and urn
+                             processes (q-Poisson and q-beta weights)
     tv_distance              total variation against an exact level law
+    project_down, list_extensions
+                             the backward and forward steps of subspace growth
     exact_growth_law         the subspace growth chain by exact branching
 
-The path-enumeration guard of ``brute_force_weight_sum`` and the
-extension guard that ``exact_growth_law`` meets in ``list_extensions``
+The path-enumeration guard of ``brute_force_weight_sum``, the word
+guard of ``all_words`` and the extension guard of ``list_extensions``
 are the package's ``guards.check_count`` rule.  The extreme stay ratio
 q^(kappa-k) and the q-number [x] = (1 - q^x) / (1 - q) are written out
 here, not imported, so a wrong power or q-integer in the package cannot
-pass its own oracle.
+pass its own oracle.  Subspaces are stepped with the public field
+arithmetic and built through ``Subspace(...)``, which checks that each
+basis is in reduced row echelon form.
+
+The infinite products truncate by TRUNCATION_TERMS and
+TRUNCATION_TARGET, by different rules.  The float value stops at the
+first N with |x| q^N < TRUNCATION_TARGET, or at N = TRUNCATION_TERMS,
+and returns unless its tail estimate |x| q^N / (1 - q) is 1 or more.
+The enclosure stops at the first N with both |x| q^N < TRUNCATION_TARGET
+and |x| q^N < (1 - q)/2, and raises if it reaches TRUNCATION_TERMS
+factors first.  The measures certify their truncation with these exact
+bounds, so their atom masses never overshoot: the masses plus the
+reported zero_mass sum to exactly 1, and the atom total undershoots the
+true normalization by less than the relative error TRUNCATION_TARGET.
 """
 
 from __future__ import annotations
@@ -34,22 +64,29 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from qpascal import guards
-from qpascal.boundary import extreme_chain
-from qpascal.errors import UnreachableError
-from qpascal.exactq import (
-    QParam,
-    as_fraction,
-    q_binomial,
-    q_integer,
-    q_pochhammer,
-)
-from qpascal.galois import FieldSpec, Subspace, growth_q_param, list_extensions
-from qpascal.laws import FiniteLaw, TildeArray, VArray, all_words, word_probability
-from qpascal.pascal_graph import ROOT, BinaryWord, Vertex
-from qpascal.processes import PolyaParams, extreme_runs_sampler
+from qpascal.boundary import BoundaryMeasure, MomentSequence, extreme_chain, q_difference
+from qpascal.errors import QPascalError, RegimeError
+from qpascal.exactq import QParam, as_fraction, q_binomial, q_integer
+from qpascal.galois import DEFAULT_SUBSPACE_LIMIT, FieldSpec, Subspace, growth_q_param
+from qpascal.laws import MAX_WORD_LENGTH, FiniteLaw, TildeArray, VArray
+from qpascal.pascal_graph import BinaryWord
+from qpascal.processes import PolyaParams, ThetaParams, extreme_runs_sampler
+
+
+class InfiniteProductOutsideSubUnit(RegimeError):
+    """Infinite q-Pochhammer products converge only for 0 < q < 1."""
+
+
+class UnreachableError(QPascalError):
+    """No directed path connects the two vertices."""
+
+
+# truncation constants; the module docstring gives each product's rule
+TRUNCATION_TERMS = 10_000
+TRUNCATION_TARGET = Fraction(1, 10**12)
 
 
 def _stay(kappa, qq: Fraction, k: int) -> Fraction:
@@ -82,6 +119,134 @@ def q_binomial_product(n: int, k: int, q: QParam) -> Fraction:
     )
 
 
+def q_pochhammer(x: Fraction | int | str, q: QParam, k: int) -> Fraction:
+    """(x, q)_k = prod_{i<k} (1 - x q^i), exactly; the infinite product
+    is :func:`q_pochhammer_infinite`."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("k must be a natural number, got %r" % (k,))
+    xf = as_fraction(x)
+    qq = q.q
+    out = Fraction(1)
+    power = Fraction(1)
+    for _ in range(k):
+        out *= 1 - xf * power
+        if out == 0:
+            break
+        power *= qq
+    return out
+
+
+class InfiniteProduct(NamedTuple):
+    """Truncated infinite product with a certified absolute error bound."""
+
+    value: float
+    error_bound: float
+    terms: int
+
+
+def q_pochhammer_infinite(
+    x: Fraction | int | str | float, q: QParam
+) -> InfiniteProduct:
+    """(x, q)_inf for 0 < q < 1, in floating point.
+
+    Stops once |x| q^i < TRUNCATION_TARGET (or at TRUNCATION_TERMS) and
+    reports |true - value| <= error_bound, obtained from the elementary
+    enclosure prod_{i>=N} (1 - x q^i) in [1 - s, 1/(1 - s)] where
+    s = |x| q^N / (1 - q) < 1.
+    """
+    if q.q >= 1:
+        raise InfiniteProductOutsideSubUnit(
+            "infinite product diverges unless 0 < q < 1, got q = %s" % q.q
+        )
+    xf = float(x if isinstance(x, float) else as_fraction(x))
+    qf = float(q.q)
+    target = float(TRUNCATION_TARGET)
+    value = 1.0
+    term = abs(xf)
+    n = 0
+    while term >= target and n < TRUNCATION_TERMS:
+        value *= 1.0 - xf * qf**n
+        n += 1
+        term *= qf
+    s = term / (1.0 - qf)
+    if s >= 1.0:
+        raise ValueError(
+            "tail estimate %.3g has not converged within TRUNCATION_TERMS = %d "
+            "terms and TRUNCATION_TARGET = %s"
+            % (s, TRUNCATION_TERMS, TRUNCATION_TARGET)
+        )
+    error = abs(value) * s / (1.0 - s)
+    return InfiniteProduct(value=value, error_bound=error, terms=n)
+
+
+def q_pochhammer_bounds(
+    x: Fraction | int | str, q: QParam
+) -> tuple[Fraction, Fraction]:
+    """Certified rational enclosure [lo, hi] of (x, q)_inf for x < 1.
+
+    Used by the boundary-measure constructors so that truncation error
+    stays an exact rational and normalizations can be bounded from the
+    safe side.  Requires 0 < q < 1 and x < 1 (all factors positive).
+    """
+    if q.q >= 1:
+        raise InfiniteProductOutsideSubUnit(
+            "infinite product diverges unless 0 < q < 1, got q = %s" % q.q
+        )
+    xf = as_fraction(x)
+    if xf >= 1:
+        raise ValueError("rational enclosure implemented only for x < 1")
+    qq = q.q
+    partial = Fraction(1)
+    power = Fraction(1)  # q^n
+    n = 0
+    # Also force |x| q^n / (1-q) < 1/2 so the tail enclosure is valid.
+    while n < TRUNCATION_TERMS:
+        term = abs(xf) * power
+        if term < TRUNCATION_TARGET and term < (1 - qq) / 2:
+            break
+        partial *= 1 - xf * power
+        power *= qq
+        n += 1
+    else:
+        raise ValueError(
+            "TRUNCATION_TERMS = %d reached before the tail bound converged"
+            % TRUNCATION_TERMS
+        )
+    s = abs(xf) * power / (1 - qq)
+    if xf >= 0:
+        # factors in (0, 1]: the tail only shrinks the product
+        return partial * (1 - s), partial
+    # factors >= 1: the tail only grows it, by at most 1/(1-s)
+    return partial, partial / (1 - s)
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """Lattice vertex: l completed 0-steps, k completed 1-steps."""
+
+    l: int
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.l < 0 or self.k < 0:
+            raise ValueError("vertex coordinates must be non-negative")
+
+    @property
+    def level(self) -> int:
+        return self.l + self.k
+
+    def __str__(self) -> str:
+        return "(%d,%d)" % (self.l, self.k)
+
+
+ROOT = Vertex(0, 0)
+
+
+def endpoint(word: BinaryWord, start: Vertex = ROOT) -> Vertex:
+    """The vertex the path of ``word`` reaches from ``start``."""
+    return Vertex(start.l + len(word) - word.ones, start.k + word.ones)
+
+
 def path_weight(
     word: BinaryWord, q: QParam, start: Vertex = ROOT, dual: bool = False
 ) -> Fraction:
@@ -98,6 +263,20 @@ def path_weight(
                 exponent += k
             l += 1
     return q.q**exponent
+
+
+def segment_weight_sum(frm: Vertex, to: Vertex, q: QParam) -> Fraction:
+    """Sum of primal path weights over all paths from ``frm`` to ``to``.
+
+    Closed form: with n, k the level and height of ``frm`` and nu, kappa
+    those of ``to``, the sum is q^((kappa-k)(n-k)) * qbinom(nu-n, kappa-k).
+    Equals the Gaussian binomial when ``frm`` is the root.
+    """
+    if to.l < frm.l or to.k < frm.k:
+        raise UnreachableError("no path from %s to %s" % (frm, to))
+    n, k = frm.level, frm.k
+    nu, kappa = to.level, to.k
+    return q.q ** ((kappa - k) * (n - k)) * q_binomial(nu - n, kappa - k, q)
 
 
 def brute_force_weight_sum(
@@ -132,6 +311,37 @@ def brute_force_weight_sum(
     return sum((count * qq**e for e, count in exponent_counts.items()), Fraction(0))
 
 
+def backward_kernel(n: int, k: int, q: QParam) -> tuple[Fraction, Fraction]:
+    """One-step backward transition at (n, k).
+
+    Returns (p_stay, p_down): probability that the length-(n-1) prefix
+    kept k ones, respectively k-1 ones.  These depend only on (n, k, q),
+    not on the law: the one-step case of :func:`multistep_backward`.
+    """
+    if n < 1 or not 0 <= k <= n:
+        raise ValueError("need n >= 1 and 0 <= k <= n")
+    p_stay = multistep_backward(n - 1, k, n, k, q) if k < n else Fraction(0)
+    p_down = multistep_backward(n - 1, k - 1, n, k, q) if k else Fraction(0)
+    return p_stay, p_down
+
+
+def multistep_backward(
+    n: int, k: int, nu: int, kappa: int, q: QParam
+) -> Fraction:
+    """P(height k at level n | height kappa at level nu), for n <= nu: the
+    weight of the paths through (n, k) over the weight of all paths."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    if not 0 <= kappa <= nu:
+        raise ValueError("need 0 <= kappa <= nu")
+    if n > nu:
+        raise ValueError("need n <= nu")
+    if k > kappa or n - k > nu - kappa:
+        return Fraction(0)
+    through = segment_weight_sum(Vertex(n - k, k), Vertex(nu - kappa, kappa), q)
+    return through * q_binomial(n, k, q) / q_binomial(nu, kappa, q)
+
+
 def extreme_kernel(
     n: int, k: int, x, q: QParam
 ) -> tuple[Fraction, Fraction]:
@@ -152,6 +362,49 @@ def extreme_kernel(
         return Fraction(0), Fraction(0)
     value = q.q ** (-k * (n - k)) * xf ** (n - k) * prod
     return value, q_binomial(n, k, q) * value
+
+
+def first_column(array: VArray) -> tuple[Fraction, ...]:
+    return tuple(row[0] for row in array.rows)
+
+
+def moments_of(array: VArray) -> MomentSequence:
+    """First column of the triangle: u_l = v[l][0] = E[x^l]."""
+    return MomentSequence(first_column(array))
+
+
+def array_from_moments(u: MomentSequence, q: QParam) -> VArray:
+    """Rebuild the full triangle from its first column.
+
+    v[n][k] = (delta^k u)_{n-k}; the result satisfies the backward
+    recursion identically, so rebuilding the first column of a valid
+    triangle reproduces it exactly.
+    """
+    q.require_sub_unit("triangle rebuild")
+    depth = len(u.values) - 1
+    iterates = [u.values]
+    for _ in range(depth):
+        iterates.append(q_difference(iterates[-1], q))
+    rows = tuple(
+        tuple(iterates[k][n - k] for k in range(n + 1)) for n in range(depth + 1)
+    )
+    return VArray(q, rows)
+
+
+def all_words(n: int):
+    """Every 0/1 word of length n, in lexicographic order."""
+    guards.check_count((2**i for i in range(n + 1)), 2**MAX_WORD_LENGTH, "word law")
+    return (BinaryWord(bits) for bits in itertools.product((0, 1), repeat=n))
+
+
+def word_probability(array: VArray, word: BinaryWord) -> Fraction:
+    """Probability of ``word`` as a prefix under the law of ``array``."""
+    n = len(word)
+    if n > array.depth:
+        raise ValueError(
+            "word of length %d exceeds array depth %d" % (n, array.depth)
+        )
+    return array.q.q ** word.inversions() * array.rows[n][word.ones]
 
 
 def law_of_array(array: VArray, n: int) -> FiniteLaw:
@@ -256,6 +509,71 @@ def polya_forward_probs(params: PolyaParams, n: int, k: int):
     return p_zero, p_one
 
 
+def theta_boundary_measure(params: ThetaParams, kmax: int = 80) -> BoundaryMeasure:
+    """Mixing measure of the theta process (q-Poisson weights).
+
+    mass(kappa) proportional to q^(kappa(kappa-1)/2) theta^kappa / (q,q)_kappa,
+    normalized by (-theta, q)_inf.  The normalizer is replaced by its
+    certified rational upper bound, so atom masses never overshoot and
+    the complement assigned to zero_mass stays non-negative.
+    """
+    if params.infinite:
+        raise ValueError("theta must be finite for the mixing measure")
+    theta, q = params.theta, params.q
+    qq = q.q
+    _, z_hi = q_pochhammer_bounds(-theta, q)
+    atoms = {}
+    poch = Fraction(1)  # (q, q)_kappa
+    for kappa in range(kmax + 1):
+        term = qq ** (kappa * (kappa - 1) // 2) * theta**kappa / poch
+        atoms[kappa] = term / z_hi
+        poch *= 1 - qq ** (kappa + 1)
+    total = sum(atoms.values())
+    return BoundaryMeasure.of(q, atoms, 1 - total)
+
+
+def polya_boundary_measure(params: PolyaParams, kmax: int = 80) -> BoundaryMeasure:
+    """Mixing measure of the urn process (q-beta weights).
+
+    mass(kappa) = (q^a,q)_kappa q^(kappa b) / (q,q)_kappa
+                  * (q^b,q)_inf / (q^(a+b),q)_inf.
+
+    For a = 1 the infinite products cancel to (1 - q^b) and the measure
+    is computed exactly (geometric with parameter 1 - q^b).  Otherwise
+    the normalizing ratio is replaced by a certified rational lower
+    bound, so atoms never overshoot.  Non-integer strengths fall back to
+    floats with the same shape.
+    """
+    q = params.q
+    q.require_sub_unit("urn mixing measure")
+    a, b, qq = params.a, params.b, q.q
+    if params.float_mode:
+        a, b, qq = float(a), float(b), float(qq)
+        ratio = (
+            q_pochhammer_infinite(qq**b, q).value
+            / q_pochhammer_infinite(qq ** (a + b), q).value
+        )
+    elif a == 1:
+        base = qq**b
+        atoms = {kappa: (1 - base) * base**kappa for kappa in range(kmax + 1)}
+        return BoundaryMeasure.of(q, atoms, base ** (kmax + 1))
+    else:  # a certified lower bound of the ratio
+        n_lo, _ = q_pochhammer_bounds(qq**b, q)
+        _, d_hi = q_pochhammer_bounds(qq ** (a + b), q)
+        ratio = n_lo / d_hi
+    atoms = {}
+    poch_a = poch_q = 1  # (q^a, q)_kappa and (q, q)_kappa
+    for kappa in range(kmax + 1):
+        atoms[kappa] = Fraction(poch_a * qq ** (kappa * b) / poch_q * ratio)
+        poch_a *= 1 - qq ** (a + kappa)
+        poch_q *= 1 - qq ** (kappa + 1)
+    total = sum(atoms.values())
+    if params.float_mode and total > 1:  # float overshoot: rescale once, exactly
+        atoms = {kappa: m / total for kappa, m in atoms.items()}
+        total = Fraction(1)
+    return BoundaryMeasure.of(q, atoms, 1 - total)
+
+
 def tv_distance(
     counts: Mapping[int, int], trials: int, exact_level: Sequence[Fraction]
 ) -> Fraction:
@@ -267,6 +585,45 @@ def tv_distance(
         exact = exact_level[k] if k < len(exact_level) else Fraction(0)
         total += abs(empirical - exact)
     return total / 2
+
+
+def project_down(subspace: Subspace) -> Subspace:
+    """Intersect with the hyperplane (last coordinate 0) and drop that
+    coordinate: the backward step of the growth process."""
+    if subspace.ambient_dim == 0:
+        raise ValueError("nothing to project from ambient dimension 0")
+    field, n = subspace.field, subspace.ambient_dim
+    rows = [list(r) for r in subspace.basis]
+    carriers = [r for r in rows if r[-1]]
+    if carriers:
+        # the carrier with the last pivot: clearing the last column with
+        # it keeps the other rows in RREF, as no other row has that pivot
+        pivot_row = carriers[-1]
+        scale = field.inv(pivot_row[-1])
+        for r in rows:
+            if r is not pivot_row and r[-1]:
+                c = field.neg(field.mul(r[-1], scale))
+                r[:] = [field.add(e, field.mul(c, s)) for e, s in zip(r, pivot_row)]
+        rows.remove(pivot_row)
+    return Subspace(field, n - 1, tuple(tuple(r[:-1]) for r in rows))
+
+
+def list_extensions(subspace: Subspace) -> list[Subspace]:
+    """All subspaces of field^(n+1) meeting field^n in this one: the padded
+    copy plus q^(n-k) grown ones, refused above DEFAULT_SUBSPACE_LIMIT."""
+    field, n = subspace.field, subspace.ambient_dim
+    counts = (field.size**i for i in range(subspace.codim + 1))
+    guards.check_count(counts, DEFAULT_SUBSPACE_LIMIT, "extensions")
+    padded = tuple(row + (0,) for row in subspace.basis)
+    out = [Subspace(field, n + 1, padded)]
+    free_cols = [j for j in range(n) if j not in subspace.pivots]
+    for values in itertools.product(field.elements(), repeat=len(free_cols)):
+        xi = [0] * (n + 1)
+        for col, val in zip(free_cols, values):
+            xi[col] = val
+        xi[n] = 1
+        out.append(Subspace.spanned(field, n + 1, padded + (tuple(xi),)))
+    return out
 
 
 def exact_growth_law(

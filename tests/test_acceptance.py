@@ -24,8 +24,6 @@ from qpascal import (
     QParam,
     SplitMix64,
     ThetaParams,
-    UnreachableError,
-    Vertex,
     derive_seed,
     empirical_level_histogram,
     enumerate_grassmannian,
@@ -34,26 +32,28 @@ from qpascal import (
     codim_word,
     check_recursion,
     is_q_completely_monotone,
-    list_extensions,
     make_field,
     mixture_array,
-    moments_of,
     polya_array,
-    polya_boundary_measure,
     polya_chain,
     recover_measure,
-    segment_weight_sum,
     theta_array,
-    theta_boundary_measure,
     theta_chain,
     tilde_of_v,
 )
 
 from oracles import (
+    UnreachableError,
+    Vertex,
     brute_force_weight_sum,
     exact_growth_law,
     law_of_array,
+    list_extensions,
+    moments_of,
+    polya_boundary_measure,
     runs_law,
+    segment_weight_sum,
+    theta_boundary_measure,
     tv_distance,
 )
 

@@ -8,6 +8,7 @@ product formula, the urn's rising q-factorials, and the extreme kernel
 Phi of the paper (summed over atoms for a mixture).
 """
 
+import functools
 import math
 from fractions import Fraction as F
 
@@ -30,7 +31,12 @@ from qpascal import (
 from qpascal import boundary, processes
 from qpascal.processes import polya_chain, theta_chain
 
-from oracles import extreme_kernel, polya_forward_probs
+from oracles import (
+    extreme_kernel,
+    polya_boundary_measure,
+    polya_forward_probs,
+    theta_boundary_measure,
+)
 
 DEPTH = 30
 QS = [F(1, 2), F(2, 3), F(9, 10)]
@@ -116,6 +122,42 @@ def test_mixture_matches_kernel_sum(qq):
         for n in range(DEPTH + 1)
     )
     assert mixture_array(measure, DEPTH).rows == expected
+
+
+@functools.cache
+def measured_chain(params, kmax):
+    """A theta or urn process's chain and its mixing measure up to kmax."""
+    if isinstance(params, ThetaParams):
+        return theta_chain(params), theta_boundary_measure(params, kmax)
+    return polya_chain(params), polya_boundary_measure(params, kmax)
+
+
+@pytest.mark.parametrize("kmax", [40, 60])
+@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("qq", [F(1, 2), F(2, 3)])
+@pytest.mark.parametrize(
+    "family, args",
+    [(ThetaParams, (F(1, 3),)), (ThetaParams, (F(2),)),
+     (PolyaParams, (1, 2)), (PolyaParams, (3, 2))],
+    ids=["theta-1/3", "theta-2", "urn-1-2", "urn-3-2"],
+)
+def test_level_law_is_the_mixture_of_extreme_levels(family, args, qq, n, kmax):
+    """The paper's theorem for the theta and urn processes: the level law
+    after n letters is the mixture of the extreme level laws under the
+    process's mixing measure.  The measure keeps the mass it truncates in
+    zero_mass, put here on the all-ones level, so the two laws differ by
+    at most zero_mass in total variation.  The urn with a = 1 has a closed
+    form measure, the one with a = 3 a certified bound."""
+    q = QParam(qq)
+    chain, measure = measured_chain(family(*args, q), kmax)
+    assert measure.zero_mass < F(1, 10**9)
+    mixed = [F(0)] * (n + 1)
+    for kappa, mass in measure.atoms:
+        for k, p in enumerate(extreme_chain(kappa, q).level(n)):
+            mixed[k] += mass * p
+    mixed[n] += measure.zero_mass
+    tv = sum(abs(a - b) for a, b in zip(chain.level(n), mixed)) / 2
+    assert tv <= measure.zero_mass
 
 
 class TestPOneMemos:

@@ -11,21 +11,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from qpascal import (
-    QParam,
-    make_field,
+from qpascal import QParam, make_field
+from qpascal.processes import PolyaParams, ThetaParams, polya_chain
+
+from oracles import (
+    extreme_kernel,
+    polya_boundary_measure,
+    polya_forward_probs,
+    q_factorial,
     q_pochhammer_bounds,
     q_pochhammer_infinite,
-)
-from qpascal.processes import (
-    PolyaParams,
-    ThetaParams,
-    polya_boundary_measure,
-    polya_chain,
     theta_boundary_measure,
 )
-
-from oracles import extreme_kernel, polya_forward_probs, q_factorial
 
 
 def sha256(text):

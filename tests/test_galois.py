@@ -25,17 +25,20 @@ from qpascal import (
     growth_q_param,
     is_irreducible,
     is_prime,
-    list_extensions,
     make_field,
-    project_down,
     q_binomial,
     rref_canonicalize,
     sample_growth,
 )
 from qpascal import galois
-from qpascal.laws import all_words
 
-from oracles import exact_growth_law, path_weight
+from oracles import (
+    all_words,
+    exact_growth_law,
+    list_extensions,
+    path_weight,
+    project_down,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -77,6 +80,19 @@ class TestFieldConstruction:
         with pytest.raises(FieldConstructionError,
                            match=r"coefficient %d is outside \[0, %d\)" % (bad, p)):
             FieldSpec(p, m, modulus)
+
+    @pytest.mark.parametrize("p, modulus", [(2, (0.5, 1)), (3, ("2", 1)), (2, (True, 1))],
+                             ids=["float", "string", "bool"])
+    def test_modulus_entries_are_integers(self, p, modulus):
+        # int() once read these as x over GF(2), x + 2 over GF(3) and x + 1
+        with pytest.raises(TypeError, match="a count must be an integer"):
+            make_field(p, 1, modulus)
+
+    def test_rejects_bool_order(self):
+        with pytest.raises(FieldConstructionError, match="extension degree"):
+            FieldSpec(2, True, (0, 1))
+        with pytest.raises(NotPrimeError):
+            FieldSpec(True, 1, (0, 1))
 
     def test_rejects_reducible_modulus(self):
         with pytest.raises(NotIrreducibleError):

@@ -11,21 +11,24 @@ from fractions import Fraction as F
 import pytest
 
 from qpascal import (
-    ROOT,
     FiniteLaw,
     QParam,
     Subspace,
     TooLargeError,
-    Vertex,
     enumerate_grassmannian,
-    list_extensions,
     make_field,
 )
 from qpascal import exactq, galois
 from qpascal.guards import ENV_VAR, check_count
-from qpascal.laws import all_words
 
-from oracles import brute_force_weight_sum, exact_growth_law
+from oracles import (
+    ROOT,
+    Vertex,
+    all_words,
+    brute_force_weight_sum,
+    exact_growth_law,
+    list_extensions,
+)
 
 HALF = QParam(F(1, 2))
 F2 = make_field(2)

@@ -12,22 +12,29 @@ from qpascal import (
     TildeArray,
     TooLargeError,
     VArray,
-    backward_kernel,
     check_q_exchangeable,
     check_recursion,
     extreme_array,
     flip_reduction,
-    multistep_backward,
     q_integer,
     theta_array,
     tilde_of_v,
-    word_probability,
 )
 from qpascal.guards import ENV_VAR
-from qpascal.laws import all_words
 from qpascal.processes import ThetaParams
 
-from oracles import RunEncoding, law_of_array, runs_to_word, v_of_tilde, word_to_runs
+from oracles import (
+    RunEncoding,
+    all_words,
+    backward_kernel,
+    first_column,
+    law_of_array,
+    multistep_backward,
+    runs_to_word,
+    v_of_tilde,
+    word_probability,
+    word_to_runs,
+)
 
 HALF = QParam(F(1, 2))
 TWO = QParam(F(2))
@@ -58,7 +65,7 @@ class TestVArray:
     def test_first_column(self):
         # all-zero prefixes of the extreme law: x^n at x = q^kappa
         arr = extreme_array(1, HALF, 3)
-        assert arr.first_column == (F(1), F(1, 2), F(1, 4), F(1, 8))
+        assert first_column(arr) == (F(1), F(1, 2), F(1, 4), F(1, 8))
 
 
 class TestRecursion:

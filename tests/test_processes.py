@@ -19,14 +19,11 @@ from qpascal import (
     extreme_chain,
     extreme_runs_sampler,
     polya_array,
-    polya_boundary_measure,
     polya_chain,
     mixture_array,
     theta_array,
-    theta_boundary_measure,
     theta_chain,
     tilde_of_v,
-    word_probability,
 )
 from qpascal.rng import (
     bernoulli_threshold,
@@ -34,7 +31,15 @@ from qpascal.rng import (
     uniform_below,
 )
 
-from oracles import geometric_scan, polya_forward_probs, runs_law, tv_distance
+from oracles import (
+    geometric_scan,
+    polya_boundary_measure,
+    polya_forward_probs,
+    runs_law,
+    theta_boundary_measure,
+    tv_distance,
+    word_probability,
+)
 
 HALF = QParam(F(1, 2))
 
