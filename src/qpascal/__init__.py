@@ -26,7 +26,6 @@ from .boundary import (
     extreme_chain,
     is_q_completely_monotone,
     mixture_array,
-    q_difference,
     recover_measure,
 )
 from .errors import (

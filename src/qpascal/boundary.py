@@ -16,7 +16,10 @@ triangle through the modified difference operator
 
 namely v[n][k] = (delta^k u)_{n-k}.  The triangle is non-negative
 exactly when u is "q-completely monotone" over the available window;
-for finite data this is necessarily a truncated check.
+for finite data this is necessarily a truncated check.  It reads only
+signs, so it runs on integers, fraction-free: the window is scaled once
+by the lcm of its denominators and each iterate is kept over one power
+of q's numerator, with no gcd per step.
 
 The zero boundary point is passed as ``kappa = math.inf`` throughout.
 """
@@ -27,11 +30,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import InvalidArrayError
 from .exactq import (
     QParam,
+    _over_lcm,
+    _powers,
     as_fraction,
     format_rational,
     q_binomial,
@@ -188,15 +193,6 @@ def recover_measure(array: VArray, nu: int = 40, kmax: int = 12) -> BoundaryMeas
     return BoundaryMeasure.of(array.q, atoms, 1 - total)
 
 
-def q_difference(u: Sequence[Fraction], q: QParam) -> tuple[Fraction, ...]:
-    """One application of (delta u)_l = q^(-l) (u_l - u_{l+1})."""
-    q.require_sub_unit("q-difference")
-    qq = q.q
-    return tuple(
-        (u[l] - u[l + 1]) / qq**l for l in range(len(u) - 1)
-    )
-
-
 def is_q_completely_monotone(
     u: MomentSequence, q: QParam, depth: int | None = None
 ) -> Check:
@@ -206,18 +202,29 @@ def is_q_completely_monotone(
     far as the window allows) and reports the first negative entry as
     (iterate, index).  Non-negativity of all iterates over the window
     is the exact triangular criterion available from finite data.
+
+    Integers only: with q = a/b in lowest terms, the window is scaled by
+    the lcm of its denominators, and each iterate X is kept over one
+    power of a.  An iterate of length m + 2 steps to
+    X'[l] = (X[l] - X[l+1]) b^l a^(m-l), a positive multiple of the next
+    iterate, so it has the same signs.
     """
     q.require_sub_unit("monotonicity check")
-    current = u.values
-    max_depth = len(current) - 1
+    max_depth = len(u.values) - 1
     if depth is None:
         depth = max_depth
     if not 0 <= depth <= max_depth:
         raise ValueError("depth must lie in [0, %d]" % max_depth)
+    a, b = q.q.numerator, q.q.denominator
+    a_pow, b_pow = _powers(a, max_depth), _powers(b, max_depth)
+    _, current = _over_lcm(u.values)
     for it in range(depth + 1):
-        for idx, value in enumerate(current):
-            if value < 0:
-                return Check(False, (it, idx))
+        if min(current) < 0:
+            return Check(False, (it, next(i for i, x in enumerate(current) if x < 0)))
         if it < depth:
-            current = q_difference(current, q)
+            m = len(current) - 2
+            current = [
+                (current[l] - current[l + 1]) * b_pow[l] * a_pow[m - l]
+                for l in range(m + 1)
+            ]
     return Check(True, None)

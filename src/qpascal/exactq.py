@@ -16,11 +16,15 @@ used by every JSON and CSV surface of the package.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RegimeError
+
+# the exponent of a decimal literal as Fraction reads it, trailing space included
+_EXPONENT = re.compile(r"([+-]?\d+(?:_\d+)*)\s*")
 
 
 def as_fraction(value) -> Fraction:
@@ -31,7 +35,8 @@ def as_fraction(value) -> Fraction:
     captures the binary approximation, not the decimal the caller meant.
     A decimal exponent beyond the int-to-str digit limit, after a mantissa
     with a digit, is refused before 10**exponent is built: such a number
-    could not be printed back.
+    could not be printed back.  Only an exponent that Fraction's grammar
+    admits is read, so any other is Fraction's "Invalid literal".
     """
     if isinstance(value, Fraction):
         return value
@@ -43,9 +48,9 @@ def as_fraction(value) -> Fraction:
         mantissa, _, exponent = value.lower().partition("e")
         bound = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
         if bound and any(c.isdecimal() for c in mantissa):
-            exponent = exponent.replace("_", "").strip()
-            digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
-            if digits.isdecimal() and abs(int(exponent)) > bound:
+            read = _EXPONENT.fullmatch(exponent)
+            if read and abs(int(read[1])) > bound:
+                exponent = read[1].replace("_", "")
                 raise ValueError("decimal exponent %s exceeds %d in size" % (exponent, bound))
     try:
         if isinstance(value, str):
@@ -138,16 +143,35 @@ def gaussian_rows(depth: int, q: QParam):
     lowest terms a cell is G / b^(k(n-k)), where the integer G(n, k) =
     b^(n-k) G(n-1, k-1) + a^k G(n-1, k) is a^(k(n-k)) mod b: coprime to b."""
     a, b = q.q.numerator, q.q.denominator
-    a_pow = [a**k for k in range(depth + 1)]
-    b_pow = [1]
-    for _ in range(depth * depth // 4):
-        b_pow.append(b_pow[-1] * b)
+    a_pow = _powers(a, depth)
+    b_pow = _powers(b, depth * depth // 4)
     row = [1]
     for n in range(depth + 1):
         if n:
             inner = (b_pow[n - k] * row[k - 1] + a_pow[k] * row[k] for k in range(1, n))
             row = [1, *inner, 1]
         yield [_coprime(g, b_pow[k * (n - k)]) for k, g in enumerate(row)]
+
+
+def _over_lcm(values) -> tuple[int, list[int]]:
+    """(D, [x * D for x in values]) for D the lcm of the denominators: the
+    values as integers over one positive denominator, each with its sign.
+    Denominators that divide the running D, as most do in a real row,
+    cost one remainder and no gcd."""
+    lcm = 1
+    for x in values:
+        d = x.denominator
+        if lcm % d:
+            lcm = lcm // math.gcd(lcm, d) * d
+    return lcm, [x.numerator * (lcm // x.denominator) for x in values]
+
+
+def _powers(base: int, top: int) -> list[int]:
+    """[base**0, ..., base**top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
 
 
 def _coprime(top: int, bottom: int) -> Fraction:

@@ -12,11 +12,14 @@ The defining consistency condition on v is the backward recursion
 
     v[n][k] = v[n+1][k] + q^(n-k) * v[n+1][k+1],        v[0][0] = 1,
 
-checked exactly by :func:`check_recursion`.
+checked exactly by :func:`check_recursion`.  A check needs only signs
+and equalities, so it runs on integers: each row is scaled by the lcm of
+its denominators, and no cell is normalised by a gcd.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
@@ -24,6 +27,8 @@ from typing import Callable, Mapping, NamedTuple
 from .errors import InvalidArrayError
 from .exactq import (
     QParam,
+    _over_lcm,
+    _powers,
     as_count,
     as_fraction,
     format_rational,
@@ -135,22 +140,39 @@ class Check(NamedTuple):
 
 def check_recursion(array: VArray) -> Check:
     """Exact check of v[0][0] = 1, non-negativity, and the recursion; the
-    witness is the first offending (n, k)."""
-    qq = array.q.q
+    witness is the first offending (n, k).
+
+    Integers only: with q = a/b in lowest terms, row n is N_n / D_n for
+    D_n the lcm of its denominators, and with g = gcd(D_n, D_{n+1}) and
+    j = n - k the recursion at (n, k) reads
+    N_n[k] (D_{n+1}/g) b^j = (N_{n+1}[k] b^j + a^j N_{n+1}[k+1]) (D_n/g).
+    """
     rows = array.rows
     if rows[0][0] != 1:
         return Check(False, (0, 0))
     depth = array.depth
-    power = [qq**j for j in range(depth + 1)]  # q^(n-k)
-    for n in range(depth + 1):
-        for k in range(n + 1):
-            if rows[n][k] < 0:
-                return Check(False, (n, k))
-            if n < depth:
-                expected = rows[n + 1][k] + power[n - k] * rows[n + 1][k + 1]
-                if rows[n][k] != expected:
-                    return Check(False, (n, k))
-    return Check(True, None)
+    a, b = array.q.q.numerator, array.q.q.denominator
+    a_pow, b_pow = _powers(a, depth), _powers(b, depth)
+    lcm, row = _over_lcm(rows[0])
+    for n in range(depth):
+        lcm_next, below = _over_lcm(rows[n + 1])
+        g = math.gcd(lcm, lcm_next)
+        left, right = lcm_next // g, lcm // g
+        bad = next(
+            (
+                k
+                for k, x in enumerate(row)
+                if x < 0
+                or x * left * b_pow[n - k]
+                != (below[k] * b_pow[n - k] + a_pow[n - k] * below[k + 1]) * right
+            ),
+            None,
+        )
+        if bad is not None:
+            return Check(False, (n, bad))
+        lcm, row = lcm_next, below
+    bad = next((k for k, x in enumerate(row) if x < 0), None)
+    return Check(True, None) if bad is None else Check(False, (depth, bad))
 
 
 def tilde_of_v(array: VArray) -> TildeArray:

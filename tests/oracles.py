@@ -18,8 +18,11 @@ the package:
     backward_kernel, multistep_backward
                              the law of an earlier height given a later one
     extreme_kernel           the closed-form kernel Phi[n][k](x)
-    first_column, moments_of, array_from_moments
+    first_column, moments_of, array_from_moments, q_difference
                              the moment view of a triangle
+    check_recursion_fractions, is_q_completely_monotone_fractions
+                             the package's two checks in Fraction
+                             arithmetic, one normalised value per step
     all_words                every word of one length
     word_probability         a word's probability under a triangle
     law_of_array             a triangle's law on words of one length
@@ -67,11 +70,11 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from qpascal import guards
-from qpascal.boundary import BoundaryMeasure, MomentSequence, extreme_chain, q_difference
+from qpascal.boundary import BoundaryMeasure, MomentSequence, extreme_chain
 from qpascal.errors import QPascalError, RegimeError
 from qpascal.exactq import QParam, as_fraction, q_binomial, q_integer
 from qpascal.galois import DEFAULT_SUBSPACE_LIMIT, FieldSpec, Subspace, growth_q_param
-from qpascal.laws import MAX_WORD_LENGTH, FiniteLaw, TildeArray, VArray
+from qpascal.laws import MAX_WORD_LENGTH, Check, FiniteLaw, TildeArray, VArray
 from qpascal.pascal_graph import BinaryWord
 from qpascal.processes import PolyaParams, ThetaParams, extreme_runs_sampler
 
@@ -371,6 +374,61 @@ def first_column(array: VArray) -> tuple[Fraction, ...]:
 def moments_of(array: VArray) -> MomentSequence:
     """First column of the triangle: u_l = v[l][0] = E[x^l]."""
     return MomentSequence(first_column(array))
+
+
+def q_difference(u: Sequence[Fraction], q: QParam) -> tuple[Fraction, ...]:
+    """One application of (delta u)_l = q^(-l) (u_l - u_{l+1})."""
+    q.require_sub_unit("q-difference")
+    qq = q.q
+    return tuple(
+        (u[l] - u[l + 1]) / qq**l for l in range(len(u) - 1)
+    )
+
+
+def is_q_completely_monotone_fractions(
+    u: MomentSequence, q: QParam, depth: int | None = None
+) -> Check:
+    """Truncated q-complete monotonicity check.
+
+    Applies the difference operator up to ``depth`` times (default: as
+    far as the window allows) and reports the first negative entry as
+    (iterate, index).  Non-negativity of all iterates over the window
+    is the exact triangular criterion available from finite data.
+    """
+    q.require_sub_unit("monotonicity check")
+    current = u.values
+    max_depth = len(current) - 1
+    if depth is None:
+        depth = max_depth
+    if not 0 <= depth <= max_depth:
+        raise ValueError("depth must lie in [0, %d]" % max_depth)
+    for it in range(depth + 1):
+        for idx, value in enumerate(current):
+            if value < 0:
+                return Check(False, (it, idx))
+        if it < depth:
+            current = q_difference(current, q)
+    return Check(True, None)
+
+
+def check_recursion_fractions(array: VArray) -> Check:
+    """Exact check of v[0][0] = 1, non-negativity, and the recursion; the
+    witness is the first offending (n, k)."""
+    qq = array.q.q
+    rows = array.rows
+    if rows[0][0] != 1:
+        return Check(False, (0, 0))
+    depth = array.depth
+    power = [qq**j for j in range(depth + 1)]  # q^(n-k)
+    for n in range(depth + 1):
+        for k in range(n + 1):
+            if rows[n][k] < 0:
+                return Check(False, (n, k))
+            if n < depth:
+                expected = rows[n + 1][k] + power[n - k] * rows[n + 1][k + 1]
+                if rows[n][k] != expected:
+                    return Check(False, (n, k))
+    return Check(True, None)
 
 
 def array_from_moments(u: MomentSequence, q: QParam) -> VArray:

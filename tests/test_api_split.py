@@ -39,6 +39,8 @@ def test_moved_accessors_are_gone():
     assert not hasattr(qpascal.BinaryWord, "endpoint")
     assert not hasattr(qpascal.BinaryWord, "zeros")
     assert not hasattr(qpascal.VArray, "first_column")
+    assert not hasattr(qpascal, "q_difference")
+    assert not hasattr(qpascal.boundary, "q_difference")
 
 
 def _formula_imports(source: str) -> set[str]:

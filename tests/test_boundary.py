@@ -14,14 +14,19 @@ from qpascal import (
     is_q_completely_monotone,
     mixture_array,
     polya_array,
-    q_difference,
     recover_measure,
     theta_array,
     tilde_of_v,
 )
 from qpascal.processes import PolyaParams, ThetaParams, extreme_runs_sampler
 
-from oracles import array_from_moments, extreme_kernel, first_column, moments_of
+from oracles import (
+    array_from_moments,
+    extreme_kernel,
+    first_column,
+    moments_of,
+    q_difference,
+)
 
 HALF = QParam(F(1, 2))
 HALF_MIX = BoundaryMeasure.of(HALF, {0: F(1, 2), 1: F(1, 2)})

@@ -213,13 +213,22 @@ class TestReader:
     @example("e" + "7" * 4301)
     @example("0e++0")
     @example("1e--2")
+    @example("1e 9999")
+    @example("1e_9999")
+    @example("1e+_9999")
+    @example("1e9_999")
+    @example("1e9999 ")
     def test_strings_read_as_fraction_reads_them(self, text):
         got = _outcome(as_fraction, text)
         mantissa, e, exponent = text.lower().partition("e")
-        exponent = exponent.replace("_", "").strip()
+        # Fraction's exponent: one optional sign, then digit runs joined by
+        # single underscores, then optional trailing whitespace
+        exponent = exponent.rstrip()
         if exponent[:1] in ("+", "-"):
             exponent = exponent[1:]
-        if e and any(c.isdecimal() for c in mantissa) and exponent.isdecimal():
+        runs = exponent.split("_")
+        exponent = "".join(runs)
+        if e and any(c.isdecimal() for c in mantissa) and all(r.isdecimal() for r in runs):
             # after a mantissa, a decimal exponent beyond the limit is refused
             # before Fraction would build 10**exponent; int() refuses one too
             # long to read
