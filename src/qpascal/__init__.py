@@ -43,6 +43,7 @@ from .exactq import (
     QParam,
     as_count,
     as_fraction,
+    as_pair,
     format_rational,
     parse_rational,
     q_binomial,
@@ -63,10 +64,12 @@ from .galois import (
 from .laws import (
     FiniteLaw,
     ForwardChain,
+    PairTriangle,
     TildeArray,
     VArray,
     check_q_exchangeable,
     check_recursion,
+    read_triangle,
     tilde_of_v,
 )
 from .pascal_graph import BinaryWord, flip_reduction

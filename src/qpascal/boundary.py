@@ -41,7 +41,7 @@ from .exactq import (
     format_rational,
     q_binomial,
 )
-from .laws import Check, ForwardChain, VArray
+from .laws import Check, ForwardChain, PairTriangle, VArray, _pairs
 
 ZERO_POINT = math.inf  # boundary point x = 0, "kappa = infinity"
 
@@ -172,25 +172,32 @@ def mixture_array(measure: BoundaryMeasure, depth: int) -> VArray:
     return VArray(measure.q, rows)
 
 
-def recover_measure(array: VArray, nu: int = 40, kmax: int = 12) -> BoundaryMeasure:
+def recover_measure(
+    array: VArray | PairTriangle, nu: int = 40, kmax: int = 12
+) -> BoundaryMeasure:
     """Read the mixing measure off level ``nu`` of the tilde triangle.
 
     The mass at q^kappa is tv[nu][kappa] = d[nu][kappa] * v[nu][kappa]
     for each kappa <= kmax; the remainder (deep-level mass above kmax)
     is assigned to the zero point.  Accuracy improves geometrically in
-    nu - kmax.
+    nu - kmax.  Of a file's triangle, only those kmax + 1 cells become
+    Fractions.
     """
-    array.q.require_sub_unit("measure recovery")
+    q, rows = _pairs(array)
+    q.require_sub_unit("measure recovery")
     if not 0 <= kmax <= nu:
         raise ValueError("need 0 <= kmax <= nu")
-    if nu > array.depth:
-        raise ValueError("nu = %d exceeds array depth %d" % (nu, array.depth))
-    q, row = array.q, array.rows[nu]
-    atoms = {kappa: q_binomial(nu, kappa, q) * row[kappa] for kappa in range(kmax + 1)}
+    if nu >= len(rows):
+        raise ValueError("nu = %d exceeds array depth %d" % (nu, len(rows) - 1))
+    row = rows[nu]
+    atoms = {
+        kappa: q_binomial(nu, kappa, q) * Fraction(*row[kappa])
+        for kappa in range(kmax + 1)
+    }
     total = sum(atoms.values())
     if total > 1:
         raise InvalidArrayError("level %d carries more than unit mass" % nu)
-    return BoundaryMeasure.of(array.q, atoms, 1 - total)
+    return BoundaryMeasure.of(q, atoms, 1 - total)
 
 
 def is_q_completely_monotone(
@@ -217,7 +224,7 @@ def is_q_completely_monotone(
         raise ValueError("depth must lie in [0, %d]" % max_depth)
     a, b = q.q.numerator, q.q.denominator
     a_pow, b_pow = _powers(a, max_depth), _powers(b, max_depth)
-    _, current = _over_lcm(u.values)
+    _, current = _over_lcm([(x.numerator, x.denominator) for x in u.values])
     for it in range(depth + 1):
         if min(current) < 0:
             return Check(False, (it, next(i for i, x in enumerate(current) if x < 0)))

@@ -59,6 +59,7 @@ from .laws import (
     VArray,
     check_q_exchangeable,
     check_recursion,
+    read_triangle,
     tilde_of_v,
 )
 from .pascal_graph import BinaryWord, flip_reduction
@@ -305,8 +306,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    array = _read(args.input, "triangle", VArray.from_jsonable)
-    measure = recover_measure(array, nu=args.nu, kmax=args.kmax)
+    triangle = _read(args.input, "triangle", read_triangle)
+    measure = recover_measure(triangle, nu=args.nu, kmax=args.kmax)
     payload = {"nu": args.nu, "kmax": args.kmax, "measure": measure.to_jsonable()}
     _emit(args, _dumps(payload))
     return 0
@@ -317,7 +318,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.kind == "recursion":
-        result = check_recursion(_read(args.input, "triangle", VArray.from_jsonable))
+        result = check_recursion(_read(args.input, "triangle", read_triangle))
         witness = None if result.ok else {"n": result.witness[0], "k": result.witness[1]}
         payload = {"kind": args.kind, "ok": result.ok, "witness": witness}
         _emit(args, _dumps(payload))
@@ -391,7 +392,7 @@ def _cmd_flip(args) -> int:
         _emit(args, _dumps(payload))
         return 0
     flipped, q_new = flip_reduction(
-        _read(args.input, "triangle", VArray.from_jsonable),
+        _read(args.input, "triangle", read_triangle),
         QParam(args.q) if args.q else None,
     )
     payload = flipped.to_jsonable()

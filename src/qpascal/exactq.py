@@ -8,9 +8,10 @@ with 1 and raise :class:`~qpascal.errors.RegimeError`.
 
 Rationals serialize as canonical strings ("3/4", "2", "0") via
 :func:`format_rational`, and every reader turns text or a JSON integer
-back into a Fraction through :func:`as_fraction` alone, and a count
-field into an int through :func:`as_count`; this is the wire format
-used by every JSON and CSV surface of the package.
+back into a number through :func:`as_pair` alone (as an integer pair,
+or a Fraction by :func:`as_fraction`), and a count field into an int
+through :func:`as_count`; this is the wire format used by every JSON
+and CSV surface of the package.
 """
 
 from __future__ import annotations
@@ -23,47 +24,63 @@ from fractions import Fraction
 
 from .errors import RegimeError
 
-# the exponent of a decimal literal as Fraction reads it, trailing space included
-_EXPONENT = re.compile(r"([+-]?\d+(?:_\d+)*)\s*")
+# a decimal literal with an exponent, in the whole grammar of Fraction's
+# string reader; group 1 is the exponent
+_DECIMAL = re.compile(
+    r"\s*[+-]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d+(?:_\d+)*)?)?"
+    r"[eE]([+-]?\d+(?:_\d+)*)\s*"
+)
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints and strings to Fraction, return a Fraction as it is;
-    reject floats and bools.
+def as_pair(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact number, denominator > 0 and the
+    pair not reduced: "6/8" reads as (6, 8), with no gcd.  The one reader
+    of the wire format's rationals; :func:`as_fraction` reduces its pair.
 
-    Floats are refused on exact surfaces because Fraction(0.1) silently
-    captures the binary approximation, not the decimal the caller meant.
-    A decimal exponent beyond the int-to-str digit limit, after a mantissa
-    with a digit, is refused before 10**exponent is built: such a number
-    could not be printed back.  Only an exponent that Fraction's grammar
-    admits is read, so any other is Fraction's "Invalid literal".
+    Ints, strings and Fractions are read; floats and bools are refused,
+    because Fraction(0.1) silently captures the binary approximation, not
+    the decimal the caller meant.  A decimal exponent beyond the int-to-str
+    digit limit is refused before 10**exponent is built, as such a number
+    could not be printed back; the bound applies only to a literal that
+    Fraction's grammar admits, so any other is Fraction's "Invalid literal".
     """
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, (bool, float)):
         raise TypeError(
             "exact interfaces take Fraction, int or string, not %r" % (value,)
         )
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        mantissa, _, exponent = value.lower().partition("e")
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str):
+        # a plain [+-]digits[/digits] skips Fraction's regex; int() reads
+        # the digit runs Fraction would, with the same limits and messages
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isdecimal() and (den.isdecimal() or not slash):
+            top = -int(digits) if num[0] == "-" else int(digits)
+            bottom = int(den or 1)
+            if not bottom:
+                raise ValueError("zero denominator in %r" % (value,))
+            return top, bottom
         bound = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-        if bound and any(c.isdecimal() for c in mantissa):
-            read = _EXPONENT.fullmatch(exponent)
-            if read and abs(int(read[1])) > bound:
-                exponent = read[1].replace("_", "")
-                raise ValueError("decimal exponent %s exceeds %d in size" % (exponent, bound))
+        read = bound and _DECIMAL.fullmatch(value)
+        if read and abs(int(read[1])) > bound:
+            exponent = read[1].replace("_", "")
+            raise ValueError("decimal exponent %s exceeds %d in size" % (exponent, bound))
     try:
-        if isinstance(value, str):
-            # a plain [+-]digits[/digits] skips Fraction's regex; int() reads
-            # the digit runs Fraction would, with the same limits and messages
-            num, slash, den = value.partition("/")
-            digits = num[1:] if num[:1] in ("+", "-") else num
-            if digits.isdecimal() and (den.isdecimal() or not slash):
-                top = -int(digits) if num[0] == "-" else int(digits)
-                return Fraction(top, int(den or 1))
-        return Fraction(value)
+        out = Fraction(value)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (value,)) from None
+    return out.numerator, out.denominator
+
+
+def as_fraction(value) -> Fraction:
+    """An int or string as a Fraction, read by :func:`as_pair`; a Fraction
+    as it is."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*as_pair(value))
 
 
 def as_count(value) -> int:
@@ -153,17 +170,16 @@ def gaussian_rows(depth: int, q: QParam):
         yield [_coprime(g, b_pow[k * (n - k)]) for k, g in enumerate(row)]
 
 
-def _over_lcm(values) -> tuple[int, list[int]]:
-    """(D, [x * D for x in values]) for D the lcm of the denominators: the
-    values as integers over one positive denominator, each with its sign.
-    Denominators that divide the running D, as most do in a real row,
-    cost one remainder and no gcd."""
+def _over_lcm(pairs) -> tuple[int, list[int]]:
+    """(D, [n * D / d for n, d in pairs]) for D the lcm of the denominators
+    d > 0: the values as integers over one positive denominator, each with
+    its sign.  Denominators that divide the running D, as most do in a real
+    row, cost one remainder and no gcd."""
     lcm = 1
-    for x in values:
-        d = x.denominator
+    for _, d in pairs:
         if lcm % d:
             lcm = lcm // math.gcd(lcm, d) * d
-    return lcm, [x.numerator * (lcm // x.denominator) for x in values]
+    return lcm, [n * (lcm // d) for n, d in pairs]
 
 
 def _powers(base: int, top: int) -> list[int]:

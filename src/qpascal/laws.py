@@ -14,7 +14,11 @@ The defining consistency condition on v is the backward recursion
 
 checked exactly by :func:`check_recursion`.  A check needs only signs
 and equalities, so it runs on integers: each row is scaled by the lcm of
-its denominators, and no cell is normalised by a gcd.
+its denominators, and no cell is normalised by a gcd.  The triangle file
+format has one reader, :func:`read_triangle`, which keeps each cell as
+the integer pair it was written in (a :class:`PairTriangle`); the check,
+the recovery and the flip each have one body over such pairs, and take a
+VArray as the pairs of its cells.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidArrayError
@@ -31,6 +36,7 @@ from .exactq import (
     _powers,
     as_count,
     as_fraction,
+    as_pair,
     format_rational,
     gaussian_rows,
 )
@@ -45,12 +51,14 @@ MAX_WORD_LENGTH = 20  # default cap for whole-law enumerations
 Sampler = Callable[[int, SplitMix64], BinaryWord]
 
 
-def _coerce_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
+def _rows(rows, cell) -> tuple[tuple, ...]:
+    """A triangle's rows with each cell read by ``cell``: a list of rows,
+    each a list of cells, and n + 1 cells in row n."""
     if not isinstance(rows, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) for row in rows
     ):
         raise TypeError("a triangle is a list of rows, each a list of cells")
-    out = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+    out = tuple(tuple(map(cell, row)) for row in rows)
     if not out:
         raise InvalidArrayError("array needs at least the root row")
     for n, row in enumerate(out):
@@ -59,6 +67,41 @@ def _coerce_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
                 "row %d must have %d entries, got %d" % (n, n + 1, len(row))
             )
     return out
+
+
+class PairTriangle(NamedTuple):
+    """A triangle as its file is written: q, and rows of integer pairs
+    (numerator, denominator > 0), reduced or not."""
+
+    q: QParam
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def read_triangle(obj: Mapping, key: str = "v") -> PairTriangle:
+    """The triangle file format's one reader: each cell an integer pair
+    from :func:`as_pair`, with no gcd.  It reads q, then the rows under
+    ``key`` (their shape, every cell, their lengths), then the declared
+    depth."""
+    q = QParam(obj["q"])
+    rows = _rows(obj[key], as_pair)
+    if "depth" in obj and as_count(obj["depth"]) != len(rows) - 1:
+        raise InvalidArrayError(
+            "declared depth %s does not match %d rows" % (obj["depth"], len(rows))
+        )
+    return PairTriangle(q, rows)
+
+
+def _from_wire(cls, obj: Mapping, key: str):
+    q, rows = read_triangle(obj, key)
+    return cls(q, [list(starmap(Fraction, row)) for row in rows])
+
+
+def _pairs(array) -> PairTriangle:
+    """A VArray's cells as integer pairs; a PairTriangle as it is."""
+    if isinstance(array, PairTriangle):
+        return array
+    rows = tuple(tuple((x.numerator, x.denominator) for x in row) for row in array.rows)
+    return PairTriangle(array.q, rows)
 
 
 def _to_wire(array, key: str) -> dict:
@@ -70,15 +113,6 @@ def _to_wire(array, key: str) -> dict:
     }
 
 
-def _from_wire(cls, obj: Mapping, key: str):
-    arr = cls(QParam(obj["q"]), obj[key])
-    if "depth" in obj and as_count(obj["depth"]) != arr.depth:
-        raise InvalidArrayError(
-            "declared depth %s does not match %d rows" % (obj["depth"], arr.depth + 1)
-        )
-    return arr
-
-
 @dataclass(frozen=True)
 class VArray:
     """Canonical-word probability triangle of a q-exchangeable law."""
@@ -87,7 +121,7 @@ class VArray:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _coerce_rows(self.rows))
+        object.__setattr__(self, "rows", _rows(self.rows, as_fraction))
 
     @property
     def depth(self) -> int:
@@ -109,7 +143,7 @@ class TildeArray:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = _coerce_rows(self.rows)
+        rows = _rows(self.rows, as_fraction)
         object.__setattr__(self, "rows", rows)
         for n, row in enumerate(rows):
             if any(x < 0 for x in row):
@@ -138,20 +172,22 @@ class Check(NamedTuple):
     witness: tuple | None
 
 
-def check_recursion(array: VArray) -> Check:
+def check_recursion(array: VArray | PairTriangle) -> Check:
     """Exact check of v[0][0] = 1, non-negativity, and the recursion; the
-    witness is the first offending (n, k).
+    witness is the first offending (n, k).  A VArray is checked on its
+    cells' integer pairs, a file's triangle on the pairs as written.
 
     Integers only: with q = a/b in lowest terms, row n is N_n / D_n for
     D_n the lcm of its denominators, and with g = gcd(D_n, D_{n+1}) and
     j = n - k the recursion at (n, k) reads
     N_n[k] (D_{n+1}/g) b^j = (N_{n+1}[k] b^j + a^j N_{n+1}[k+1]) (D_n/g).
     """
-    rows = array.rows
-    if rows[0][0] != 1:
+    q, rows = _pairs(array)
+    top, bottom = rows[0][0]
+    if top != bottom:
         return Check(False, (0, 0))
-    depth = array.depth
-    a, b = array.q.q.numerator, array.q.q.denominator
+    depth = len(rows) - 1
+    a, b = q.q.numerator, q.q.denominator
     a_pow, b_pow = _powers(a, depth), _powers(b, depth)
     lcm, row = _over_lcm(rows[0])
     for n in range(depth):

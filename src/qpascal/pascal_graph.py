@@ -17,9 +17,10 @@ q^inversions.  Exchanging 0s and 1s maps the q > 1 regime to 1/q
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import NotSuperUnitError
-from .exactq import QParam
+from .exactq import QParam, _powers
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,15 @@ def flip_reduction(obj, q: QParam | None = None):
 
     Exchanging 0s and 1s turns a q-exchangeable law into a
     (1/q)-exchangeable one.  Accepts a :class:`BinaryWord` (``q``
-    required) or a law triangle carrying its own q; returns the flipped
+    required) or a law triangle carrying its own q, a VArray or a file's
+    PairTriangle (``q``, if given, must equal it); returns the flipped
     object together with the new parameter 1/q.
+
+    The flipped triangle is q^(k(n-k)) v[n][n-k]: with q = a/b and
+    m = k(n-k), cell (n, k) is Fraction(a^m N, b^m d) for the integer pair
+    (N, d) at (n, n-k), one gcd per cell.
     """
-    from .laws import VArray
+    from .laws import PairTriangle, VArray, _pairs
 
     if isinstance(obj, BinaryWord):
         if q is None:
@@ -93,17 +99,21 @@ def flip_reduction(obj, q: QParam | None = None):
             raise NotSuperUnitError("flip reduction applies only for q > 1")
         return obj.flipped(), q.inverse
 
-    if isinstance(obj, VArray):
-        if q is not None and q.q != obj.q.q:
-            raise ValueError("q = %s does not match the triangle's q = %s" % (q, obj.q))
-        qp = obj.q
-        if qp.q <= 1:
-            raise NotSuperUnitError("flip reduction applies only for q > 1")
-        power = [qp.q**j for j in range(obj.depth**2 // 4 + 1)]  # q^(k(n-k))
-        rows = tuple(
-            tuple(power[k * (n - k)] * obj.rows[n][n - k] for k in range(n + 1))
-            for n in range(obj.depth + 1)
-        )
-        return VArray(qp.inverse, rows), qp.inverse
-
-    raise TypeError("flip_reduction takes a BinaryWord or a VArray")
+    if not isinstance(obj, (VArray, PairTriangle)):
+        raise TypeError("flip_reduction takes a BinaryWord, a VArray or a PairTriangle")
+    qp, rows = _pairs(obj)
+    if q is not None and q.q != qp.q:
+        raise ValueError("q = %s does not match the triangle's q = %s" % (q, qp))
+    if qp.q <= 1:
+        raise NotSuperUnitError("flip reduction applies only for q > 1")
+    top = (len(rows) - 1) ** 2 // 4
+    a_pow, b_pow = _powers(qp.q.numerator, top), _powers(qp.q.denominator, top)
+    flipped = []
+    for n, row in enumerate(rows):
+        cells = []
+        for k in range(n + 1):
+            num, den = row[n - k]
+            m = k * (n - k)
+            cells.append(Fraction(a_pow[m] * num, b_pow[m] * den))
+        flipped.append(cells)
+    return VArray(qp.inverse, flipped), qp.inverse

@@ -201,6 +201,30 @@ _READER_TOKENS = st.one_of(
 )
 
 
+def _digit_runs(text):
+    """Digit runs joined by single underscores, as Fraction reads them."""
+    return all(run.isdecimal() for run in text.split("_"))
+
+
+def _exponent_of_decimal(text):
+    """The exponent of ``text`` when all of it is a decimal literal with an
+    exponent in Fraction's grammar: optional spaces and one sign, digits
+    before or after a point, then e, one sign and digits.  Else None."""
+    mantissa, e, exponent = text.strip().lower().partition("e")
+    if mantissa[:1] in ("+", "-"):
+        mantissa = mantissa[1:]
+    whole, dot, part = mantissa.partition(".")
+    if dot:
+        digits = (whole or part) and (not whole or _digit_runs(whole)) and (
+            not part or _digit_runs(part)
+        )
+    else:
+        digits = whole and _digit_runs(whole)
+    if exponent[:1] in ("+", "-"):
+        exponent = exponent[1:]
+    return exponent if e and digits and _digit_runs(exponent) else None
+
+
 class TestReader:
     @settings(max_examples=400, deadline=None)
     @given(text=st.lists(_READER_TOKENS, max_size=7).map("".join))
@@ -218,25 +242,25 @@ class TestReader:
     @example("1e+_9999")
     @example("1e9_999")
     @example("1e9999 ")
+    @example("1 e9999")
+    @example("1/2e9999")
+    @example("1_e9999")
+    @example("1__0e9999")
+    @example(".5e9999")
+    @example("5.e-9999")
     def test_strings_read_as_fraction_reads_them(self, text):
         got = _outcome(as_fraction, text)
-        mantissa, e, exponent = text.lower().partition("e")
-        # Fraction's exponent: one optional sign, then digit runs joined by
-        # single underscores, then optional trailing whitespace
-        exponent = exponent.rstrip()
-        if exponent[:1] in ("+", "-"):
-            exponent = exponent[1:]
-        runs = exponent.split("_")
-        exponent = "".join(runs)
-        if e and any(c.isdecimal() for c in mantissa) and all(r.isdecimal() for r in runs):
-            # after a mantissa, a decimal exponent beyond the limit is refused
-            # before Fraction would build 10**exponent; int() refuses one too
-            # long to read
+        exponent = _exponent_of_decimal(text)
+        if exponent is not None:
+            # a decimal literal's exponent beyond the limit is refused
+            # before Fraction would build 10**exponent; int() refuses one
+            # too long to read
+            digits = exponent.replace("_", "")
             limit = sys.get_int_max_str_digits()
-            if len(exponent) > limit:
+            if len(digits) > limit:
                 assert got[1].startswith("Exceeds the limit (%d digits)" % limit)
                 return
-            if int(exponent) > limit:
+            if int(digits) > limit:
                 assert got[1].startswith("decimal exponent")
                 return
         want = _outcome(F, text)
