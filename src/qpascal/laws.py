@@ -270,10 +270,12 @@ class ForwardChain:
     """A process given by its forward probabilities on the Pascal lattice.
 
     After n letters with k ones, the next letter is a one with
-    probability ``p1(n, k)``, the ``p_one`` given.  That single function
-    yields the v triangle, the level laws, the word laws and a sampler;
-    every pass calls it, so pass a memoised p_one.  Exact chains return
-    Fractions; a float p_one (the urn's float mode) gives float levels.
+    probability ``p1(n, k)``, the ``p_one`` given, and the chain is
+    q-exchangeable.  That single function yields the v triangle, the
+    level laws, the word laws and a sampler; every pass calls it, so pass
+    a memoised p_one.  An exact chain's level law is a Gaussian row times
+    the canonical-word products, in Fractions; a float p_one (the urn's
+    float mode) runs the level forward over the lattice, in floats.
     """
 
     def __init__(self, q: QParam, p_one: Callable[[int, int], Fraction]) -> None:
@@ -293,17 +295,41 @@ class ForwardChain:
         return VArray(self.q, rows)
 
     def level(self, n: int) -> list:
-        """Law of the number of ones after n letters, by a forward pass."""
+        """Law of the number of ones after n letters, tv[n][k] =
+        [n k]_q v[n][k].
+
+        The chain is q-exchangeable, so the words with k ones weigh, in
+        sum, the Gaussian binomial times the canonical word 1^k 0^(n-k),
+        whose probability v[n][k] is p1 multiplied along that word as
+        integer numerators and denominators, with no gcd: p1(i, i) for
+        i < k, then 1 - p1(m, k) for k <= m < n.  Each cell is one
+        Fraction.  Once the ones prefix is 0 the remaining cells are 0,
+        and a zero run stops at its first 0 factor, so p1 is called only
+        at reachable cells.  A float p1 (the urn's float mode) runs the
+        forward pass of :func:`_float_level` instead.
+        """
         p1 = self.p1
-        level = [Fraction(1)]
-        for m in range(n):
-            nxt = [Fraction(0)] * (m + 2)
-            for k, mass in enumerate(level):
-                if mass:
-                    p = p1(m, k)
-                    nxt[k] += mass * (1 - p)
-                    nxt[k + 1] += mass * p
-            level = nxt
+        if n and isinstance(p1(0, 0), float):
+            return _float_level(p1, n)
+        *_, gaussian = gaussian_rows(n, self.q)
+        level = [Fraction(0)] * (n + 1)
+        top = bottom = 1  # p1 along the ones prefix 1^k
+        for k, g in enumerate(gaussian):
+            if k:
+                p = p1(k - 1, k - 1)
+                top *= p.numerator
+                if not top:
+                    break
+                bottom *= p.denominator
+            num, den = top, bottom
+            for m in range(k, n):
+                p = p1(m, k)
+                num *= p.denominator - p.numerator
+                if not num:
+                    break
+                den *= p.denominator
+            if num:
+                level[k] = Fraction(g.numerator * num, g.denominator * den)
         return level
 
     def law(self, n: int) -> FiniteLaw:
@@ -344,6 +370,21 @@ class ForwardChain:
             return k
 
         return _word_sampler(walk)
+
+
+def _float_level(p1: Callable[[int, int], float], n: int) -> list[float]:
+    """The level law by a forward pass over the lattice, in floats: the
+    rounding order that the urn's float mode has always printed."""
+    level = [1.0]
+    for m in range(n):
+        nxt = [0.0] * (m + 2)
+        for k, mass in enumerate(level):
+            if mass:
+                p = p1(m, k)
+                nxt[k] += mass * (1 - p)
+                nxt[k + 1] += mass * p
+        level = nxt
+    return level
 
 
 def _word_sampler(walk: Callable[..., int]) -> Sampler:

@@ -5,16 +5,17 @@ with k ones, the next letter is a one with an exact probability
 P(1 | n, k).  A :class:`qpascal.laws.ForwardChain` built from that one
 function gives the process's v triangle (only the canonical words
 1^k 0^(n-k) are extended, so the triangle costs O(depth^2) products),
-its level laws by a forward pass, its exact word law by walking the
-decision tree, and its bit-by-bit sampler with one cached threshold per
-(n, k).  Every sampler carries a ones counter, ``sampler.ones(n, rng)``:
-the same walk over the same draws, without building the word, which is
-all a level histogram reads.  The chain calls p_one in every pass, so
-each process memoises its own: by k (extreme), by n (theta), and per
-cell over q^(n-k+b), [a+k], [a+b+n] memoised by n-k, k, n (urn).  The
-closed forms quoted below, the urn's forward probabilities among them,
-are not computed here: they live in the tests as independent checks of
-the chains.
+its level laws as a Gaussian row times the canonical-word products
+(the urn's float mode runs them forward instead), its exact word law
+by walking the decision tree, and its bit-by-bit sampler with one
+cached threshold per (n, k).  Every sampler carries a ones counter,
+``sampler.ones(n, rng)``: the same walk over the same draws, without
+building the word, which is all a level histogram reads.  The chain
+calls p_one in every pass, so each process memoises its own: by k
+(extreme), by n (theta), and per cell over q^(n-k+b), [a+k], [a+b+n]
+memoised by n-k, k, n (urn).  The closed forms quoted below, the
+urn's forward probabilities among them, are not computed here: they
+live in the tests as independent checks of the chains.
 
 Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     the extreme q-exchangeable law at x = q^kappa, with

@@ -59,8 +59,11 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next_uint64(self) -> int:
-        self.state = (self.state + GOLDEN) & MASK64
-        return mix64(self.state)
+        """One draw: mix64 of the advanced state, mixed inline."""
+        z = self.state = (self.state + GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
 
 
 def derive_seed(seed: int, trial: int) -> int:

@@ -35,6 +35,7 @@ the package:
     theta_boundary_measure, polya_boundary_measure
                              the mixing measures of the theta and urn
                              processes (q-Poisson and q-beta weights)
+    forward_level            a chain's level law by a forward pass
     tv_distance              total variation against an exact level law
     project_down, list_extensions
                              the backward and forward steps of subspace growth
@@ -630,6 +631,23 @@ def polya_boundary_measure(params: PolyaParams, kmax: int = 80) -> BoundaryMeasu
         atoms = {kappa: m / total for kappa, m in atoms.items()}
         total = Fraction(1)
     return BoundaryMeasure.of(q, atoms, 1 - total)
+
+
+def forward_level(p1, n: int) -> list:
+    """The law of the number of ones after n letters of the chain with
+    forward probabilities p1(m, k), pushed forward one letter at a time
+    over every reachable cell.  An exact p1 gives Fractions; a float p1
+    gives floats."""
+    level = [Fraction(1)]
+    for m in range(n):
+        nxt = [Fraction(0)] * (m + 2)
+        for k, mass in enumerate(level):
+            if mass:
+                p = p1(m, k)
+                nxt[k] += mass * (1 - p)
+                nxt[k + 1] += mass * p
+        level = nxt
+    return level
 
 
 def tv_distance(

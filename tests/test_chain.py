@@ -33,6 +33,7 @@ from qpascal.processes import polya_chain, theta_chain
 
 from oracles import (
     extreme_kernel,
+    forward_level,
     polya_boundary_measure,
     polya_forward_probs,
     theta_boundary_measure,
@@ -192,6 +193,49 @@ class TestPOneMemos:
     def test_extreme_is_its_closed_form(self, qq, kappa):
         for n, k, p in self.cells(extreme_chain(kappa, QParam(qq))):
             assert p == (1 - qq ** (kappa - k) if k < kappa else 0), (n, k)
+
+
+# the level oracle's chains, by family and parameter; "n+3" puts the
+# extreme law's kappa just beyond the level length n
+LEVEL_FAMILIES = (
+    [("extreme", kappa) for kappa in (0, 1, 7, "n+3", ZERO_POINT)]
+    + [("theta", theta) for theta in (F(0), F(1, 3), F(2), math.inf)]
+    + [("urn", ab) for ab in ((1, 1), (4, 3))]
+)
+
+
+def level_chain(family, arg, q, n):
+    if family == "extreme":
+        return extreme_chain(n + 3 if arg == "n+3" else arg, q)
+    if family == "theta":
+        return theta_chain(ThetaParams(arg, q))
+    return polya_chain(PolyaParams(*arg, q))
+
+
+class TestLevelOracle:
+    """The level law, a Gaussian row times canonical-word products,
+    equals the oracle's forward pass over the same p1."""
+
+    @pytest.mark.parametrize("qq", [F(1, 2), F(2, 3), F(9, 10), F(99, 100)])
+    @pytest.mark.parametrize(
+        "family, arg", LEVEL_FAMILIES, ids=["%s-%s" % f for f in LEVEL_FAMILIES]
+    )
+    def test_exact_level_is_the_forward_pass(self, family, arg, qq):
+        for n in (0, 1, 5, 24):
+            chain = level_chain(family, arg, QParam(qq), n)
+            assert chain.level(n) == forward_level(chain.p1, n), n
+
+    def test_deep_urn_level(self):
+        chain = polya_chain(PolyaParams(1, 1, QParam(F(1, 2))))
+        assert chain.level(120) == forward_level(chain.p1, 120)
+
+    @pytest.mark.parametrize("qq", [F(1, 2), F(9, 10), F(99, 100)])
+    @pytest.mark.parametrize("a, b", [(F(1, 2), F(3, 2)), (F(3, 2), F(5, 2))])
+    def test_float_urn_level_is_the_forward_pass_bit_for_bit(self, a, b, qq):
+        chain = polya_chain(PolyaParams(a, b, QParam(qq)))
+        for n in (0, 1, 5, 24):
+            got = [float(x).hex() for x in chain.level(n)]
+            assert got == [float(x).hex() for x in forward_level(chain.p1, n)], n
 
 
 class TestForwardChain:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpascal import (
@@ -26,8 +26,11 @@ from qpascal import (
     tilde_of_v,
 )
 from qpascal.rng import (
+    GOLDEN,
+    MASK64,
     bernoulli_threshold,
     geometric_sampler,
+    mix64,
     uniform_below,
 )
 
@@ -61,6 +64,15 @@ class TestSplitMix64:
             2949826092126892291,
             5139283748462763858,
         ]
+
+    @given(st.integers(0, MASK64))
+    @example(0)
+    @example(MASK64)
+    @example((1 << 64) - GOLDEN)  # the state wraps around to 0
+    def test_draw_is_mix64_of_the_advanced_state(self, seed):
+        rng = SplitMix64(seed)
+        assert rng.next_uint64() == mix64((seed + GOLDEN) & MASK64)
+        assert rng.state == (seed + GOLDEN) & MASK64
 
     def test_derive_seed_frozen(self):
         assert [derive_seed(12345, t) for t in range(3)] == [
@@ -468,3 +480,11 @@ class TestOnesCounter:
             assert sampler.ones(n, counts) == word.ones
             assert counts.count == words.count
             assert counts.state == words.state
+
+    @pytest.mark.parametrize("name", ["extreme forward", "theta", "exact urn", "float urn"])
+    def test_forward_walk_draws_once_per_letter(self, name):
+        sampler = SAMPLER_FAMILIES[name](TWO_THIRDS, 3, 2)
+        for n in (0, 1, 14, 40):
+            rng = CountedDraws(n)
+            sampler.ones(n, rng)
+            assert rng.count == n
