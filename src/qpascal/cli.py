@@ -167,7 +167,7 @@ def _read(path: str, kind: str, build):
     with open(path, encoding="utf-8") as fh:
         try:
             return build(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise ValueError(
                 "%s is not a %s file: %s: %s" % (path, kind, type(exc).__name__, exc)
             ) from exc

@@ -14,13 +14,13 @@ residue polynomial sum c_i x^i is stored as sum c_i p^i.  The modulus
 is a monic irreducible held as its coefficient tuple (c_0, ..., c_m),
 c_m = 1.  With m = 1 the default modulus is x, so elements are the
 usual integers mod p.  Subspaces are kept in reduced row echelon form,
-which makes equality checks and JSON round-trips canonical.
+which makes equality checks and printed bases canonical.
 
 Row reduction checks its input once, then works on rows through add,
 mul, neg and inv tables built on first use from the exact arithmetic of
 ``FieldSpec``, if q * q <= MAX_FIELD_SIZE (larger fields compute each
 entry).  A growth step inserts its one new vector into the current basis
-in O(dim * n).  ``Subspace(...)`` and ``from_jsonable`` validate a basis;
+in O(dim * n).  ``Subspace(...)`` validates a basis by row reduction;
 bases built in RREF here (growth steps and Grassmannians) are stored as
 they are.
 """
@@ -267,10 +267,6 @@ class FieldSpec:
     def to_jsonable(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "FieldSpec":
-        return cls(as_count(data["p"]), as_count(data["m"]), data["modulus"])
-
 
 def _tabulate(field: FieldSpec) -> _Tables:
     """Full q x q tables from O(q m) calls of the exact arithmetic plus
@@ -439,22 +435,6 @@ class Subspace:
                     _axpy(tables, v, c, row)
             yield tuple(v)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "field": self.field.to_jsonable(),
-            "n": self.ambient_dim,
-            "basis": [list(row) for row in self.basis],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "Subspace":
-        field = FieldSpec.from_jsonable(data["field"])
-        return cls(
-            field,
-            as_count(data["n"]),
-            tuple(tuple(map(as_count, row)) for row in data["basis"]),
-        )
-
 
 def _grown(subspace: Subspace, xi: list[int]) -> Subspace:
     """The span of subspace and xi (xi[n] != 0) in field^(n+1)."""
@@ -504,9 +484,11 @@ def sample_growth(
 
     Each step consumes one decision draw: the space grows iff the draw
     is below the threshold of extreme_stay(kappa, 1/size, codim), the
-    extreme law's chance of a 0-bit.  A growth step then draws its new
-    vector as n coordinate draws (uniform_below(size), index order) plus
-    one draw for the last coordinate (1 + uniform_below(size - 1)).
+    extreme law's chance of a 0-bit.  A growth step at ambient dimension
+    n then draws its new vector in index order: n coordinates by
+    uniform_below(size), then the last by 1 + uniform_below(size - 1).
+    Each uniform_below takes a draw per rejection attempt and none for
+    one value, so over GF(2) a growth step takes exactly n draws.
     """
     _check_kappa(kappa)
     qbar = growth_q_param(field)

@@ -3,10 +3,10 @@
 A q-exchangeable law on infinite 0/1 sequences is determined by the
 triangle v[n][k] = P(the word 1^k 0^(n-k)); any other word w of length
 n with k ones then has probability q^inversions(w) * v[n][k].  VArray
-holds that triangle ("v" in the wire format).  TildeArray holds the
-level distributions tv[n][k] = d[n][k] * v[n][k], where d is the
-Gaussian binomial (the path count of the weighted lattice); its rows
-are genuine probability vectors.
+holds that triangle, and its file is {"q", "depth", "v"}.  TildeArray
+holds the level distributions tv[n][k] = d[n][k] * v[n][k], where d is
+the Gaussian binomial (the path count of the weighted lattice); its rows
+are genuine probability vectors, and it has no file of its own.
 
 The defining consistency condition on v is the backward recursion
 
@@ -77,23 +77,18 @@ class PairTriangle(NamedTuple):
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def read_triangle(obj: Mapping, key: str = "v") -> PairTriangle:
+def read_triangle(obj: Mapping) -> PairTriangle:
     """The triangle file format's one reader: each cell an integer pair
     from :func:`as_pair`, with no gcd.  It reads q, then the rows under
-    ``key`` (their shape, every cell, their lengths), then the declared
+    "v" (their shape, every cell, their lengths), then the declared
     depth."""
     q = QParam(obj["q"])
-    rows = _rows(obj[key], as_pair)
+    rows = _rows(obj["v"], as_pair)
     if "depth" in obj and as_count(obj["depth"]) != len(rows) - 1:
         raise InvalidArrayError(
             "declared depth %s does not match %d rows" % (obj["depth"], len(rows))
         )
     return PairTriangle(q, rows)
-
-
-def _from_wire(cls, obj: Mapping, key: str):
-    q, rows = read_triangle(obj, key)
-    return cls(q, [list(starmap(Fraction, row)) for row in rows])
 
 
 def _pairs(array) -> PairTriangle:
@@ -102,15 +97,6 @@ def _pairs(array) -> PairTriangle:
         return array
     rows = tuple(tuple((x.numerator, x.denominator) for x in row) for row in array.rows)
     return PairTriangle(array.q, rows)
-
-
-def _to_wire(array, key: str) -> dict:
-    """The triangle file format: q, depth and the rows under ``key``."""
-    return {
-        "q": str(array.q),
-        "depth": array.depth,
-        key: [[format_rational(x) for x in row] for row in array.rows],
-    }
 
 
 @dataclass(frozen=True)
@@ -128,11 +114,17 @@ class VArray:
         return len(self.rows) - 1
 
     def to_jsonable(self) -> dict:
-        return _to_wire(self, "v")
+        """The triangle file format: q, depth and the rows under "v"."""
+        return {
+            "q": str(self.q),
+            "depth": self.depth,
+            "v": [[format_rational(x) for x in row] for row in self.rows],
+        }
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "VArray":
-        return _from_wire(cls, obj, "v")
+        q, rows = read_triangle(obj)
+        return cls(q, [list(starmap(Fraction, row)) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -156,13 +148,6 @@ class TildeArray:
     @property
     def depth(self) -> int:
         return len(self.rows) - 1
-
-    def to_jsonable(self) -> dict:
-        return _to_wire(self, "tv")
-
-    @classmethod
-    def from_jsonable(cls, obj: Mapping) -> "TildeArray":
-        return _from_wire(cls, obj, "tv")
 
 
 class Check(NamedTuple):

@@ -97,7 +97,7 @@ def extreme_runs_sampler(kappa, q: QParam) -> Sampler:
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """theta >= 0 (math.inf allowed where noted), with 0 < q < 1."""
+    """theta >= 0 or math.inf, with 0 < q < 1."""
 
     theta: Fraction
     q: QParam
@@ -134,9 +134,8 @@ def theta_chain(params: ThetaParams) -> ForwardChain:
 
 
 def theta_array(params: ThetaParams, depth: int) -> VArray:
-    """Triangle w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i)."""
-    if params.infinite:
-        raise ValueError("theta must be finite for the triangle")
+    """Triangle w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i);
+    theta = math.inf gives the all-ones triangle."""
     return theta_chain(params).triangle(depth)
 
 

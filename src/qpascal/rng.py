@@ -26,7 +26,7 @@ Uniform variate conventions
       far as the largest draw needs and stops at the first c_t = 2^64,
       which no draw reaches.
     * Uniform integer below m: rejection sampling on j % m, accepting
-      iff j < m * floor(2^64 / m); one draw per attempt.
+      iff j < m * floor(2^64 / m); one draw per attempt, none for m = 1.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from qpascal import (
     extreme_array,
     extreme_chain,
     extreme_runs_sampler,
+    format_rational,
     make_field,
     polya_array,
     sample_growth,
@@ -86,8 +87,25 @@ class TestTable:
         assert code == 0
         payload = json.loads(out)
         expected = tilde_of_v(theta_array(ThetaParams(F(1), HALF), 4))
-        assert payload["rows"] == expected.to_jsonable()["tv"]
+        assert payload["rows"] == [[format_rational(x) for x in row] for row in expected.rows]
         assert payload["kind"] == "tilde"
+        assert list(payload) == ["q", "depth", "law", "kind", "rows"]
+
+    def test_infinite_theta_is_the_all_ones_triangle(self, capsys):
+        tail = ("--q", "1/2", "--depth", "6")
+        code, out = run(capsys, "table", "--law", "theta", "--theta", "inf", *tail)
+        assert code == 0
+        assert (code, out) == run(capsys, "table", "--law", "extreme", "--kappa", "inf", *tail)
+        assert sha256(out) == "cd4aa9098bf164e16a2ce1b4bf52366ed6b5bb6da7855c9e3b8fc8a42936c2df"
+
+    def test_infinite_theta_levels_sit_on_the_diagonal(self, capsys):
+        code, out = run(
+            capsys, "table", "--law", "theta", "--theta", "inf", "--q", "1/2",
+            "--depth", "4", "--kind", "tilde", "--format", "text",
+        )
+        assert code == 0
+        rows = [line.split(" | ")[1].split("  ") for line in out.strip().splitlines()]
+        assert rows == [["0"] * n + ["1"] for n in range(5)]
 
     # stdout digests recorded before tilde/v rows stopped going through text
     TRIANGLE_DIGESTS = {
@@ -856,6 +874,25 @@ class TestMalformedFiles:
             code = main(argv + [str(target)])
             assert code in (0, 2, 3, 4, 5, 6)
             assert "Traceback" not in capsys.readouterr().err
+
+    DEEP_KEYS = {"triangle": "v", "measure": "atoms", "law": "probs", "moments": "moments"}
+
+    @pytest.mark.parametrize(
+        "kind, argv",
+        [(kind, argv) for kind, argvs in COMMANDS.items() for argv in argvs],
+        ids=lambda x: x if isinstance(x, str) else x[0] + "-" + x[-1].lstrip("-"),
+    )
+    def test_deep_nesting_is_a_usage_error(self, capsys, tmp_path, kind, argv):
+        # json.load's RecursionError once escaped main as a traceback
+        depth = 100_000
+        obj = dict(self.FILES[kind], **{self.DEEP_KEYS[kind]: None})
+        text = json.dumps(obj).replace("null", "[" * depth + "]" * depth)
+        target = tmp_path / "nested.json"
+        target.write_text(text, encoding="utf-8")
+        assert main(argv + [str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "is not a %s file: RecursionError" % kind in err
+        assert "Traceback" not in err
 
 
 class TestOneTask:

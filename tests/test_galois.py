@@ -39,6 +39,7 @@ from oracles import (
     path_weight,
     project_down,
 )
+from test_processes import CountedDraws
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -88,6 +89,10 @@ class TestFieldConstruction:
         with pytest.raises(TypeError, match="a count must be an integer"):
             make_field(p, 1, modulus)
 
+    def test_spec_refuses_a_bool_modulus_entry(self):
+        with pytest.raises(TypeError, match="a count must be an integer"):
+            FieldSpec(2, 1, (True, 1))
+
     def test_rejects_bool_order(self):
         with pytest.raises(FieldConstructionError, match="extension degree"):
             FieldSpec(2, True, (0, 1))
@@ -101,9 +106,6 @@ class TestFieldConstruction:
     def test_rejects_oversized_field(self):
         with pytest.raises(TooLargeError):
             make_field(2, 25)
-
-    def test_jsonable_roundtrip(self):
-        assert FieldSpec.from_jsonable(F4.to_jsonable()) == F4
 
 
 class TestFieldArithmetic:
@@ -228,30 +230,9 @@ class TestSubspace:
             Subspace(F2, 3, ((1, 1, 0), (1, 0, 1)))
 
     def test_from_jsonable_validates(self):
-        data = Subspace.spanned(F3, 3, [(1, 0, 2)]).to_jsonable()
         for bad in ([[2, 0, 1]], [[1, 0, 3]], [[1, 0], [0, 1]]):
             with pytest.raises(ValueError):
-                Subspace.from_jsonable(dict(data, basis=bad))
-
-    @pytest.mark.parametrize("field, n, basis", [
-        ({"p": 3, "m": 1, "modulus": [0, 1]}, 2.7, [[1, 0, 2]]),
-        ({"p": 3, "m": 1, "modulus": [0, 1]}, 3, [[1, 0, 0.9]]),
-        ({"p": 3, "m": 1, "modulus": [0, 1]}, 3, ["102"]),
-        ({"p": 3, "m": 1, "modulus": [0, True]}, 3, [[1, 0, 2]]),
-        ({"p": "3", "m": 1, "modulus": [0, 1]}, 3, [[1, 0, 2]]),
-        ({"p": 3, "m": 1.0, "modulus": [0, 1]}, 3, [[1, 0, 2]]),
-    ], ids=["float-n", "float-entry", "string-row", "bool-modulus", "string-p",
-            "float-m"])
-    def test_from_jsonable_takes_only_integers(self, field, n, basis):
-        # int() would have read 2.7 as 2 and 0.9 as 0
-        with pytest.raises(TypeError):
-            Subspace.from_jsonable({"field": field, "n": n, "basis": basis})
-
-    def test_from_jsonable_refuses_modulus_coefficients_outside_the_field(self):
-        # [3, 1] once read as x over GF(3), reduced mod 3
-        data = Subspace.spanned(F3, 3, [(1, 0, 2)]).to_jsonable()
-        with pytest.raises(FieldConstructionError, match="coefficient 3"):
-            Subspace.from_jsonable(dict(data, field={"p": 3, "m": 1, "modulus": [3, 1]}))
+                Subspace(F3, 3, bad)
 
     def test_contains_checks_entries(self):
         space = Subspace.spanned(F2, 3, [(1, 1, 0)])
@@ -272,10 +253,6 @@ class TestSubspace:
         assert space.contains((1, 1, 0))
         assert space.contains((0, 0, 0))
         assert not space.contains((1, 0, 0))
-
-    def test_jsonable_roundtrip(self):
-        space = Subspace.spanned(F4, 2, [(2, 3)])
-        assert Subspace.from_jsonable(space.to_jsonable()) == space
 
     def test_codim(self):
         assert Subspace.spanned(F2, 4, [(1, 0, 0, 0)]).codim == 3
@@ -416,6 +393,22 @@ class TestGrowth:
         chain = sample_growth(math.inf, F2, 5, seed=1)
         assert [s.dim for s in chain] == [0] * 6
         assert str(codim_word(chain)) == "11111"
+
+    def test_gf2_growth_draws_once_per_coordinate_but_the_last(self, monkeypatch):
+        # a decision draw per step, then n draws for a growth at ambient
+        # dimension n: uniform_below(1) for the last coordinate draws nothing
+        streams = []
+
+        def counted(seed):
+            streams.append(CountedDraws(seed))
+            return streams[-1]
+
+        monkeypatch.setattr(galois, "SplitMix64", counted)
+        chain = sample_growth(3, F2, 12, seed=7)
+        grown = [n for n, (a, b) in enumerate(zip(chain, chain[1:])) if b.dim > a.dim]
+        assert streams[0].count == 12 + sum(grown) == 71
+        monkeypatch.undo()
+        assert sample_growth(3, F2, 12, seed=7) == chain
 
     def test_codim_word_hand_chain(self):
         chain = (

@@ -101,10 +101,6 @@ class TestTilde:
         assert tv.rows[1] == (F(1, 2), F(1, 2))
         assert tv.rows[2] == (F(1, 4), F(3, 4), F(0))
 
-    def test_jsonable_roundtrip(self):
-        tv = tilde_of_v(extreme_array(1, HALF, 4))
-        assert TildeArray.from_jsonable(tv.to_jsonable()) == tv
-
 
 class TestBackwardKernel:
     def test_oracle_value(self):

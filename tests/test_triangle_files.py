@@ -30,7 +30,6 @@ from qpascal import (
     read_triangle,
     recover_measure,
     theta_array,
-    tilde_of_v,
 )
 from qpascal.cli import main
 
@@ -100,9 +99,6 @@ class TestPairReader:
     def test_from_jsonable_reads_the_pairs(self):
         arr = VArray.from_jsonable({"q": "1/2", "v": [["2/2"], ["2/4", "+3/6"]]})
         assert arr.rows == ((F(1),), (F(1, 2), F(1, 2)))
-        tv = tilde_of_v(arr)
-        assert TildeArray.from_jsonable(
-            {"q": "1/2", "tv": [["3/3"], ["1/2", "0.5"]]}) == tv
 
     def test_fraction_rows_are_not_read_again(self):
         rows = extreme_array(2, HALF, 4).rows
@@ -111,7 +107,7 @@ class TestPairReader:
 
     def test_tilde_file_still_checks_its_levels(self):
         with pytest.raises(InvalidArrayError, match="level 1 sums to 3/4"):
-            TildeArray.from_jsonable({"q": "1/2", "tv": [["1"], ["1/2", "1/4"]]})
+            TildeArray(HALF, [["1"], ["1/2", "1/4"]])
 
     def test_a_file_and_its_varray_give_the_same_results(self):
         law = theta_array(ThetaParams(F(1, 3), HALF), 6)
