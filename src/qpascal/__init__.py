@@ -47,7 +47,6 @@ from .exactq import (
     format_rational,
     parse_rational,
     q_binomial,
-    q_integer,
 )
 from .galois import (
     FieldSpec,

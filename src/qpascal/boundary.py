@@ -39,7 +39,7 @@ from .exactq import (
     _powers,
     as_fraction,
     format_rational,
-    q_binomial,
+    gaussian_row,
 )
 from .laws import Check, ForwardChain, PairTriangle, VArray, _pairs
 
@@ -91,12 +91,6 @@ class BoundaryMeasure:
     @classmethod
     def of(cls, q: QParam, atoms: Mapping[int, object], zero_mass=0) -> "BoundaryMeasure":
         return cls(q, tuple(atoms.items()), zero_mass)
-
-    def mass(self, kappa: int) -> Fraction:
-        for k, m in self.atoms:
-            if k == kappa:
-                return m
-        return Fraction(0)
 
     def to_jsonable(self) -> dict:
         return {
@@ -189,11 +183,8 @@ def recover_measure(
         raise ValueError("need 0 <= kmax <= nu")
     if nu >= len(rows):
         raise ValueError("nu = %d exceeds array depth %d" % (nu, len(rows) - 1))
-    row = rows[nu]
-    atoms = {
-        kappa: q_binomial(nu, kappa, q) * Fraction(*row[kappa])
-        for kappa in range(kmax + 1)
-    }
+    cells = zip(range(kmax + 1), gaussian_row(nu, q), rows[nu])
+    atoms = {kappa: d * Fraction(*cell) for kappa, d, cell in cells}
     total = sum(atoms.values())
     if total > 1:
         raise InvalidArrayError("level %d carries more than unit mass" % nu)

@@ -46,7 +46,7 @@ from .errors import (
     RegimeError,
     TooLargeError,
 )
-from .exactq import QParam, as_fraction, format_rational, gaussian_rows
+from .exactq import QParam, as_fraction, format_rational, gaussian_row
 from .exactq import q_binomial  # noqa: F401 (bench/tests/test_bench.py reads cli.q_binomial)
 from .galois import (
     codim_word,
@@ -219,7 +219,7 @@ def _triangle_rows(kind: str, args):
         q = QParam(args.q)
         return (
             {"q": format_rational(q.q), "depth": args.depth},
-            gaussian_rows(args.depth, q),
+            (gaussian_row(n, q) for n in range(args.depth + 1)),
         )
     array = _build_array(args)
     if kind == "tilde":

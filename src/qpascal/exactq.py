@@ -1,8 +1,9 @@
 """Exact arithmetic kernels for q-combinatorics.
 
 Every probability-carrying quantity in this package is a
-:class:`fractions.Fraction`.  This module provides the q-integer and the
-Gaussian binomials, plus :class:`QParam`, the deformation parameter
+:class:`fractions.Fraction`.  This module provides the Gaussian
+binomials, all from one body, :func:`gaussian_row`, which yields a row
+one cell at a time, plus :class:`QParam`, the deformation parameter
 q > 0.  Operations that only make sense on one side of q = 1 compare q
 with 1 and raise :class:`~qpascal.errors.RegimeError`.
 
@@ -16,6 +17,7 @@ and CSV surface of the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -125,13 +127,6 @@ class QParam:
         return format_rational(self.q)
 
 
-def q_integer(n: int, q: QParam) -> Fraction:
-    """[n] = 1 + q + ... + q^(n-1); zero for n = 0."""
-    if n < 0:
-        raise ValueError("q_integer needs n >= 0, got %d" % n)
-    return _q_integer(n, q.q)
-
-
 def _q_integer(x, qq):
     """[x] = (1 - qq^x) / (1 - qq), and x at qq = 1, in the number type
     of qq: a Fraction, or a float in the urn's float mode."""
@@ -139,35 +134,42 @@ def _q_integer(x, qq):
 
 
 def q_binomial(n: int, k: int, q: QParam) -> Fraction:
-    """Gaussian binomial coefficient; zero outside 0 <= k <= n.  For q = a/b
-    in lowest terms it is prod_i (b^(n-k+i) - a^(n-k+i)) / (b^i - a^i),
-    i = 1..k, an integer, over b^(k(n-k))."""
+    """Gaussian binomial coefficient [n k]_q; zero outside 0 <= k <= n.
+    It is the last of the first min(k, n - k) + 1 cells of
+    :func:`gaussian_row`, so [n 0] and [n n] cost no power."""
     if n < 0 or k < 0 or k > n:
         return Fraction(0)
-    a, b = q.q.numerator, q.q.denominator
-    if a == b:
-        return Fraction(math.comb(n, k))
-    k = min(k, n - k)
-    top = bottom = 1
-    for i in range(1, k + 1):
-        top *= b ** (n - k + i) - a ** (n - k + i)
-        bottom *= b**i - a**i
-    return _coprime(top // bottom, b ** (k * (n - k)))
+    return next(itertools.islice(gaussian_row(n, q), min(k, n - k), None))
 
 
-def gaussian_rows(depth: int, q: QParam):
-    """Rows n = 0..depth of the Gaussian binomials [n k]_q.  With q = a/b in
-    lowest terms a cell is G / b^(k(n-k)), where the integer G(n, k) =
-    b^(n-k) G(n-1, k-1) + a^k G(n-1, k) is a^(k(n-k)) mod b: coprime to b."""
+def gaussian_row(n: int, q: QParam):
+    """The Gaussian binomials [n 0]_q, ..., [n n]_q, one cell at a time.
+
+    With q = a/b in lowest terms, [n k]_q = G(n, k) / b^(k(n-k)) for the
+    integer G(n, k) = prod_{i=1..k} (b^(n-k+i) - a^(n-k+i)) / (b^i - a^i),
+    which is a^(k(n-k)) mod b: coprime to b.  Each cell follows from the
+    one before by the exact integer division
+    G(n, k+1) = G(n, k) (b^(n-k) - a^(n-k)) / (b^(k+1) - a^(k+1)), and its
+    denominator by b^(n-k) / b^(k+1); at q = 1 the ratio is (n-k) / (k+1).
+    [n 0] = 1 comes before any power is built, and only running powers
+    are kept: memory is one cell and four powers.
+    """
+    yield Fraction(1)
     a, b = q.q.numerator, q.q.denominator
-    a_pow = _powers(a, depth)
-    b_pow = _powers(b, depth * depth // 4)
-    row = [1]
-    for n in range(depth + 1):
-        if n:
-            inner = (b_pow[n - k] * row[k - 1] + a_pow[k] * row[k] for k in range(1, n))
-            row = [1, *inner, 1]
-        yield [_coprime(g, b_pow[k * (n - k)]) for k, g in enumerate(row)]
+    g = den = 1
+    a_high, b_high = a**n, b**n  # a^(n-k), b^(n-k)
+    a_low = b_low = 1  # a^k, b^k
+    for k in range(n):
+        a_low *= a
+        b_low *= b
+        if a == b:
+            g = g * (n - k) // (k + 1)
+        else:
+            g = g * (b_high - a_high) // (b_low - a_low)
+            den = den * b_high // b_low
+        a_high //= a
+        b_high //= b
+        yield _coprime(g, den)
 
 
 def _over_lcm(pairs) -> tuple[int, list[int]]:

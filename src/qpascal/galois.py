@@ -235,9 +235,6 @@ class FieldSpec:
     def neg(self, x: int) -> int:
         return self.encode([-c % self.p for c in self.decode(x)])
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         prod = _poly_mul(self.decode(x), self.decode(y), self.p)
         return self.encode(_poly_divmod_tail(prod, self.modulus, self.p))
@@ -319,20 +316,14 @@ def _axpy(tables: _Tables, row: list[int], c: int, src, start: int = 0) -> None:
     row[start:] = [add[e][mc[s]] for e, s in zip(row[start:], src[start:])]
 
 
-def _reduce(tables: _Tables, rows, pivots, vec: list[int]) -> None:
-    """Subtract from vec, in place, its multiples of the RREF rows with
-    pivot columns ``pivots``: vec ends zero in every pivot column."""
+def _insert(tables: _Tables, rows: list, pivots: list, vec: list[int]) -> None:
+    """Add vec to the span of ``rows``, an RREF basis with pivot columns
+    ``pivots``, keeping both in RREF: clear vec's pivot columns, scale
+    its leading entry to 1 and clear that column from the other rows.
+    O(len(rows) * n) lookups; a vec already in the span changes nothing."""
     for row, piv in zip(rows, pivots):
         if vec[piv]:
             _axpy(tables, vec, tables.neg[vec[piv]], row, piv)
-
-
-def _insert(tables: _Tables, rows: list, pivots: list, vec: list[int]) -> None:
-    """Add vec to the span of ``rows``, an RREF basis with pivot columns
-    ``pivots``, keeping both in RREF: reduce vec, scale its leading entry
-    to 1 and clear that column from the other rows.  O(len(rows) * n)
-    lookups; a vec already in the span changes nothing."""
-    _reduce(tables, rows, pivots, vec)
     lead = next((j for j, e in enumerate(vec) if e), None)
     if lead is None:
         return
@@ -385,22 +376,8 @@ class Subspace:
         return space
 
     @classmethod
-    def spanned(
-        cls, field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence[int]]
-    ) -> "Subspace":
-        return cls(field, ambient_dim, rref_canonicalize(field, ambient_dim, vectors))
-
-    @classmethod
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim, ())
-
-    @classmethod
-    def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        rows = tuple(
-            tuple(1 if j == i else 0 for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(field, ambient_dim, rows)
 
     @property
     def dim(self) -> int:
@@ -413,27 +390,6 @@ class Subspace:
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(j for j, e in enumerate(row) if e) for row in self.basis)
-
-    def contains(self, vector: Sequence[int]) -> bool:
-        """Whether vector lies in the subspace; False for a wrong length,
-        ValueError for an entry that is not a field element."""
-        v = list(vector)
-        if len(v) != self.ambient_dim:
-            return False
-        for entry in v:
-            self.field._check(entry)
-        _reduce(self.field._tables, self.basis, self.pivots, v)
-        return not any(v)
-
-    def vectors(self) -> Iterator[tuple[int, ...]]:
-        """All q^dim vectors of the subspace."""
-        tables = self.field._tables
-        for coeffs in itertools.product(self.field.elements(), repeat=self.dim):
-            v = [0] * self.ambient_dim
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    _axpy(tables, v, c, row)
-            yield tuple(v)
 
 
 def _grown(subspace: Subspace, xi: list[int]) -> Subspace:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidArrayError
@@ -38,7 +37,7 @@ from .exactq import (
     as_fraction,
     as_pair,
     format_rational,
-    gaussian_rows,
+    gaussian_row,
 )
 from .pascal_graph import BinaryWord
 from .rng import SplitMix64, bernoulli_threshold
@@ -121,11 +120,6 @@ class VArray:
             "v": [[format_rational(x) for x in row] for row in self.rows],
         }
 
-    @classmethod
-    def from_jsonable(cls, obj: Mapping) -> "VArray":
-        q, rows = read_triangle(obj)
-        return cls(q, [list(starmap(Fraction, row)) for row in rows])
-
 
 @dataclass(frozen=True)
 class TildeArray:
@@ -198,8 +192,8 @@ def check_recursion(array: VArray | PairTriangle) -> Check:
 
 def tilde_of_v(array: VArray) -> TildeArray:
     rows = tuple(
-        tuple(d * x for d, x in zip(d_row, row))
-        for d_row, row in zip(gaussian_rows(array.depth, array.q), array.rows)
+        tuple(d * x for d, x in zip(gaussian_row(n, array.q), row))
+        for n, row in enumerate(array.rows)
     )
     return TildeArray(array.q, rows)
 
@@ -234,13 +228,6 @@ class FiniteLaw:
     def prob(self, word: BinaryWord) -> Fraction:
         return self.probs.get(word, Fraction(0))
 
-    def to_jsonable(self) -> dict:
-        items = sorted(self.probs.items(), key=lambda kv: str(kv[0]))
-        return {
-            "n": self.n,
-            "probs": {str(w): format_rational(p) for w, p in items},
-        }
-
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "FiniteLaw":
         return cls(as_count(obj["n"]), dict(obj["probs"]))
@@ -257,10 +244,10 @@ class ForwardChain:
     After n letters with k ones, the next letter is a one with
     probability ``p1(n, k)``, the ``p_one`` given, and the chain is
     q-exchangeable.  That single function yields the v triangle, the
-    level laws, the word laws and a sampler; every pass calls it, so pass
-    a memoised p_one.  An exact chain's level law is a Gaussian row times
-    the canonical-word products, in Fractions; a float p_one (the urn's
-    float mode) runs the level forward over the lattice, in floats.
+    level laws and a sampler; every pass calls it, so pass a memoised
+    p_one.  An exact chain's level law is a Gaussian row times the
+    canonical-word products, in Fractions; a float p_one (the urn's float
+    mode) runs the level forward over the lattice, in floats.
     """
 
     def __init__(self, q: QParam, p_one: Callable[[int, int], Fraction]) -> None:
@@ -289,17 +276,17 @@ class ForwardChain:
         integer numerators and denominators, with no gcd: p1(i, i) for
         i < k, then 1 - p1(m, k) for k <= m < n.  Each cell is one
         Fraction.  Once the ones prefix is 0 the remaining cells are 0,
-        and a zero run stops at its first 0 factor, so p1 is called only
-        at reachable cells.  A float p1 (the urn's float mode) runs the
+        and neither they nor their Gaussian binomials are computed; a
+        zero run stops at its first 0 factor, so p1 is called only at
+        reachable cells.  A float p1 (the urn's float mode) runs the
         forward pass of :func:`_float_level` instead.
         """
         p1 = self.p1
         if n and isinstance(p1(0, 0), float):
             return _float_level(p1, n)
-        *_, gaussian = gaussian_rows(n, self.q)
         level = [Fraction(0)] * (n + 1)
         top = bottom = 1  # p1 along the ones prefix 1^k
-        for k, g in enumerate(gaussian):
+        for k, g in enumerate(gaussian_row(n, self.q)):
             if k:
                 p = p1(k - 1, k - 1)
                 top *= p.numerator
@@ -316,20 +303,6 @@ class ForwardChain:
             if num:
                 level[k] = Fraction(g.numerator * num, g.denominator * den)
         return level
-
-    def law(self, n: int) -> FiniteLaw:
-        """Exact law of the first n letters, by walking the decision tree."""
-        _check_word_count(n)
-        p1 = self.p1
-        paths = [((), 0, Fraction(1))]
-        for m in range(n):
-            nxt = []
-            for bits, k, p in paths:
-                p_one = p1(m, k)
-                nxt.append((bits + (0,), k, p * (1 - p_one)))
-                nxt.append((bits + (1,), k + 1, p * p_one))
-            paths = nxt
-        return FiniteLaw(n, {BinaryWord(bits): p for bits, _, p in paths})
 
     def sampler(self) -> Sampler:
         """Draws one word; each letter consumes one draw j and is a one

@@ -48,23 +48,9 @@ class BinaryWord:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __iter__(self):
-        return iter(self.bits)
-
     @property
     def ones(self) -> int:
         return sum(self.bits)
-
-    def inversions(self) -> int:
-        """Number of pairs i < j with bit_i = 0 and bit_j = 1."""
-        zeros_seen = 0
-        count = 0
-        for b in self.bits:
-            if b == 0:
-                zeros_seen += 1
-            else:
-                count += zeros_seen
-        return count
 
     def flipped(self) -> "BinaryWord":
         return BinaryWord(tuple(1 - b for b in self.bits))

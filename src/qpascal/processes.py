@@ -6,14 +6,14 @@ P(1 | n, k).  A :class:`qpascal.laws.ForwardChain` built from that one
 function gives the process's v triangle (only the canonical words
 1^k 0^(n-k) are extended, so the triangle costs O(depth^2) products),
 its level laws as a Gaussian row times the canonical-word products
-(the urn's float mode runs them forward instead), its exact word law
-by walking the decision tree, and its bit-by-bit sampler with one
-cached threshold per (n, k).  Every sampler carries a ones counter,
-``sampler.ones(n, rng)``: the same walk over the same draws, without
-building the word, which is all a level histogram reads.  The chain
-calls p_one in every pass, so each process memoises its own: by k
-(extreme), by n (theta), and per cell over q^(n-k+b), [a+k], [a+b+n]
-memoised by n-k, k, n (urn).  The closed forms quoted below, the
+(the urn's float mode runs them forward instead), and its bit-by-bit
+sampler with one cached threshold per (n, k); the tests walk the
+chain's decision tree for its exact word law.  Every sampler carries a
+ones counter, ``sampler.ones(n, rng)``: the same walk over the same
+draws, without building the word, which is all a level histogram
+reads.  The chain calls p_one in every pass, so each process memoises
+its own: by k (extreme), by n (theta), and per cell over q^(n-k+b),
+[a+k], [a+b+n] memoised by n-k, k, n (urn).  The closed forms quoted below, the
 urn's forward probabilities among them, are not computed here: they
 live in the tests as independent checks of the chains.
 
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boundary import _check_kappa, extreme_stay
-from .errors import NonIntegerParamsInExactMode
+from .errors import NonIntegerParamsInExactMode, RegimeError
 from .exactq import QParam, _q_integer, as_fraction
 from .laws import ForwardChain, Sampler, VArray, _word_sampler
 from .rng import SplitMix64, derive_seed, geometric_sampler
@@ -156,7 +156,7 @@ class PolyaParams:
 
     def __post_init__(self) -> None:
         if self.q.q > 1:
-            raise ValueError("urn process needs q <= 1 (flip first for q > 1)")
+            raise RegimeError("urn process needs q <= 1 (flip first for q > 1)")
         for name in ("a", "b"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):

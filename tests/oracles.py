@@ -5,6 +5,7 @@ enumeration something that ``qpascal`` computes another way, and no
 command of the package runs it, so it lives with the tests and not in
 the package:
 
+    q_integer                [n] as the sum 1 + q + ... + q^(n-1)
     q_factorial              [n]!, whose ratios give the Gaussian binomial
     q_binomial_product       the Gaussian binomial as a product of q-integers
     q_pochhammer             the finite product (x, q)_k
@@ -24,31 +25,43 @@ the package:
                              the package's two checks in Fraction
                              arithmetic, one normalised value per step
     all_words                every word of one length
+    inversions               a word's pairs i < j with a 0 before a 1
     word_probability         a word's probability under a triangle
     law_of_array             a triangle's law on words of one length
+    chain_law                a forward chain's law on words of one length,
+                             by walking its decision tree over ``chain.p1``
+    law_to_jsonable, varray_from_jsonable
+                             a word law as JSON, and a triangle file as a
+                             VArray through ``read_triangle``
     v_of_tilde               the inverse of ``laws.tilde_of_v``
     RunEncoding, word_to_runs, runs_to_word
                              the run-length view of a word
     runs_law                 the law of the extreme runs sampler
     geometric_scan           a geometric variate by scanning powers
     polya_forward_probs      the urn's closed-form forward probabilities
+    atom_mass                a boundary measure's mass at one kappa
     theta_boundary_measure, polya_boundary_measure
                              the mixing measures of the theta and urn
                              processes (q-Poisson and q-beta weights)
     forward_level            a chain's level law by a forward pass
     tv_distance              total variation against an exact level law
+    field_sub                x - y in a field
+    spanned, full_space, contains, span_vectors
+                             a subspace from spanning vectors, the whole
+                             space, membership, and every vector of a span
     project_down, list_extensions
                              the backward and forward steps of subspace growth
     exact_growth_law         the subspace growth chain by exact branching
 
 The path-enumeration guard of ``brute_force_weight_sum``, the word
-guard of ``all_words`` and the extension guard of ``list_extensions``
-are the package's ``guards.check_count`` rule.  The extreme stay ratio
-q^(kappa-k) and the q-number [x] = (1 - q^x) / (1 - q) are written out
-here, not imported, so a wrong power or q-integer in the package cannot
-pass its own oracle.  Subspaces are stepped with the public field
-arithmetic and built through ``Subspace(...)``, which checks that each
-basis is in reduced row echelon form.
+guard of ``all_words`` and ``chain_law`` and the extension guard of
+``list_extensions`` are the package's ``guards.check_count`` rule.  The
+extreme stay ratio q^(kappa-k) and the q-number [x] = (1 - q^x) / (1 - q)
+are written out here, not imported, so a wrong power or q-integer in the
+package cannot pass its own oracle.  Subspaces are stepped with the public field
+arithmetic and ``rref_canonicalize``, and built through
+``Subspace(...)``, which checks that each basis is in reduced row
+echelon form.
 
 The infinite products truncate by TRUNCATION_TERMS and
 TRUNCATION_TARGET, by different rules.  The float value stops at the
@@ -73,9 +86,23 @@ from typing import Mapping, NamedTuple, Sequence
 from qpascal import guards
 from qpascal.boundary import BoundaryMeasure, MomentSequence, extreme_chain
 from qpascal.errors import QPascalError, RegimeError
-from qpascal.exactq import QParam, as_fraction, q_binomial, q_integer
-from qpascal.galois import DEFAULT_SUBSPACE_LIMIT, FieldSpec, Subspace, growth_q_param
-from qpascal.laws import MAX_WORD_LENGTH, Check, FiniteLaw, TildeArray, VArray
+from qpascal.exactq import QParam, as_fraction, format_rational, q_binomial
+from qpascal.galois import (
+    DEFAULT_SUBSPACE_LIMIT,
+    FieldSpec,
+    Subspace,
+    growth_q_param,
+    rref_canonicalize,
+)
+from qpascal.laws import (
+    MAX_WORD_LENGTH,
+    Check,
+    FiniteLaw,
+    ForwardChain,
+    TildeArray,
+    VArray,
+    read_triangle,
+)
 from qpascal.pascal_graph import BinaryWord
 from qpascal.processes import PolyaParams, ThetaParams, extreme_runs_sampler
 
@@ -104,6 +131,17 @@ def _stay(kappa, qq: Fraction, k: int) -> Fraction:
 def _q_number(x, qq):
     """[x] = (1 - q^x) / (1 - q), and x at q = 1, in the number type of qq."""
     return x * qq if qq == 1 else (1 - qq**x) / (1 - qq)
+
+
+def q_integer(n: int, q: QParam) -> Fraction:
+    """[n] = 1 + q + ... + q^(n-1), term by term over the common
+    denominator b^(n-1) of q = a/b; zero for n = 0."""
+    if n < 0:
+        raise ValueError("q_integer needs n >= 0, got %d" % n)
+    if not n:
+        return Fraction(0)
+    a, b = q.q.numerator, q.q.denominator
+    return Fraction(sum(a**i * b ** (n - 1 - i) for i in range(n)), b ** (n - 1))
 
 
 def q_factorial(n: int, q: QParam) -> Fraction:
@@ -257,7 +295,7 @@ def path_weight(
     """Weight of the path traced by ``word`` starting at ``start``."""
     l, k = start.l, start.k
     exponent = 0
-    for b in word:
+    for b in word.bits:
         if b:
             if not dual:
                 exponent += l
@@ -450,10 +488,22 @@ def array_from_moments(u: MomentSequence, q: QParam) -> VArray:
     return VArray(q, rows)
 
 
+def _word_guard(n: int) -> None:
+    """The word-law guard on the 2**n words of length n."""
+    guards.check_count((2**i for i in range(n + 1)), 2**MAX_WORD_LENGTH, "word law")
+
+
 def all_words(n: int):
     """Every 0/1 word of length n, in lexicographic order."""
-    guards.check_count((2**i for i in range(n + 1)), 2**MAX_WORD_LENGTH, "word law")
+    _word_guard(n)
     return (BinaryWord(bits) for bits in itertools.product((0, 1), repeat=n))
+
+
+def inversions(word: BinaryWord) -> int:
+    """Number of pairs i < j with bit_i = 0 and bit_j = 1."""
+    bits = word.bits
+    return sum(1 for i, j in itertools.combinations(range(len(bits)), 2)
+               if (bits[i], bits[j]) == (0, 1))
 
 
 def word_probability(array: VArray, word: BinaryWord) -> Fraction:
@@ -463,12 +513,39 @@ def word_probability(array: VArray, word: BinaryWord) -> Fraction:
         raise ValueError(
             "word of length %d exceeds array depth %d" % (n, array.depth)
         )
-    return array.q.q ** word.inversions() * array.rows[n][word.ones]
+    return array.q.q ** inversions(word) * array.rows[n][word.ones]
 
 
 def law_of_array(array: VArray, n: int) -> FiniteLaw:
     """Restrict the law of ``array`` to words of length n (n <= 20)."""
     return FiniteLaw(n, {w: word_probability(array, w) for w in all_words(n)})
+
+
+def chain_law(chain: ForwardChain, n: int) -> FiniteLaw:
+    """Exact law of the first n letters of a forward chain, by walking
+    its decision tree over ``chain.p1``."""
+    _word_guard(n)
+    paths = [((), 0, Fraction(1))]
+    for m in range(n):
+        nxt = []
+        for bits, k, p in paths:
+            p_one = chain.p1(m, k)
+            nxt.append((bits + (0,), k, p * (1 - p_one)))
+            nxt.append((bits + (1,), k + 1, p * p_one))
+        paths = nxt
+    return FiniteLaw(n, {BinaryWord(bits): p for bits, _, p in paths})
+
+
+def law_to_jsonable(law: FiniteLaw) -> dict:
+    """A word law in the file shape ``check --kind exchangeable`` reads."""
+    items = sorted(law.probs.items(), key=lambda kv: str(kv[0]))
+    return {"n": law.n, "probs": {str(w): format_rational(p) for w, p in items}}
+
+
+def varray_from_jsonable(obj: Mapping) -> VArray:
+    """A triangle file as a VArray of Fractions, read by ``read_triangle``."""
+    q, rows = read_triangle(obj)
+    return VArray(q, [[Fraction(*cell) for cell in row] for row in rows])
 
 
 def v_of_tilde(array: TildeArray) -> VArray:
@@ -502,7 +579,7 @@ class RunEncoding:
 def word_to_runs(word: BinaryWord) -> RunEncoding:
     runs = []
     current = 0
-    for b in word:
+    for b in word.bits:
         if b:
             runs.append(current)
             current = 0
@@ -566,6 +643,11 @@ def polya_forward_probs(params: PolyaParams, n: int, k: int):
     p_zero = _q_number(b + n - k, q) / total
     p_one = q ** (n - k + b) * _q_number(a + k, q) / total
     return p_zero, p_one
+
+
+def atom_mass(measure: BoundaryMeasure, kappa: int) -> Fraction:
+    """The mass of ``measure`` at x = q^kappa; zero off its atoms."""
+    return dict(measure.atoms).get(kappa, Fraction(0))
 
 
 def theta_boundary_measure(params: ThetaParams, kmax: int = 80) -> BoundaryMeasure:
@@ -663,6 +745,41 @@ def tv_distance(
     return total / 2
 
 
+def field_sub(field: FieldSpec, x: int, y: int) -> int:
+    """x - y, as x plus the negative of y."""
+    return field.add(x, field.neg(y))
+
+
+def spanned(field: FieldSpec, n: int, vectors: Sequence[Sequence[int]]) -> Subspace:
+    """The span of ``vectors`` in field^n."""
+    return Subspace(field, n, rref_canonicalize(field, n, vectors))
+
+
+def full_space(field: FieldSpec, n: int) -> Subspace:
+    """field^n itself."""
+    return Subspace(field, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def contains(space: Subspace, vector: Sequence[int]) -> bool:
+    """Whether ``vector`` lies in ``space``: adding it leaves the RREF basis
+    as it is.  False for a wrong length; ValueError for an entry that is
+    not a field element."""
+    if len(vector) != space.ambient_dim:
+        return False
+    basis = space.basis + (tuple(vector),)
+    return rref_canonicalize(space.field, space.ambient_dim, basis) == space.basis
+
+
+def span_vectors(space: Subspace):
+    """All q^dim vectors of ``space``, one per coefficient tuple."""
+    field = space.field
+    for coeffs in itertools.product(field.elements(), repeat=space.dim):
+        v = (0,) * space.ambient_dim
+        for c, row in zip(coeffs, space.basis):
+            v = tuple(field.add(x, field.mul(c, r)) for x, r in zip(v, row))
+        yield v
+
+
 def project_down(subspace: Subspace) -> Subspace:
     """Intersect with the hyperplane (last coordinate 0) and drop that
     coordinate: the backward step of the growth process."""
@@ -698,7 +815,7 @@ def list_extensions(subspace: Subspace) -> list[Subspace]:
         for col, val in zip(free_cols, values):
             xi[col] = val
         xi[n] = 1
-        out.append(Subspace.spanned(field, n + 1, padded + (tuple(xi),)))
+        out.append(spanned(field, n + 1, padded + (tuple(xi),)))
     return out
 
 

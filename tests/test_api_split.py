@@ -41,6 +41,20 @@ def test_moved_accessors_are_gone():
     assert not hasattr(qpascal.VArray, "first_column")
     assert not hasattr(qpascal, "q_difference")
     assert not hasattr(qpascal.boundary, "q_difference")
+    moved = {
+        qpascal.ForwardChain: ["law"],
+        qpascal.FiniteLaw: ["to_jsonable"],
+        qpascal.VArray: ["from_jsonable"],
+        qpascal.Subspace: ["spanned", "full", "contains", "vectors"],
+        qpascal.FieldSpec: ["sub"],
+        qpascal.BinaryWord: ["inversions", "__iter__"],
+        qpascal.BoundaryMeasure: ["mass"],
+        qpascal.exactq: ["q_integer", "gaussian_rows"],
+        qpascal: ["q_integer"],
+    }
+    for owner, names in moved.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
 
 
 def _formula_imports(source: str) -> set[str]:

@@ -9,7 +9,10 @@ import copy
 import hashlib
 import json
 import re
+import resource
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -35,8 +38,11 @@ from qpascal import (
     theta_array,
     tilde_of_v,
 )
+import qpascal
 from qpascal import cli
 from qpascal.cli import main
+
+from oracles import chain_law, law_to_jsonable
 
 HALF = QParam(F(1, 2))
 
@@ -377,7 +383,7 @@ class TestCheck:
         assert witness in ({"n": 2, "k": 1}, {"n": 1, "k": 0}, {"n": 1, "k": 1})
 
     def test_exchangeable_ok(self, capsys, tmp_path):
-        law = extreme_chain(1, HALF).law(3)
+        law = chain_law(extreme_chain(1, HALF), 3)
         path = write_json(
             tmp_path / "law.json",
             {"n": 3, "probs": {str(w): str(p) for w, p in law.probs.items()}},
@@ -656,6 +662,59 @@ class TestExitCodes:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: triangle requires integer strengths, got a=1/2 b=1\n"
 
+    @pytest.mark.parametrize("command", [
+        ["sample", "--process", "polya", "--n", "3", "--seed", "0"],
+        ["table", "--law", "polya", "--depth", "2"],
+    ], ids=["sample", "table"])
+    def test_urn_super_unit_q_regime(self, capsys, command):
+        code = main(command + ["--a", "1", "--b", "1", "--q", "3/2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            "regime error: urn process needs q <= 1 (flip first for q > 1)\n"
+        )
+
+
+MEMORY_CAP = 512 << 20  # bytes of address space for one capped run
+
+
+def run_capped(*argv):
+    """``qpascal argv`` in a fresh interpreter under a MEMORY_CAP address
+    space limit: (exit code, stdout bytes, stderr text, wall seconds)."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+    code = "import sys; from qpascal.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {"PYTHONPATH": str(Path(qpascal.__file__).resolve().parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          env=env, preexec_fn=cap, timeout=60)
+    return (done.returncode, done.stdout, done.stderr.decode(),
+            time.perf_counter() - start)
+
+
+class TestMemoryBound:
+    """A deep level law keeps one Gaussian cell and a few powers, so its
+    memory follows what the command prints; a table of the powers up to
+    b^(n^2/4) made --n 800 end in MemoryError under the cap."""
+
+    # the --n 400 digest is the histogram as printed while the powers
+    # were tabulated
+    @pytest.mark.parametrize("n, digest", [
+        (400, "d1c49cbf5336c19f8082f2ed7ec161f45319d9738302bf17d53ac8f505ee86ca"),
+        (800, None),
+    ])
+    def test_deep_extreme_level_under_the_cap(self, n, digest):
+        code, out, err, seconds = run_capped(
+            "sample", "--process", "extreme", "--kappa", "5", "--q", "1/2",
+            "--n", str(n), "--trials", "1", "--seed", "0")
+        assert (code, err) == (0, "")
+        assert out.count(b"\n") == n + 2
+        if digest:
+            assert hashlib.sha256(out).hexdigest() == digest
+        assert seconds < 2.0
+
 
 class TestInputFiles:
     """Every input file goes through one reader: a file of the wrong shape
@@ -832,7 +891,7 @@ class TestMalformedFiles:
         "measure": {"q": "1/2", "atoms": [{"kappa": 0, "mass": "1/2"},
                                           {"kappa": 2, "mass": "1/4"}],
                     "zero_mass": "1/4"},
-        "law": extreme_chain(1, HALF).law(2).to_jsonable(),
+        "law": law_to_jsonable(chain_law(extreme_chain(1, HALF), 2)),
         "moments": {"moments": ["1", "1/2", "1/4", "1/8"]},
     }
     COMMANDS = {
@@ -1038,7 +1097,7 @@ class TestJsonEmitter:
         files = {
             "half": half.to_jsonable(),
             "broken": broken,
-            "law": extreme_chain(1, HALF).law(3).to_jsonable(),
+            "law": law_to_jsonable(chain_law(extreme_chain(1, HALF), 3)),
             "moments": {"moments": ["1", "1/2", "1/4", "1/8"]},
             "super": VArray(QParam(F(2)), ((F(1),), (F(1, 3), F(2, 3)))).to_jsonable(),
         }

@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,14 +12,14 @@ from qpascal import (
     format_rational,
     parse_rational,
     q_binomial,
-    q_integer,
 )
-from qpascal.exactq import gaussian_rows
+from qpascal.exactq import gaussian_row
 
 from oracles import (
     InfiniteProductOutsideSubUnit,
     q_binomial_product,
     q_factorial,
+    q_integer,
     q_pochhammer,
     q_pochhammer_bounds,
     q_pochhammer_infinite,
@@ -148,17 +149,16 @@ class TestQIntegers:
 
 
 class TestGaussianRows:
-    """The integer row recursion and the one-cell product against the
-    q-integer product form, cell for cell and in lowest terms."""
+    """The one Gaussian body, row by row and through q_binomial, against
+    the q-integer product form, cell for cell and in lowest terms."""
 
     @pytest.mark.parametrize(
         "qq", [F(1, 2), F(2, 3), F(9, 10), F(1), F(2), F(3, 2), F(7, 3)], ids=str
     )
     def test_rows_and_cells_match_the_product_oracle(self, qq):
         q = QParam(qq)
-        rows = list(gaussian_rows(24, q))
-        assert len(rows) == 25
-        for n, row in enumerate(rows):
+        for n in range(25):
+            row = list(gaussian_row(n, q))
             expected = [q_binomial_product(n, k, q) for k in range(n + 1)]
             assert row == expected
             assert [q_binomial(n, k, q) for k in range(n + 1)] == expected
@@ -173,14 +173,30 @@ class TestGaussianRows:
     )
     def test_random_q_in_lowest_terms(self, a, b, depth):
         q = QParam(F(a, b))
-        for n, row in enumerate(gaussian_rows(depth, q)):
-            for k, cell in enumerate(row):
+        for n in range(depth + 1):
+            for k, cell in enumerate(gaussian_row(n, q)):
                 expected = q_binomial_product(n, k, q)
                 for got in (cell, q_binomial(n, k, q)):
                     assert type(got) is F
                     assert (got.numerator, got.denominator) == (
                         expected.numerator, expected.denominator,
                     )
+
+    @pytest.mark.parametrize("qq", [F(1, 2), F(9, 10), F(3, 2)], ids=str)
+    def test_deep_row_matches_the_product_oracle(self, qq):
+        q = QParam(qq)
+        expected = [q_binomial_product(60, k, q) for k in range(61)]
+        assert [(x.numerator, x.denominator) for x in gaussian_row(60, q)] == [
+            (x.numerator, x.denominator) for x in expected
+        ]
+
+    def test_end_cells_build_no_power(self):
+        # [n 0] comes before any power of q's numerator or denominator is
+        # built, and [n n] is read as [n 0]: building b^n alone, a power
+        # of 10^8 bits, would take longer than the budget
+        start = time.perf_counter()
+        assert q_binomial(10**8, 10**8, HALF) == q_binomial(10**8, 0, HALF) == 1
+        assert time.perf_counter() - start < 0.1
 
 
 def _outcome(read, text):

@@ -16,7 +16,6 @@ from qpascal import (
     check_recursion,
     extreme_array,
     flip_reduction,
-    q_integer,
     theta_array,
     tilde_of_v,
 )
@@ -29,9 +28,12 @@ from oracles import (
     backward_kernel,
     first_column,
     law_of_array,
+    law_to_jsonable,
     multistep_backward,
+    q_integer,
     runs_to_word,
     v_of_tilde,
+    varray_from_jsonable,
     word_probability,
     word_to_runs,
 )
@@ -59,7 +61,7 @@ class TestVArray:
 
     def test_jsonable_roundtrip(self):
         arr = extreme_array(2, HALF, 5)
-        again = VArray.from_jsonable(arr.to_jsonable())
+        again = varray_from_jsonable(arr.to_jsonable())
         assert again == arr
 
     def test_first_column(self):
@@ -198,7 +200,7 @@ class TestFiniteLaw:
 
     def test_jsonable_roundtrip(self):
         law = law_of_array(extreme_array(1, HALF, 3), 3)
-        assert FiniteLaw.from_jsonable(law.to_jsonable()) == law
+        assert FiniteLaw.from_jsonable(law_to_jsonable(law)) == law
 
     def test_huge_length_refused_before_two_to_the_n(self):
         # 2**n has 3 * 10**6 bits: building it and printing it in the

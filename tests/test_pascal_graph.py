@@ -20,6 +20,7 @@ from oracles import (
     Vertex,
     brute_force_weight_sum,
     endpoint,
+    inversions,
     path_weight,
     segment_weight_sum,
 )
@@ -71,9 +72,9 @@ class TestBinaryWord:
 
     def test_inversions(self):
         # pairs (i < j) with a 0 before a 1
-        assert BinaryWord.from_string("011").inversions() == 2
-        assert BinaryWord.from_string("110").inversions() == 0
-        assert BinaryWord.from_string("0101").inversions() == 3
+        assert inversions(BinaryWord.from_string("011")) == 2
+        assert inversions(BinaryWord.from_string("110")) == 0
+        assert inversions(BinaryWord.from_string("0101")) == 3
 
     def test_flip_and_swap(self):
         w = BinaryWord.from_string("100")

@@ -33,6 +33,8 @@ from qpascal import (
 )
 from qpascal.cli import main
 
+from oracles import varray_from_jsonable
+
 HALF = QParam(F(1, 2))
 LAW_QS = [F(1, 2), F(2, 3), F(9, 10)]
 
@@ -97,7 +99,7 @@ class TestPairReader:
         assert rows == (((2, 2),), ((2, 4), (0, 1)))
 
     def test_from_jsonable_reads_the_pairs(self):
-        arr = VArray.from_jsonable({"q": "1/2", "v": [["2/2"], ["2/4", "+3/6"]]})
+        arr = varray_from_jsonable({"q": "1/2", "v": [["2/2"], ["2/4", "+3/6"]]})
         assert arr.rows == ((F(1),), (F(1, 2), F(1, 2)))
 
     def test_fraction_rows_are_not_read_again(self):
@@ -116,7 +118,7 @@ class TestPairReader:
         assert recover_measure(triangle, 6, 3) == recover_measure(law, 6, 3)
         raised = raised_from_q(law)
         assert flip_reduction(read_triangle(raised)) == flip_reduction(
-            VArray.from_jsonable(raised)) == (law, law.q)
+            varray_from_jsonable(raised)) == (law, law.q)
 
 
 def _law(kind: str, q: QParam, depth: int, data) -> VArray:
