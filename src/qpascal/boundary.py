@@ -151,18 +151,21 @@ def extreme_array(kappa, q: QParam, depth: int) -> VArray:
 
 def mixture_array(measure: BoundaryMeasure, depth: int) -> VArray:
     """Triangle of the mixture of extreme laws under ``measure``: the
-    mass-weighted sum of the extreme triangles, plus zero_mass on the
-    diagonal (the all-ones law at x = 0)."""
-    rows = [[Fraction(0)] * (n + 1) for n in range(depth + 1)]
-    for kappa, mass in measure.atoms:
-        if mass:
-            extreme = extreme_array(kappa, measure.q, depth).rows
-            for row, ext in zip(rows, extreme):
-                for k, v in enumerate(ext):
-                    if v:
-                        row[k] += mass * v
-    for n, row in enumerate(rows):
-        row[n] += measure.zero_mass
+    mass-weighted sum of the extreme triangles, zero_mass weighing the
+    all-ones law at x = 0.  A row's terms mass * v are integer pairs over
+    the lcm of their denominators, so each cell is one Fraction."""
+    atoms = measure.atoms + ((ZERO_POINT, measure.zero_mass),)
+    extremes = [
+        (mass.numerator, mass.denominator, extreme_array(kappa, measure.q, depth).rows)
+        for kappa, mass in atoms
+        if mass
+    ]
+    rows = []
+    for n in range(depth + 1):
+        lcm, nums = _over_lcm(
+            [(mn * v.numerator, md * v.denominator) for mn, md, ext in extremes for v in ext[n]]
+        )
+        rows.append([Fraction(sum(nums[k :: n + 1]), lcm) for k in range(n + 1)])
     return VArray(measure.q, rows)
 
 

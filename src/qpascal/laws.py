@@ -14,11 +14,13 @@ The defining consistency condition on v is the backward recursion
 
 checked exactly by :func:`check_recursion`.  A check needs only signs
 and equalities, so it runs on integers: each row is scaled by the lcm of
-its denominators, and no cell is normalised by a gcd.  The triangle file
-format has one reader, :func:`read_triangle`, which keeps each cell as
-the integer pair it was written in (a :class:`PairTriangle`); the check,
-the recovery and the flip each have one body over such pairs, and take a
-VArray as the pairs of its cells.
+its denominators, and no cell is normalised by a gcd.  The builders
+multiply reduced integer pairs (:func:`_times`) and make each cell once,
+already reduced.  The triangle file format has one reader,
+:func:`read_triangle`, which keeps each cell as the integer pair it was
+written in (a :class:`PairTriangle`); the check, the recovery and the
+flip each have one body over such pairs, and take a VArray as the pairs
+of its cells.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Callable, Mapping, NamedTuple
 from .errors import InvalidArrayError
 from .exactq import (
     QParam,
+    _coprime,
     _over_lcm,
     _powers,
     as_count,
@@ -48,6 +51,18 @@ MAX_WORD_LENGTH = 20  # default cap for whole-law enumerations
 # draws a word of n letters from a stream; its ``ones`` attribute draws
 # only the number of ones, from the same draws (see _word_sampler)
 Sampler = Callable[[int, SplitMix64], BinaryWord]
+
+_ZERO = Fraction(0)  # every zero cell a builder makes
+
+
+def _times(num: int, den: int, fn: int, fd: int) -> tuple[int, int]:
+    """(num/den)(fn/fd) as a reduced pair, zero as (0, 1), for reduced pairs
+    over positive denominators: Fraction's rule, a gcd across each way."""
+    if not (num and fn):
+        return 0, 1
+    g1 = math.gcd(num, fd)
+    g2 = math.gcd(fn, den)
+    return num // g1 * (fn // g2), den // g2 * (fd // g1)
 
 
 def _rows(rows, cell) -> tuple[tuple, ...]:
@@ -132,12 +147,12 @@ class TildeArray:
         rows = _rows(self.rows, as_fraction)
         object.__setattr__(self, "rows", rows)
         for n, row in enumerate(rows):
-            if any(x < 0 for x in row):
+            lcm, nums = _over_lcm([(x.numerator, x.denominator) for x in row])
+            if min(nums) < 0:
                 raise InvalidArrayError("negative mass in level %d" % n)
-            if sum(row) != 1:
-                raise InvalidArrayError(
-                    "level %d sums to %s, not 1" % (n, format_rational(sum(row)))
-                )
+            if sum(nums) != lcm:
+                total = format_rational(Fraction(sum(nums), lcm))
+                raise InvalidArrayError("level %d sums to %s, not 1" % (n, total))
 
     @property
     def depth(self) -> int:
@@ -191,8 +206,13 @@ def check_recursion(array: VArray | PairTriangle) -> Check:
 
 
 def tilde_of_v(array: VArray) -> TildeArray:
+    """tv[n][k] = [n k]_q v[n][k], one :func:`_times` per nonzero cell."""
     rows = tuple(
-        tuple(d * x for d, x in zip(gaussian_row(n, array.q), row))
+        tuple(
+            _coprime(*_times(d.numerator, d.denominator, x.numerator, x.denominator))
+            if x else _ZERO
+            for d, x in zip(gaussian_row(n, array.q), row)
+        )
         for n, row in enumerate(array.rows)
     )
     return TildeArray(array.q, rows)
@@ -245,9 +265,9 @@ class ForwardChain:
     probability ``p1(n, k)``, the ``p_one`` given, and the chain is
     q-exchangeable.  That single function yields the v triangle, the
     level laws and a sampler; every pass calls it, so pass a memoised
-    p_one.  An exact chain's level law is a Gaussian row times the
-    canonical-word products, in Fractions; a float p_one (the urn's float
-    mode) runs the level forward over the lattice, in floats.
+    p_one.  An exact chain's triangle and level law run on integers; a
+    float p_one (the urn's float mode) runs the level forward over the
+    lattice, in floats.
     """
 
     def __init__(self, q: QParam, p_one: Callable[[int, int], Fraction]) -> None:
@@ -257,13 +277,20 @@ class ForwardChain:
 
     def triangle(self, depth: int) -> VArray:
         """v[n+1][k] = v[n][k] (1 - p1(n, k)) and v[n+1][n+1] = v[n][n] p1(n, n):
-        only the canonical words 1^k 0^(n-k) are extended."""
+        only the canonical words 1^k 0^(n-k) are extended.  Each column
+        is walked as a reduced integer pair, one :func:`_times` per cell."""
         p1 = self.p1
-        row = [Fraction(1)]
-        rows = [row]
+        pairs = [(1, 1)]
+        rows = [(Fraction(1),)]
         for n in range(depth):
-            row = [v * (1 - p1(n, k)) for k, v in enumerate(row)] + [row[n] * p1(n, n)]
-            rows.append(row)
+            nxt = []
+            for k, (num, den) in enumerate(pairs):
+                p = p1(n, k)
+                nxt.append(_times(num, den, p.denominator - p.numerator, p.denominator))
+            p = p1(n, n)
+            nxt.append(_times(*pairs[n], p.numerator, p.denominator))
+            pairs = nxt
+            rows.append(tuple(_coprime(*c) if c[0] else _ZERO for c in nxt))
         return VArray(self.q, rows)
 
     def level(self, n: int) -> list:

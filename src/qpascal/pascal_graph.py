@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSuperUnitError
-from .exactq import QParam, _powers
+from .exactq import QParam
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,10 @@ def flip_reduction(obj, q: QParam | None = None):
 
     The flipped triangle is q^(k(n-k)) v[n][n-k]: with q = a/b and
     m = k(n-k), cell (n, k) is Fraction(a^m N, b^m d) for the integer pair
-    (N, d) at (n, n-k), one gcd per cell.
+    (N, d) at (n, n-k), one gcd per cell; the powers are taken per nonzero
+    cell, so memory follows the cells, not a table up to q^(depth^2/4).
     """
-    from .laws import PairTriangle, VArray, _pairs
+    from .laws import _ZERO, PairTriangle, VArray, _pairs
 
     if isinstance(obj, BinaryWord):
         if q is None:
@@ -92,14 +93,13 @@ def flip_reduction(obj, q: QParam | None = None):
         raise ValueError("q = %s does not match the triangle's q = %s" % (q, qp))
     if qp.q <= 1:
         raise NotSuperUnitError("flip reduction applies only for q > 1")
-    top = (len(rows) - 1) ** 2 // 4
-    a_pow, b_pow = _powers(qp.q.numerator, top), _powers(qp.q.denominator, top)
+    a, b = qp.q.numerator, qp.q.denominator
     flipped = []
     for n, row in enumerate(rows):
         cells = []
         for k in range(n + 1):
             num, den = row[n - k]
             m = k * (n - k)
-            cells.append(Fraction(a_pow[m] * num, b_pow[m] * den))
+            cells.append(Fraction(a**m * num, b**m * den) if num else _ZERO)
         flipped.append(cells)
     return VArray(qp.inverse, flipped), qp.inverse

@@ -13,7 +13,8 @@ ones counter, ``sampler.ones(n, rng)``: the same walk over the same
 draws, without building the word, which is all a level histogram
 reads.  The chain calls p_one in every pass, so each process memoises
 its own: by k (extreme), by n (theta), and per cell over q^(n-k+b),
-[a+k], [a+b+n] memoised by n-k, k, n (urn).  The closed forms quoted below, the
+[a+k], [a+b+n] memoised by n-k, k, n (urn; an exact cell is one
+Fraction of their integer parts).  The closed forms quoted below, the
 urn's forward probabilities among them, are not computed here: they
 live in the tests as independent checks of the chains.
 
@@ -190,7 +191,15 @@ def polya_chain(params: PolyaParams) -> ForwardChain:
     power = functools.cache(lambda zeros: q ** (zeros + b))
     ones = functools.cache(lambda k: _q_integer(a + k, q))
     total = functools.cache(lambda n: _q_integer(a + b + n, q))
-    p_one = functools.cache(lambda n, k: power(n - k) * ones(k) / total(n))
+
+    @functools.cache
+    def p_one(n: int, k: int):
+        x, y, z = power(n - k), ones(k), total(n)
+        if params.float_mode:
+            return x * y / z
+        top, bottom = x.numerator * y.numerator, x.denominator * y.denominator
+        return Fraction(top * z.denominator, bottom * z.numerator)
+
     return ForwardChain(params.q, p_one)
 
 

@@ -24,6 +24,11 @@ the package:
     check_recursion_fractions, is_q_completely_monotone_fractions
                              the package's two checks in Fraction
                              arithmetic, one normalised value per step
+    triangle_fractions, tilde_of_v_fractions, check_levels_fractions,
+    mixture_array_fractions, polya_chain_fractions
+                             the package's triangle, tilde and mixture
+                             builders, its level-sum check and the urn's
+                             exact p1, in Fraction arithmetic
     all_words                every word of one length
     inversions               a word's pairs i < j with a 0 before a 1
     word_probability         a word's probability under a triangle
@@ -85,8 +90,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from qpascal import guards
 from qpascal.boundary import BoundaryMeasure, MomentSequence, extreme_chain
-from qpascal.errors import QPascalError, RegimeError
-from qpascal.exactq import QParam, as_fraction, format_rational, q_binomial
+from qpascal.errors import InvalidArrayError, QPascalError, RegimeError
+from qpascal.exactq import QParam, as_fraction, format_rational, gaussian_row, q_binomial
 from qpascal.galois import (
     DEFAULT_SUBSPACE_LIMIT,
     FieldSpec,
@@ -468,6 +473,63 @@ def check_recursion_fractions(array: VArray) -> Check:
                 if rows[n][k] != expected:
                     return Check(False, (n, k))
     return Check(True, None)
+
+
+def triangle_fractions(chain: ForwardChain, depth: int) -> VArray:
+    """v[n+1][k] = v[n][k] (1 - p1(n, k)) and v[n+1][n+1] = v[n][n] p1(n, n):
+    only the canonical words 1^k 0^(n-k) are extended."""
+    p1 = chain.p1
+    row = [Fraction(1)]
+    rows = [row]
+    for n in range(depth):
+        row = [v * (1 - p1(n, k)) for k, v in enumerate(row)] + [row[n] * p1(n, n)]
+        rows.append(row)
+    return VArray(chain.q, rows)
+
+
+def tilde_of_v_fractions(array: VArray) -> TildeArray:
+    rows = tuple(
+        tuple(d * x for d, x in zip(gaussian_row(n, array.q), row))
+        for n, row in enumerate(array.rows)
+    )
+    return TildeArray(array.q, rows)
+
+
+def check_levels_fractions(rows) -> None:
+    """The level-sum check of ``TildeArray`` on rows of Fractions."""
+    for n, row in enumerate(rows):
+        if any(x < 0 for x in row):
+            raise InvalidArrayError("negative mass in level %d" % n)
+        if sum(row) != 1:
+            raise InvalidArrayError(
+                "level %d sums to %s, not 1" % (n, format_rational(sum(row)))
+            )
+
+
+def mixture_array_fractions(measure: BoundaryMeasure, depth: int) -> VArray:
+    """Triangle of the mixture of extreme laws under ``measure``: the
+    mass-weighted sum of the extreme triangles, plus zero_mass on the
+    diagonal (the all-ones law at x = 0)."""
+    rows = [[Fraction(0)] * (n + 1) for n in range(depth + 1)]
+    for kappa, mass in measure.atoms:
+        if mass:
+            extreme = triangle_fractions(extreme_chain(kappa, measure.q), depth).rows
+            for row, ext in zip(rows, extreme):
+                for k, v in enumerate(ext):
+                    if v:
+                        row[k] += mass * v
+    for n, row in enumerate(rows):
+        row[n] += measure.zero_mass
+    return VArray(measure.q, rows)
+
+
+def polya_chain_fractions(params: PolyaParams) -> ForwardChain:
+    """The exact urn as a forward chain whose p1 is
+    q^(n-k+b) [a+k] / [a+b+n] in Fraction arithmetic."""
+    a, b, q = params.a, params.b, params.q.q
+    return ForwardChain(
+        params.q, lambda n, k: q ** (n - k + b) * _q_number(a + k, q) / _q_number(a + b + n, q)
+    )
 
 
 def array_from_moments(u: MomentSequence, q: QParam) -> VArray:

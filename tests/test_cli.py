@@ -695,9 +695,10 @@ def run_capped(*argv):
 
 
 class TestMemoryBound:
-    """A deep level law keeps one Gaussian cell and a few powers, so its
-    memory follows what the command prints; a table of the powers up to
-    b^(n^2/4) made --n 800 end in MemoryError under the cap."""
+    """A deep level law keeps one Gaussian cell and a few powers, and a
+    flip takes q's powers per nonzero cell, so their memory follows what
+    the command prints; a table of the powers up to b^(n^2/4) made --n 800
+    and a depth-500 flip end in MemoryError under the cap."""
 
     # the --n 400 digest is the histogram as printed while the powers
     # were tabulated
@@ -713,6 +714,18 @@ class TestMemoryBound:
         assert out.count(b"\n") == n + 2
         if digest:
             assert hashlib.sha256(out).hexdigest() == digest
+        assert seconds < 2.0
+
+    def test_deep_zero_flip_under_the_cap(self, tmp_path):
+        # a table of q's powers up to q^(depth^2/4) ended this in MemoryError
+        depth = 500
+        path = write_json(tmp_path / "zero.json", {
+            "q": "3/2", "depth": depth, "v": [["0"] * (n + 1) for n in range(depth + 1)]})
+        code, out, err, seconds = run_capped("flip", "--input", path)
+        assert (code, err) == (0, "")
+        flipped = json.loads(out)
+        assert flipped["q"] == "2/3"
+        assert flipped["v"][depth] == ["0"] * (depth + 1)
         assert seconds < 2.0
 
 
