@@ -57,7 +57,6 @@ from .galois import (
     is_irreducible,
     is_prime,
     make_field,
-    rref_canonicalize,
     sample_growth,
 )
 from .laws import (

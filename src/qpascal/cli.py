@@ -260,6 +260,8 @@ def _cmd_table(args) -> int:
 def _make_sampler(args):
     """The sampler (with its ones counter), the echoed parameters and the
     exact level law of n letters, built from one chain."""
+    if args.mode == "runs" and args.process != "extreme":
+        raise ValueError("--mode runs is for the extreme process only")
     built = _process_args(args.process, args, QParam(args.q))
     if args.process == "extreme":
         chain = extreme_chain(*built)

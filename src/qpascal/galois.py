@@ -16,13 +16,12 @@ c_m = 1.  With m = 1 the default modulus is x, so elements are the
 usual integers mod p.  Subspaces are kept in reduced row echelon form,
 which makes equality checks and printed bases canonical.
 
-Row reduction checks its input once, then works on rows through add,
-mul, neg and inv tables built on first use from the exact arithmetic of
-``FieldSpec``, if q * q <= MAX_FIELD_SIZE (larger fields compute each
-entry).  A growth step inserts its one new vector into the current basis
-in O(dim * n).  ``Subspace(...)`` validates a basis by row reduction;
-bases built in RREF here (growth steps and Grassmannians) are stored as
-they are.
+A growth step inserts its one new vector into the current basis in
+O(dim * n), through add, mul, neg and inv tables built on first use
+from the exact arithmetic of ``FieldSpec``, if q * q <= MAX_FIELD_SIZE
+(larger fields compute each entry).  ``Subspace(...)`` stores the basis
+it is given: the growth steps and ``enumerate_grassmannian`` build every
+basis in RREF, and no outside input reaches it.
 """
 
 from __future__ import annotations
@@ -253,7 +252,7 @@ class FieldSpec:
 
     @cached_property
     def _tables(self) -> _Tables:
-        """Row reduction's tables, built on first use (computed above
+        """A growth step's tables, built on first use (computed above
         TABLE_FIELD_SIZE)."""
         if self.size <= TABLE_FIELD_SIZE:
             return _tabulate(self)
@@ -320,13 +319,11 @@ def _insert(tables: _Tables, rows: list, pivots: list, vec: list[int]) -> None:
     """Add vec to the span of ``rows``, an RREF basis with pivot columns
     ``pivots``, keeping both in RREF: clear vec's pivot columns, scale
     its leading entry to 1 and clear that column from the other rows.
-    O(len(rows) * n) lookups; a vec already in the span changes nothing."""
+    vec must lie outside the span.  O(len(rows) * n) lookups."""
     for row, piv in zip(rows, pivots):
         if vec[piv]:
             _axpy(tables, vec, tables.neg[vec[piv]], row, piv)
-    lead = next((j for j, e in enumerate(vec) if e), None)
-    if lead is None:
-        return
+    lead = next(j for j, e in enumerate(vec) if e)
     scale = tables.mul[tables.inv[vec[lead]]]
     vec[lead:] = [scale[e] for e in vec[lead:]]
     for row in rows:
@@ -337,43 +334,14 @@ def _insert(tables: _Tables, rows: list, pivots: list, vec: list[int]) -> None:
     pivots.insert(i, lead)
 
 
-def rref_canonicalize(
-    field: FieldSpec, n: int, vectors: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon form of the span; zero rows dropped."""
-    rows, pivots = [], []
-    for vector in vectors:
-        vec = list(vector)
-        if len(vec) != n:
-            raise ValueError("vector length %d does not match ambient %d" % (len(vec), n))
-        for entry in vec:
-            field._check(entry)
-        _insert(field._tables, rows, pivots, vec)
-    return tuple(tuple(row) for row in rows)
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of field^ambient_dim, basis in reduced row echelon form."""
+    """A subspace of field^ambient_dim, basis in reduced row echelon form:
+    a tuple of row tuples, which its builder makes in that form."""
 
     field: FieldSpec
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 0:
-            raise ValueError("ambient dimension must be non-negative")
-        basis = tuple(tuple(row) for row in self.basis)
-        object.__setattr__(self, "basis", basis)
-        if rref_canonicalize(self.field, self.ambient_dim, basis) != basis:
-            raise ValueError("basis rows are not in reduced row echelon form")
-
-    @classmethod
-    def _trusted(cls, field: FieldSpec, ambient_dim: int, basis: tuple) -> "Subspace":
-        """A subspace on a tuple-of-tuples basis its caller built in RREF."""
-        space = object.__new__(cls)
-        vars(space).update(field=field, ambient_dim=ambient_dim, basis=basis)
-        return space
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -393,12 +361,11 @@ class Subspace:
 
 
 def _grown(subspace: Subspace, xi: list[int]) -> Subspace:
-    """The span of subspace and xi (xi[n] != 0) in field^(n+1)."""
+    """The span of subspace and xi (xi[n] != 0) in field^(n+1): the padded
+    rows are 0 in column n, so xi lies outside their span."""
     rows = [list(row) + [0] for row in subspace.basis]
     _insert(subspace.field._tables, rows, list(subspace.pivots), xi)
-    return Subspace._trusted(
-        subspace.field, subspace.ambient_dim + 1, tuple(tuple(r) for r in rows)
-    )
+    return Subspace(subspace.field, subspace.ambient_dim + 1, tuple(tuple(r) for r in rows))
 
 
 def enumerate_grassmannian(field: FieldSpec, n: int, k: int) -> Iterator[Subspace]:
@@ -427,7 +394,7 @@ def enumerate_grassmannian(field: FieldSpec, n: int, k: int) -> Iterator[Subspac
                 rows[i][piv] = 1
             for (i, c), val in zip(free, values):
                 rows[i][c] = val
-            yield Subspace._trusted(field, n, tuple(tuple(r) for r in rows))
+            yield Subspace(field, n, tuple(tuple(r) for r in rows))
 
 
 # ------------------------------------------------------------ growth chains
@@ -459,7 +426,7 @@ def sample_growth(
             chain.append(_grown(current, xi))
         else:
             padded = tuple(row + (0,) for row in current.basis)
-            chain.append(Subspace._trusted(field, n + 1, padded))
+            chain.append(Subspace(field, n + 1, padded))
     return tuple(chain)
 
 

@@ -65,14 +65,14 @@ def _times(num: int, den: int, fn: int, fd: int) -> tuple[int, int]:
     return num // g1 * (fn // g2), den // g2 * (fd // g1)
 
 
-def _rows(rows, cell) -> tuple[tuple, ...]:
-    """A triangle's rows with each cell read by ``cell``: a list of rows,
-    each a list of cells, and n + 1 cells in row n."""
+def _rows(rows, cell=None) -> tuple[tuple, ...]:
+    """A triangle's rows as tuples, each cell read by ``cell`` if given: a
+    list of rows, each a list of cells, and n + 1 cells in row n."""
     if not isinstance(rows, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) for row in rows
     ):
         raise TypeError("a triangle is a list of rows, each a list of cells")
-    out = tuple(tuple(map(cell, row)) for row in rows)
+    out = tuple(tuple(row if cell is None else map(cell, row)) for row in rows)
     if not out:
         raise InvalidArrayError("array needs at least the root row")
     for n, row in enumerate(out):
@@ -115,13 +115,14 @@ def _pairs(array) -> PairTriangle:
 
 @dataclass(frozen=True)
 class VArray:
-    """Canonical-word probability triangle of a q-exchangeable law."""
+    """Canonical-word probability triangle of a q-exchangeable law: the
+    Fraction rows its builder made, of which only the shape is checked."""
 
     q: QParam
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _rows(self.rows, as_fraction))
+        object.__setattr__(self, "rows", _rows(self.rows))
 
     @property
     def depth(self) -> int:
@@ -138,13 +139,15 @@ class VArray:
 
 @dataclass(frozen=True)
 class TildeArray:
-    """Level distributions: row n is the law of the height after n steps."""
+    """Level distributions: row n is the law of the height after n steps.
+    The Fraction rows are checked for shape and for non-negative levels
+    that sum to 1."""
 
     q: QParam
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = _rows(self.rows, as_fraction)
+        rows = _rows(self.rows)
         object.__setattr__(self, "rows", rows)
         for n, row in enumerate(rows):
             lcm, nums = _over_lcm([(x.numerator, x.denominator) for x in row])

@@ -51,6 +51,9 @@ the package:
     forward_level            a chain's level law by a forward pass
     tv_distance              total variation against an exact level law
     field_sub                x - y in a field
+    rref_canonicalize, checked_rref
+                             reduced row echelon form by Gauss-Jordan
+                             elimination, and a subspace held to it
     spanned, full_space, contains, span_vectors
                              a subspace from spanning vectors, the whole
                              space, membership, and every vector of a span
@@ -64,9 +67,10 @@ guard of ``all_words`` and ``chain_law`` and the extension guard of
 extreme stay ratio q^(kappa-k) and the q-number [x] = (1 - q^x) / (1 - q)
 are written out here, not imported, so a wrong power or q-integer in the
 package cannot pass its own oracle.  Subspaces are stepped with the public field
-arithmetic and ``rref_canonicalize``, and built through
-``Subspace(...)``, which checks that each basis is in reduced row
-echelon form.
+arithmetic and ``rref_canonicalize``, a Gauss-Jordan elimination over
+``FieldSpec.add/mul/neg/inv`` that shares nothing with the package's
+growth step.  ``Subspace(...)`` checks nothing, so every basis built
+here by hand goes through ``checked_rref``.
 
 The infinite products truncate by TRUNCATION_TERMS and
 TRUNCATION_TARGET, by different rules.  The float value stops at the
@@ -97,7 +101,6 @@ from qpascal.galois import (
     FieldSpec,
     Subspace,
     growth_q_param,
-    rref_canonicalize,
 )
 from qpascal.laws import (
     MAX_WORD_LENGTH,
@@ -812,23 +815,66 @@ def field_sub(field: FieldSpec, x: int, y: int) -> int:
     return field.add(x, field.neg(y))
 
 
+def rref_canonicalize(
+    field: FieldSpec, n: int, vectors: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon form of the span of ``vectors`` in field^n, zero
+    rows dropped: Gauss-Jordan elimination, one column at a time.
+    ValueError for a negative n, a vector of another length or an entry
+    that is not a field element."""
+    if n < 0:
+        raise ValueError("ambient dimension must be non-negative")
+    rows = []
+    for vector in vectors:
+        if len(vector) != n:
+            raise ValueError("vector length %d does not match ambient %d" % (len(vector), n))
+        for entry in vector:
+            field.decode(entry)  # its ValueError for a non-element
+        rows.append(list(vector))
+    done = []
+    for col in range(n):
+        i = next((i for i, row in enumerate(rows) if row[col]), None)
+        if i is None:
+            continue
+        scale = field.inv(rows[i][col])
+        pivot = [field.mul(scale, e) for e in rows.pop(i)]
+        for row in rows + done:
+            if row[col]:
+                c = field.neg(row[col])
+                row[:] = [field.add(e, field.mul(c, x)) for e, x in zip(row, pivot)]
+        done.append(pivot)
+    return tuple(tuple(row) for row in done)
+
+
+def checked_rref(space: Subspace) -> Subspace:
+    """``space``, whose basis must be a tuple of row tuples that is its own
+    reduced row echelon form; ValueError otherwise."""
+    n, basis = space.ambient_dim, space.basis
+    if not isinstance(basis, tuple) or not all(isinstance(row, tuple) for row in basis):
+        raise ValueError("basis must be a tuple of row tuples")
+    if rref_canonicalize(space.field, n, basis) != basis:
+        raise ValueError("basis rows are not in reduced row echelon form")
+    return space
+
+
 def spanned(field: FieldSpec, n: int, vectors: Sequence[Sequence[int]]) -> Subspace:
     """The span of ``vectors`` in field^n."""
-    return Subspace(field, n, rref_canonicalize(field, n, vectors))
+    return checked_rref(Subspace(field, n, rref_canonicalize(field, n, vectors)))
 
 
 def full_space(field: FieldSpec, n: int) -> Subspace:
     """field^n itself."""
-    return Subspace(field, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return checked_rref(Subspace(field, n, identity))
 
 
 def contains(space: Subspace, vector: Sequence[int]) -> bool:
     """Whether ``vector`` lies in ``space``: adding it leaves the RREF basis
     as it is.  False for a wrong length; ValueError for an entry that is
-    not a field element."""
+    not a field element, or for a basis not in RREF."""
     if len(vector) != space.ambient_dim:
         return False
-    basis = space.basis + (tuple(vector),)
+    basis = checked_rref(space).basis + (tuple(vector),)
     return rref_canonicalize(space.field, space.ambient_dim, basis) == space.basis
 
 
@@ -860,7 +906,7 @@ def project_down(subspace: Subspace) -> Subspace:
                 c = field.neg(field.mul(r[-1], scale))
                 r[:] = [field.add(e, field.mul(c, s)) for e, s in zip(r, pivot_row)]
         rows.remove(pivot_row)
-    return Subspace(field, n - 1, tuple(tuple(r[:-1]) for r in rows))
+    return checked_rref(Subspace(field, n - 1, tuple(tuple(r[:-1]) for r in rows)))
 
 
 def list_extensions(subspace: Subspace) -> list[Subspace]:
@@ -870,7 +916,7 @@ def list_extensions(subspace: Subspace) -> list[Subspace]:
     counts = (field.size**i for i in range(subspace.codim + 1))
     guards.check_count(counts, DEFAULT_SUBSPACE_LIMIT, "extensions")
     padded = tuple(row + (0,) for row in subspace.basis)
-    out = [Subspace(field, n + 1, padded)]
+    out = [checked_rref(Subspace(field, n + 1, padded))]
     free_cols = [j for j in range(n) if j not in subspace.pivots]
     for values in itertools.product(field.elements(), repeat=len(free_cols)):
         xi = [0] * (n + 1)

@@ -45,12 +45,14 @@ def test_moved_accessors_are_gone():
         qpascal.ForwardChain: ["law"],
         qpascal.FiniteLaw: ["to_jsonable"],
         qpascal.VArray: ["from_jsonable"],
-        qpascal.Subspace: ["spanned", "full", "contains", "vectors"],
+        qpascal.Subspace: ["spanned", "full", "contains", "vectors", "_trusted",
+                           "__post_init__"],
+        qpascal.galois: ["rref_canonicalize"],
         qpascal.FieldSpec: ["sub"],
         qpascal.BinaryWord: ["inversions", "__iter__"],
         qpascal.BoundaryMeasure: ["mass"],
         qpascal.exactq: ["q_integer", "gaussian_rows"],
-        qpascal: ["q_integer"],
+        qpascal: ["q_integer", "rref_canonicalize"],
     }
     for owner, names in moved.items():
         for name in names:

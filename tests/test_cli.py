@@ -299,6 +299,24 @@ class TestSample:
         assert exc.value.code == 2
         assert "invalid choice: 'backward'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("process, flags", [
+        ("theta", ("--theta", "1")),
+        ("polya", ("--a", "1", "--b", "1")),
+    ])
+    @pytest.mark.parametrize("trials", [(), ("--trials", "3")], ids=["word", "histogram"])
+    def test_runs_mode_is_for_the_extreme_process_only(self, capsys, process, flags, trials):
+        code = main(["sample", "--process", process, *flags, "--mode", "runs",
+                     "--q", "1/2", "--n", "4", "--seed", "0", *trials])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --mode runs is for the extreme process only\n"
+        # forward, the default, is the one mode of these processes
+        code, out = run(capsys, "sample", "--process", process, *flags, "--mode", "forward",
+                        "--q", "1/2", "--n", "4", "--seed", "0", *trials)
+        assert code == 0
+        assert out == run(capsys, "sample", "--process", process, *flags,
+                          "--q", "1/2", "--n", "4", "--seed", "0", *trials)[1]
+
 
 class TestMissingFlags:
     """A law or process without the flag it needs is a usage error that

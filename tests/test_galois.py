@@ -27,7 +27,6 @@ from qpascal import (
     is_prime,
     make_field,
     q_binomial,
-    rref_canonicalize,
     sample_growth,
 )
 from qpascal import galois
@@ -35,6 +34,7 @@ from qpascal import galois
 from oracles import (
     all_words,
     chain_law,
+    checked_rref,
     contains,
     exact_growth_law,
     field_sub,
@@ -42,6 +42,7 @@ from oracles import (
     list_extensions,
     path_weight,
     project_down,
+    rref_canonicalize,
     span_vectors,
     spanned,
 )
@@ -160,9 +161,14 @@ class TestTables:
                 assert tables.inv[x] == field.inv(x)
 
     def test_built_on_first_row_reduction(self):
+        # the first growth step inserts a vector; a chain that only stalls
+        # and the oracle's elimination build no tables
         field = make_field(3, 2)
         assert field.mul(2, 3) == 6 and "_tables" not in vars(field)
         spanned(field, 2, [(1, 2)])
+        sample_growth(math.inf, field, 3, seed=0)
+        assert "_tables" not in vars(field)
+        sample_growth(0, field, 1, seed=0)
         assert "_tables" in vars(field)
 
     # chains of sample_growth(3, field, 12, seed=11), recorded before field
@@ -200,6 +206,9 @@ class TestTables:
 
 
 class TestRref:
+    """The oracle's Gauss-Jordan elimination, which the package's bases
+    are held to."""
+
     def test_hand_example(self):
         rows = rref_canonicalize(F2, 3, [(1, 1, 0), (1, 0, 1)])
         assert rows == ((1, 0, 1), (0, 1, 1))
@@ -211,35 +220,53 @@ class TestRref:
     def test_zero_rows_dropped(self):
         assert rref_canonicalize(F2, 2, [(1, 1), (1, 1)]) == ((1, 1),)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        data=st.lists(
-            st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
-            min_size=1,
-            max_size=3,
+    def test_rejects_bad_input(self):
+        for bad in ([[2, 0, 1]], [[1, 0, 3]], [[1, 0], [0, 1]]):
+            with pytest.raises(ValueError):
+                rref_canonicalize(F2, 3, bad)
+        with pytest.raises(ValueError):
+            rref_canonicalize(F2, -1, [])
+
+    def test_checked_rref_rejects_other_bases(self):
+        for bad in (((1, 1, 0), (1, 0, 1)), ((1, 0, 0), (1, 0, 0)), [(1, 0, 0)], ((2, 0, 0),)):
+            with pytest.raises(ValueError):
+                checked_rref(Subspace(F3, 3, bad))
+        with pytest.raises(ValueError):
+            contains(Subspace(F2, 2, ((1, 1), (0, 1))), (1, 0))
+        assert checked_rref(Subspace(F3, 3, ((1, 0, 2), (0, 1, 1)))).dim == 2
+
+    @settings(max_examples=120, deadline=None)
+    @given(field=st.sampled_from([F3, F4]), data=st.data())
+    def test_span_preserved(self, field, data):
+        # over a prime field and over GF(4), whose degree m is 2
+        entries = st.integers(min_value=0, max_value=field.size - 1)
+        vectors = data.draw(
+            st.lists(st.lists(entries, min_size=3, max_size=3), min_size=1, max_size=3)
         )
-    )
-    def test_span_preserved(self, data):
-        rows = rref_canonicalize(F3, 3, data)
-        space = Subspace(F3, 3, rows)
-        for vec in data:
-            assert contains(space, tuple(v % 3 for v in vec))
-        # basis vectors lie in the span of the input
-        original = set(span_vectors(spanned(F3, 3, data)))
-        for row in rows:
-            assert row in original
+        rows = rref_canonicalize(field, 3, vectors)
+        assert rref_canonicalize(field, 3, rows) == rows
+        span = _span(field, vectors)
+        # the rows are independent and span what the input spans
+        assert _span(field, rows) == span
+        assert len(span) == field.size ** len(rows)
+        space = Subspace(field, 3, rows)
+        assert set(span_vectors(space)) == span
+        assert all(contains(space, vec) for vec in vectors)
+
+
+def _span(field, vectors):
+    """Every combination of ``vectors`` (of length 3), by brute force."""
+    out = {(0, 0, 0)}
+    for vec in vectors:
+        out = {
+            tuple(field.add(x, field.mul(c, y)) for x, y in zip(w, vec))
+            for w in out
+            for c in field.elements()
+        }
+    return out
 
 
 class TestSubspace:
-    def test_rejects_non_rref_basis(self):
-        with pytest.raises(ValueError):
-            Subspace(F2, 3, ((1, 1, 0), (1, 0, 1)))
-
-    def test_from_jsonable_validates(self):
-        for bad in ([[2, 0, 1]], [[1, 0, 3]], [[1, 0], [0, 1]]):
-            with pytest.raises(ValueError):
-                Subspace(F3, 3, bad)
-
     def test_contains_checks_entries(self):
         space = spanned(F2, 3, [(1, 1, 0)])
         with pytest.raises(ValueError):
@@ -455,13 +482,13 @@ class TestGrowth:
 
 
 def assert_canonical(space):
-    assert isinstance(space.basis, tuple)
-    assert all(isinstance(row, tuple) for row in space.basis)
-    assert rref_canonicalize(space.field, space.ambient_dim, space.basis) == space.basis
+    assert checked_rref(space) is space
 
 
 class TestInternalBasesAreCanonical:
-    """Bases built without re-validation are the RREF of themselves."""
+    """Bases that ``galois`` builds are tuples of row tuples and the RREF of
+    themselves, by the oracle's elimination: ``Subspace(...)`` checks
+    nothing."""
 
     @pytest.mark.parametrize("field", [F2, F3, F4, make_field(2, 3), make_field(5)],
                              ids=lambda f: "GF%d" % f.size)

@@ -16,11 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qpascal import (
-    InvalidArrayError,
     PolyaParams,
     QParam,
     ThetaParams,
-    TildeArray,
     VArray,
     as_pair,
     check_recursion,
@@ -106,10 +104,6 @@ class TestPairReader:
         rows = extreme_array(2, HALF, 4).rows
         again = VArray(HALF, rows).rows
         assert all(x is y for row, same in zip(rows, again) for x, y in zip(row, same))
-
-    def test_tilde_file_still_checks_its_levels(self):
-        with pytest.raises(InvalidArrayError, match="level 1 sums to 3/4"):
-            TildeArray(HALF, [["1"], ["1/2", "1/4"]])
 
     def test_a_file_and_its_varray_give_the_same_results(self):
         law = theta_array(ThetaParams(F(1, 3), HALF), 6)
