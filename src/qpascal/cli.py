@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -111,46 +112,83 @@ def _parse_theta(text: str):
     return math.inf if text == "inf" else text
 
 
-def _dumps(obj, indent: str = "\n") -> str:
+def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte.
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
-    set, one generator step per value; here a list of plain ints or of
-    strings goes out in one ``join``.  A dict key that is not a ``str``
-    raises ``TypeError`` (``json.dumps`` would coerce it)."""
+    set, one generator step per value.  Here every value appends its
+    chunks to one list, joined once; a list of strings goes out in one
+    ``join``, and a grid of plain ints in one ``join`` per row (see
+    :func:`_int_grid_items`).  A dict key that is not a ``str`` raises
+    ``TypeError`` (``json.dumps`` would coerce it)."""
+    out = []
+    _write(out, obj, "\n")
+    return "".join(out)
+
+
+def _write(out: list, obj, indent: str) -> None:
+    inner = indent + "  "
     if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        types = set(map(type, obj))  # type(), not isinstance: a bool is no int here
-        if types == {int}:
-            body = map(str, obj)
-        elif types == {str}:
-            body = map(_quote, obj)
+        out.append(_quote(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = (map(_quote, obj) if set(map(type, obj)) == {str}
+                 else _int_grid_items(obj, indent))
+        if items is not None:
+            out += "[", inner, ("," + inner).join(items), indent, "]"
         else:
-            body = [_dumps(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(body) + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        items = []
+            lead = "[" + inner
+            for value in obj:
+                out.append(lead)
+                _write(out, value, inner)
+                lead = "," + inner
+            out += indent, "]"
+    elif isinstance(obj, dict) and obj:
+        lead = "{" + inner
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError("JSON keys must be str, not %s" % type(key).__name__)
-            items.append(_quote(key) + ": " + _dumps(value, inner))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if type(obj) is int:
-        return str(obj)
-    return json.dumps(obj)  # a float or an int subclass: json's own spelling
+            out += lead, _quote(key), ": "
+            _write(out, value, inner)
+            lead = "," + inner
+        out += indent, "}"
+    elif type(obj) is int:
+        out.append(str(obj))
+    else:  # an empty list or dict, None, a bool, a float or an int subclass
+        out.append(json.dumps(obj))
+
+
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _int_grid_items(obj, indent: str):
+    """The texts of ``obj``'s items if it is a grid of plain ints (a
+    vector, a basis, a list of k x n bases): every leaf at one depth, and
+    the lists at each depth all of one nonzero length.  Else None.
+
+    The leaves are read once, level by level, and spelled in one call;
+    each level below ``obj`` is then one ``join`` per list."""
+    widths = []  # of the lists at each depth below obj
+    level = obj
+    while True:
+        kinds = set(map(type, level))  # type(), not isinstance: a bool is no int here
+        if kinds == {int}:
+            break
+        width = len(level[0]) if kinds <= {list, tuple} else 0
+        if not width or set(map(len, level)) != {width}:
+            return None
+        widths.append(width)
+        level = list(itertools.chain.from_iterable(level))
+    if 0 <= min(level) and max(level) <= 9:
+        items = bytes(level).translate(_DIGITS).decode()
+    else:
+        items = list(map(str, level))
+    del level  # the leaves' list goes before the rows are built: peak memory
+    for depth in range(len(widths), 0, -1):
+        width, inner = widths[depth - 1], indent + "  " * (depth + 1)
+        head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
+        items = [head + sep.join(items[i:i + width]) + tail
+                 for i in range(0, len(items), width)]
+    return items
 
 
 def _emit(args, text: str) -> None:

@@ -59,7 +59,11 @@ def as_pair(value) -> tuple[int, int]:
         # the digit runs Fraction would, with the same limits and messages
         num, slash, den = value.partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num
-        if digits.isdecimal() and (den.isdecimal() or not slash):
+        if value.isascii():  # bytes.isdigit is isdecimal there, by a faster table
+            plain = digits.encode().isdigit() and (den.encode().isdigit() or not slash)
+        else:
+            plain = digits.isdecimal() and (den.isdecimal() or not slash)
+        if plain:
             top = -int(digits) if num[0] == "-" else int(digits)
             bottom = int(den or 1)
             if not bottom:

@@ -1070,8 +1070,35 @@ TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U00
 INTS = (st.integers() | st.integers(min_value=2**64, max_value=2**200)
         | st.integers(min_value=-(2**200), max_value=-(2**64)))
 SCALARS = st.none() | st.booleans() | INTS | TEXT | st.floats()
+
+# grids of ints as the emitter meets them (vectors, bases, lists of
+# bases), as lists or tuples, some ragged, some with [] at any level, and
+# with single digits, wider, negative and huge leaves or a bool among them
+GRID_LEAVES = st.sampled_from([
+    st.integers(0, 9), st.integers(-1, 10), st.integers(0, 300),
+    st.integers(-(2**70), 2**70),
+    st.integers(0, 9) | st.booleans(), INTS,
+])
+
+
+@st.composite
+def int_grids(draw):
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    leaf = draw(GRID_LEAVES)
+    ragged = draw(st.booleans())
+
+    def grid(depth):
+        if depth == len(shape):
+            return draw(leaf)
+        width = draw(st.integers(0, 4)) if ragged else shape[depth]
+        rows = [grid(depth + 1) for _ in range(width)]
+        return tuple(rows) if draw(st.booleans()) else rows
+
+    return grid(0)
+
+
 JSON_VALUES = st.recursive(
-    SCALARS,
+    SCALARS | int_grids(),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
     | st.lists(INTS) | st.lists(TEXT) | st.dictionaries(TEXT, inner),
     max_leaves=20,
@@ -1082,7 +1109,7 @@ class TestJsonEmitter:
     """Every command prints ``cli._dumps(payload)``; its bytes are
     ``json.dumps(payload, indent=2)``'s, which README states as a contract."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES)
     def test_bytes_match_json_dumps(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2)
@@ -1090,6 +1117,9 @@ class TestJsonEmitter:
     @pytest.mark.parametrize("value", [
         [], {}, (), [[]], [{}], {"": []}, [True, 1], [1, True], [False], [None],
         [1, "1"], [2**64, -(2**64)], ["\u00e9", "\n"], [1.0, 1], [float("nan")],
+        [[1, 2], [3]], [[1], []], [[[]]], [[0, 1], [1, True]], [(0, 1), [2, 3]],
+        [[0, 9], [10]], [[0, 9], [10, 255]], [[256, -1]], [[1, 2], 3], [1, [2]],
+        [[[0, 1]], [[2, 3]]],
     ], ids=repr)
     def test_edge_cases(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qpascal import (
     QParam,
     as_fraction,
+    as_pair,
     format_rational,
     parse_rational,
     q_binomial,
@@ -241,7 +242,49 @@ def _exponent_of_decimal(text):
     return exponent if e and digits and _digit_runs(exponent) else None
 
 
+def _pair_by_isdecimal(text):
+    """as_pair's plain-digits rule with ``str.isdecimal`` as its test: the
+    unreduced pair of a plain [+-]digits[/digits], and None for any other
+    text, which Fraction's reader reads."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (digits.isdecimal() and (den.isdecimal() or not slash)):
+        return None
+    top = -int(digits) if num[0] == "-" else int(digits)
+    bottom = int(den or 1)
+    if not bottom:
+        raise ValueError("zero denominator in %r" % (text,))
+    return top, bottom
+
+
+def _reduced_pair(text):
+    x = as_fraction(text)
+    return x.numerator, x.denominator
+
+
+# ASCII digits and the separators around them, with Arabic-Indic and
+# fullwidth digits, which are decimal but not ASCII
+_PLAIN_ALPHABET = "0123456789/+- _.eE\t\n\u0660\u0663\u0669\uff10\uff15\uff19"
+
+
 class TestReader:
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.text(alphabet=_PLAIN_ALPHABET, max_size=10)
+           | st.lists(_READER_TOKENS, max_size=7).map("".join))
+    @example("007/010")
+    @example("-\u0663/\uff16")
+    @example("\u0663/6")
+    @example("+0/0")
+    @example("12 ")
+    @example("1\n")
+    def test_plain_digits_keep_the_isdecimal_rule(self, text):
+        # as_pair tests ASCII text by bytes.isdigit; the pairs, the texts
+        # it hands to Fraction and every message stay the isdecimal rule's
+        want = _outcome(_pair_by_isdecimal, text)
+        if want is None:
+            want = _outcome(_reduced_pair, text)
+        assert _outcome(as_pair, text) == want
+
     @settings(max_examples=400, deadline=None)
     @given(text=st.lists(_READER_TOKENS, max_size=7).map("".join))
     @example("-12/8")
