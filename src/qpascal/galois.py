@@ -16,12 +16,13 @@ c_m = 1.  With m = 1 the default modulus is x, so elements are the
 usual integers mod p.  Subspaces are kept in reduced row echelon form,
 which makes equality checks and printed bases canonical.
 
-A growth step inserts its one new vector into the current basis in
-O(dim * n), through add, mul, neg and inv tables built on first use
-from the exact arithmetic of ``FieldSpec``, if q * q <= MAX_FIELD_SIZE
-(larger fields compute each entry).  ``Subspace(...)`` stores the basis
-it is given: the growth steps and ``enumerate_grassmannian`` build every
-basis in RREF, and no outside input reaches it.
+A growth chain keeps one RREF basis across its steps, pads its rows and
+inserts each new vector in O(dim * n), through add, mul, neg and inv
+tables built on first use from the exact arithmetic of ``FieldSpec``, if
+q * q <= MAX_FIELD_SIZE (larger fields compute each entry).
+``enumerate_grassmannian`` builds each row once per pivot set and takes
+the bases as their products.  ``Subspace(...)`` stores the basis it is
+given: both build every basis in RREF, and no outside input reaches it.
 """
 
 from __future__ import annotations
@@ -355,18 +356,6 @@ class Subspace:
     def codim(self) -> int:
         return self.ambient_dim - self.dim
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, e in enumerate(row) if e) for row in self.basis)
-
-
-def _grown(subspace: Subspace, xi: list[int]) -> Subspace:
-    """The span of subspace and xi (xi[n] != 0) in field^(n+1): the padded
-    rows are 0 in column n, so xi lies outside their span."""
-    rows = [list(row) + [0] for row in subspace.basis]
-    _insert(subspace.field._tables, rows, list(subspace.pivots), xi)
-    return Subspace(subspace.field, subspace.ambient_dim + 1, tuple(tuple(r) for r in rows))
-
 
 def enumerate_grassmannian(field: FieldSpec, n: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional subspaces of field^n, one reduced row echelon
@@ -381,20 +370,18 @@ def enumerate_grassmannian(field: FieldSpec, n: int, k: int) -> Iterator[Subspac
     exact = (q_binomial(n, k, QParam(Fraction(q))) for _ in (0,))
     check_count(itertools.chain(lower, exact), DEFAULT_SUBSPACE_LIMIT, "subspaces")
     for pivots in itertools.combinations(range(n), k):
-        # row i is free in the non-pivot columns right of its pivot
-        others = sorted(set(range(n)).difference(pivots))
-        free = [
-            (i, c)
-            for i, piv in enumerate(pivots)
-            for c in others[bisect.bisect(others, piv):]
+        # a row is 1 at its pivot, 0 at the other pivots and free in the
+        # other columns right of its pivot; each row's tuples are built
+        # once, in lexicographic order, and every basis is one choice each
+        options = [field.elements()] * n
+        for piv in pivots:
+            options[piv] = (0,)
+        choices = [
+            [(0,) * piv + (1,) + tail for tail in itertools.product(*options[piv + 1:])]
+            for piv in pivots
         ]
-        for values in itertools.product(field.elements(), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, piv in enumerate(pivots):
-                rows[i][piv] = 1
-            for (i, c), val in zip(free, values):
-                rows[i][c] = val
-            yield Subspace(field, n, tuple(tuple(r) for r in rows))
+        for basis in itertools.product(*choices):
+            yield Subspace(field, n, basis)
 
 
 # ------------------------------------------------------------ growth chains
@@ -411,22 +398,27 @@ def sample_growth(
     n then draws its new vector in index order: n coordinates by
     uniform_below(size), then the last by 1 + uniform_below(size - 1).
     Each uniform_below takes a draw per rejection attempt and none for
-    one value, so over GF(2) a growth step takes exactly n draws.
+    one value, so over GF(2) a growth step takes exactly n draws.  A
+    finite kappa more than 64 above the codimension gives the threshold
+    1 unbuilt (1/size <= 1/2), so a step's cost does not grow with kappa.
     """
     _check_kappa(kappa)
     qbar = growth_q_param(field)
     rng = SplitMix64(seed)
     chain = [Subspace.zero(field, 0)]
+    rows, pivots = [], []  # the current basis in RREF, kept across steps
     for n in range(n_max):
-        current = chain[-1]
-        t = bernoulli_threshold(extreme_stay(kappa, qbar, current.codim))
+        codim = n - len(rows)
+        far = not isinstance(kappa, float) and kappa - codim > 64  # q^65 < 2^-64
+        t = 1 if far else bernoulli_threshold(extreme_stay(kappa, qbar, codim))
+        for row in rows:
+            row.append(0)
         if rng.next_uint64() < t:
+            # xi[n] != 0 and the rows are 0 there, so xi is outside their span
             xi = [uniform_below(rng, field.size) for _ in range(n)]
             xi.append(1 + uniform_below(rng, field.size - 1))
-            chain.append(_grown(current, xi))
-        else:
-            padded = tuple(row + (0,) for row in current.basis)
-            chain.append(Subspace(field, n + 1, padded))
+            _insert(field._tables, rows, pivots, xi)
+        chain.append(Subspace(field, n + 1, tuple(map(tuple, rows))))
     return tuple(chain)
 
 

@@ -59,6 +59,11 @@ the package:
                              space, membership, and every vector of a span
     project_down, list_extensions
                              the backward and forward steps of subspace growth
+    growth_by_rebuild        ``sample_growth`` with each step's basis
+                             eliminated afresh from the last one and the
+                             new vector
+    grassmannian_by_cells    ``enumerate_grassmannian`` with each basis
+                             filled in cell by cell
     exact_growth_law         the subspace growth chain by exact branching
 
 The path-enumeration guard of ``brute_force_weight_sum``, the word
@@ -70,7 +75,9 @@ package cannot pass its own oracle.  Subspaces are stepped with the public field
 arithmetic and ``rref_canonicalize``, a Gauss-Jordan elimination over
 ``FieldSpec.add/mul/neg/inv`` that shares nothing with the package's
 growth step.  ``Subspace(...)`` checks nothing, so every basis built
-here by hand goes through ``checked_rref``.
+here by hand goes through ``checked_rref``, but for the RREF patterns
+that ``grassmannian_by_cells`` fills in, whose many small bases the
+tests compare with the package's.
 
 The infinite products truncate by TRUNCATION_TERMS and
 TRUNCATION_TARGET, by different rules.  The float value stops at the
@@ -113,6 +120,7 @@ from qpascal.laws import (
 )
 from qpascal.pascal_graph import BinaryWord
 from qpascal.processes import PolyaParams, ThetaParams, extreme_runs_sampler
+from qpascal.rng import SplitMix64, bernoulli_threshold, uniform_below
 
 
 class InfiniteProductOutsideSubUnit(RegimeError):
@@ -917,7 +925,8 @@ def list_extensions(subspace: Subspace) -> list[Subspace]:
     guards.check_count(counts, DEFAULT_SUBSPACE_LIMIT, "extensions")
     padded = tuple(row + (0,) for row in subspace.basis)
     out = [checked_rref(Subspace(field, n + 1, padded))]
-    free_cols = [j for j in range(n) if j not in subspace.pivots]
+    pivots = {next(j for j, e in enumerate(row) if e) for row in subspace.basis}
+    free_cols = [j for j in range(n) if j not in pivots]
     for values in itertools.product(field.elements(), repeat=len(free_cols)):
         xi = [0] * (n + 1)
         for col, val in zip(free_cols, values):
@@ -925,6 +934,40 @@ def list_extensions(subspace: Subspace) -> list[Subspace]:
         xi[n] = 1
         out.append(spanned(field, n + 1, padded + (tuple(xi),)))
     return out
+
+
+def growth_by_rebuild(kappa, field: FieldSpec, n_max: int, seed: int) -> tuple[Subspace, ...]:
+    """``sample_growth``'s chain, draw for draw: each step pads the last
+    basis and, on a growth step, eliminates it with the new vector from
+    scratch through ``spanned``."""
+    qbar, rng = Fraction(1, field.size), SplitMix64(seed)
+    chain = [Subspace.zero(field, 0)]
+    for n in range(n_max):
+        current = chain[-1]
+        padded = tuple(row + (0,) for row in current.basis)
+        if rng.next_uint64() < bernoulli_threshold(_stay(kappa, qbar, current.codim)):
+            xi = [uniform_below(rng, field.size) for _ in range(n)]
+            xi.append(1 + uniform_below(rng, field.size - 1))
+            chain.append(spanned(field, n + 1, padded + (tuple(xi),)))
+        else:
+            chain.append(checked_rref(Subspace(field, n + 1, padded)))
+    return tuple(chain)
+
+
+def grassmannian_by_cells(field: FieldSpec, n: int, k: int):
+    """``enumerate_grassmannian``'s subspaces in its order: per pivot set,
+    every filling of the free cells (row by row, each row's non-pivot
+    columns right of its pivot), lexicographic in the cells."""
+    for pivots in itertools.combinations(range(n), k):
+        others = [c for c in range(n) if c not in pivots]
+        free = [(i, c) for i, piv in enumerate(pivots) for c in others if c > piv]
+        for values in itertools.product(field.elements(), repeat=len(free)):
+            rows = [[0] * n for _ in range(k)]
+            for i, piv in enumerate(pivots):
+                rows[i][piv] = 1
+            for (i, c), value in zip(free, values):
+                rows[i][c] = value
+            yield Subspace(field, n, tuple(map(tuple, rows)))
 
 
 def exact_growth_law(

@@ -46,8 +46,8 @@ def test_moved_accessors_are_gone():
         qpascal.FiniteLaw: ["to_jsonable"],
         qpascal.VArray: ["from_jsonable"],
         qpascal.Subspace: ["spanned", "full", "contains", "vectors", "_trusted",
-                           "__post_init__"],
-        qpascal.galois: ["rref_canonicalize"],
+                           "__post_init__", "pivots"],
+        qpascal.galois: ["rref_canonicalize", "_grown"],
         qpascal.FieldSpec: ["sub"],
         qpascal.BinaryWord: ["inversions", "__iter__"],
         qpascal.BoundaryMeasure: ["mass"],

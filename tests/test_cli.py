@@ -716,7 +716,8 @@ class TestMemoryBound:
     """A deep level law keeps one Gaussian cell and a few powers, and a
     flip takes q's powers per nonzero cell, so their memory follows what
     the command prints; a table of the powers up to b^(n^2/4) made --n 800
-    and a depth-500 flip end in MemoryError under the cap."""
+    and a depth-500 flip end in MemoryError under the cap.  A Grassmannian
+    and a growth chain cost what they print too, whatever kappa is."""
 
     # the --n 400 digest is the histogram as printed while the powers
     # were tabulated
@@ -745,6 +746,23 @@ class TestMemoryBound:
         assert flipped["q"] == "2/3"
         assert flipped["v"][depth] == ["0"] * (depth + 1)
         assert seconds < 2.0
+
+    def test_square_grassmannian_under_the_cap(self):
+        # one 1600 x 1600 basis, 28 MB of JSON
+        code, out, err, seconds = run_capped("grassmann", "--p", "2", "--enumerate",
+                                             "1600", "1600")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out).hexdigest() == (
+            "9d2abaff9e4e85d635fdf874f0190cb2a4b3d30e91152710b2a34695ece63e7c")
+        assert seconds < 2.0
+
+    def test_huge_kappa_growth_under_the_cap(self):
+        # building (1/3)^(10^8) kept this from ending
+        code, out, err, seconds = run_capped("grassmann", "--p", "3", "--grow", "100000000",
+                                             "--nmax", "5", "--seed", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["word"] == "11111"
+        assert seconds < 1.0
 
 
 class TestInputFiles:

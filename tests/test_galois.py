@@ -5,6 +5,7 @@ import math
 import time
 from collections import defaultdict
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,9 @@ from qpascal import (
     sample_growth,
 )
 from qpascal import galois
+from qpascal.rng import SplitMix64
 
+import oracles
 from oracles import (
     all_words,
     chain_law,
@@ -39,6 +42,8 @@ from oracles import (
     exact_growth_law,
     field_sub,
     full_space,
+    grassmannian_by_cells,
+    growth_by_rebuild,
     list_extensions,
     path_weight,
     project_down,
@@ -51,6 +56,21 @@ from test_processes import CountedDraws
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+# GF(2), GF(3), GF(4), GF(5), GF(8) and GF(9)
+SMALL_FIELDS = [F2, F3, F4, make_field(5), make_field(2, 3), make_field(3, 2)]
+
+
+def counted_draws(module, build, *args):
+    """build(*args) with ``module.SplitMix64`` counting its draws:
+    (the result, the draws taken)."""
+    streams = []
+
+    def counted(seed):
+        streams.append(CountedDraws(seed))
+        return streams[-1]
+
+    with mock.patch.object(module, "SplitMix64", counted):
+        return build(*args), streams[0].count
 
 
 class TestPrimality:
@@ -350,6 +370,19 @@ class TestGrassmannian:
     def test_empty_outside_range(self):
         assert list(enumerate_grassmannian(F2, 2, 3)) == []
 
+    @settings(max_examples=80, deadline=None)
+    @given(field=st.sampled_from(SMALL_FIELDS), n=st.integers(0, 5), data=st.data())
+    def test_rows_built_once_equal_the_cell_fill(self, field, n, data):
+        # the same subspaces in the same order; a count above the guard
+        # is refused before the first one
+        k = data.draw(st.integers(0, n), label="k")
+        if q_binomial(n, k, QParam(F(field.size))) > galois.DEFAULT_SUBSPACE_LIMIT:
+            with pytest.raises(TooLargeError):
+                next(enumerate_grassmannian(field, n, k))
+        else:
+            got = list(enumerate_grassmannian(field, n, k))
+            assert got == list(grassmannian_by_cells(field, n, k))
+
     def test_square_basis_costs_its_entries(self):
         # k = n leaves no free column; finding that must not cost k^2 n
         start = time.perf_counter()
@@ -427,21 +460,38 @@ class TestGrowth:
         assert [s.dim for s in chain] == [0] * 6
         assert str(codim_word(chain)) == "11111"
 
-    def test_gf2_growth_draws_once_per_coordinate_but_the_last(self, monkeypatch):
+    def test_gf2_growth_draws_once_per_coordinate_but_the_last(self):
         # a decision draw per step, then n draws for a growth at ambient
         # dimension n: uniform_below(1) for the last coordinate draws nothing
-        streams = []
-
-        def counted(seed):
-            streams.append(CountedDraws(seed))
-            return streams[-1]
-
-        monkeypatch.setattr(galois, "SplitMix64", counted)
-        chain = sample_growth(3, F2, 12, seed=7)
+        chain, draws = counted_draws(galois, sample_growth, 3, F2, 12, 7)
         grown = [n for n, (a, b) in enumerate(zip(chain, chain[1:])) if b.dim > a.dim]
-        assert streams[0].count == 12 + sum(grown) == 71
-        monkeypatch.undo()
+        assert draws == 12 + sum(grown) == 71
         assert sample_growth(3, F2, 12, seed=7) == chain
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(SMALL_FIELDS),
+           kappa=st.sampled_from([0, 1, 2, 3, 4, 5, 6, 70, math.inf]),
+           n_max=st.integers(0, 16), seed=st.integers(0, 2**64 - 1))
+    def test_one_basis_equals_a_rebuild_per_step(self, field, kappa, n_max, seed):
+        # the same chain of row tuples from the same draws; at kappa = 70
+        # the steps more than 64 below kappa take the threshold 1 unbuilt
+        got = counted_draws(galois, sample_growth, kappa, field, n_max, seed)
+        assert got == counted_draws(oracles, growth_by_rebuild, kappa, field, n_max, seed)
+
+    def test_threshold_one_at_its_edge(self):
+        # every draw is 1, so a step grows iff its threshold is 2 or more;
+        # over GF(2) that is iff kappa - codim <= 63, next to the threshold
+        # 1 that steps more than 64 below kappa take unbuilt
+        class Ones(SplitMix64):
+            def next_uint64(self):
+                return 1
+
+        with mock.patch.object(galois, "SplitMix64", Ones):
+            for kappa in range(60, 70):
+                chain = sample_growth(kappa, F2, 8, seed=0)
+                assert str(codim_word(chain)) == ("1" * max(kappa - 63, 0) + "0" * 8)[:8]
+                with mock.patch.object(oracles, "SplitMix64", Ones):
+                    assert chain == growth_by_rebuild(kappa, F2, 8, 0)
 
     def test_codim_word_hand_chain(self):
         chain = (
