@@ -12,11 +12,14 @@ chain's decision tree for its exact word law.  Every sampler carries a
 ones counter, ``sampler.ones(n, rng)``: the same walk over the same
 draws, without building the word, which is all a level histogram
 reads.  The chain calls p_one in every pass, so each process memoises
-its own: by k (extreme), by n (theta), and per cell over q^(n-k+b),
-[a+k], [a+b+n] memoised by n-k, k, n (urn; an exact cell is one
-Fraction of their integer parts).  The closed forms quoted below, the
-urn's forward probabilities among them, are not computed here: they
-live in the tests as independent checks of the chains.
+its own: by k (extreme), by n (theta), and per cell (urn).  An exact
+urn cell is an integer pair made of powers c^e and d^e of q = c/d,
+each built once per exponent, and reduced by two exact divisions with
+no gcd of large numbers (see :func:`polya_chain`); the float urn's cell
+is q^(n-k+b) [a+k] / [a+b+n] over factors memoised by n-k, k and n.
+The closed forms quoted below, the urn's forward probabilities among
+them, are not computed here: they live in the tests as independent
+checks of the chains.
 
 Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     the extreme q-exchangeable law at x = q^kappa, with
@@ -60,7 +63,7 @@ from fractions import Fraction
 
 from .boundary import _check_kappa, extreme_stay
 from .errors import NonIntegerParamsInExactMode, RegimeError
-from .exactq import QParam, _q_integer, as_fraction
+from .exactq import QParam, _coprime, _q_integer, as_fraction
 from .laws import ForwardChain, Sampler, VArray, _word_sampler
 from .rng import SplitMix64, derive_seed, geometric_sampler
 
@@ -176,29 +179,41 @@ class PolyaParams:
         return not (isinstance(self.a, int) and isinstance(self.b, int))
 
 
-def _urn_numbers(params: PolyaParams):
-    """a, b and q: integer strengths with a Fraction q, or all floats."""
-    a, b, q = params.a, params.b, params.q.q
-    if params.float_mode:
-        return float(a), float(b), float(q)
-    return a, b, q
-
-
 def polya_chain(params: PolyaParams) -> ForwardChain:
     """The urn as a forward chain.  Float strengths give a float p_one, so
-    the sampler's thresholds and the levels carry its rounding."""
-    a, b, q = _urn_numbers(params)
-    power = functools.cache(lambda zeros: q ** (zeros + b))
-    ones = functools.cache(lambda k: _q_integer(a + k, q))
-    total = functools.cache(lambda n: _q_integer(a + b + n, q))
+    the sampler's thresholds and the levels carry its rounding.
+
+    With integer strengths and q = c/d in lowest terms, A = a + k and
+    M = a + b + n, p1 = c^(M-A) (d^A - c^A) / (d^M - c^M).  Coprime c and
+    d make gcd(d^A - c^A, d^M - c^M) = d^g - c^g for g = gcd(A, M), and
+    c prime to d^M - c^M, so two exact divisions by d^g - c^g reduce the
+    pair; g divides M - A, so the divisor is small.  At q = 1, p1 = A/M."""
+    if params.float_mode:
+        a, b, q = float(params.a), float(params.b), float(params.q.q)
+        power = functools.cache(lambda zeros: q ** (zeros + b))
+        ones = functools.cache(lambda k: _q_integer(a + k, q))
+        total = functools.cache(lambda n: _q_integer(a + b + n, q))
+
+        @functools.cache
+        def p_one(n: int, k: int) -> float:
+            return power(n - k) * ones(k) / total(n)
+
+        return ForwardChain(params.q, p_one)
+
+    a, b = params.a, params.b
+    c, d = params.q.q.numerator, params.q.q.denominator
+    up = functools.cache(lambda e: pow(c, e))
+    down = functools.cache(lambda e: pow(d, e))
 
     @functools.cache
-    def p_one(n: int, k: int):
-        x, y, z = power(n - k), ones(k), total(n)
-        if params.float_mode:
-            return x * y / z
-        top, bottom = x.numerator * y.numerator, x.denominator * y.denominator
-        return Fraction(top * z.denominator, bottom * z.numerator)
+    def p_one(n: int, k: int) -> Fraction:
+        ones, total = a + k, a + b + n
+        g = math.gcd(ones, total)
+        if c == d:
+            return _coprime(ones // g, total // g)
+        h = down(g) - up(g)
+        return _coprime(up(total - ones) * ((down(ones) - up(ones)) // h),
+                        (down(total) - up(total)) // h)
 
     return ForwardChain(params.q, p_one)
 

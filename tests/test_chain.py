@@ -288,9 +288,24 @@ class TestProcessMemos:
             return q_integer(x, qq)
 
         monkeypatch.setattr(processes, "_q_integer", counted)
-        # b > N keeps the arguments of [a+k] and [a+b+n] apart
-        self.visit(polya_chain(PolyaParams(2, self.N + 1, QParam(F(9, 10)))))
+        # the float urn; b > N keeps the arguments of [a+k] and [a+b+n] apart
+        chain = polya_chain(PolyaParams(F(3, 2), F(2 * self.N + 1, 2), QParam(F(9, 10))))
+        chain.level(self.N)
+        chain.sampler()(self.N, SplitMix64(1))
         assert len(calls) == len(set(calls)) == 2 * self.N
+
+    def test_exact_urn_powers_once_per_exponent(self, monkeypatch):
+        calls = []
+
+        def counted(base, exponent):
+            calls.append((base, exponent))
+            return base**exponent
+
+        # the exact urn builds each c^e and d^e of q = c/d with pow
+        monkeypatch.setattr(processes, "pow", counted, raising=False)
+        self.visit(polya_chain(PolyaParams(2, 3, QParam(F(9, 10)))))
+        assert {base for base, _ in calls} == {9, 10}
+        assert len(calls) == len(set(calls))
 
     def test_urn_p1_misses_once_per_cell(self):
         chain = polya_chain(PolyaParams(2, 3, QParam(F(2, 3))))

@@ -8,6 +8,7 @@ input, 5 field error, 6 guard).
 import copy
 import hashlib
 import json
+import math
 import re
 import resource
 import shlex
@@ -756,6 +757,15 @@ class TestMemoryBound:
             "9d2abaff9e4e85d635fdf874f0190cb2a4b3d30e91152710b2a34695ece63e7c")
         assert seconds < 2.0
 
+    def test_large_urn_strength_under_the_cap(self):
+        # a gcd of two numbers of about a + b + n bits per cell took 17 s
+        code, out, err, seconds = run_capped("sample", "--process", "polya", "--a", "1000000",
+                                             "--b", "1", "--q", "1/2", "--n", "3", "--seed", "0")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out).hexdigest() == (
+            "1d022cc00c99651b278303b96af7678dfc75ac2667a5a40007071a2f823b0e96")
+        assert seconds < 1.0
+
     def test_huge_kappa_growth_under_the_cap(self):
         # building (1/3)^(10^8) kept this from ending
         code, out, err, seconds = run_capped("grassmann", "--p", "3", "--grow", "100000000",
@@ -1115,6 +1125,24 @@ def int_grids(draw):
     return grid(0)
 
 
+@st.composite
+def one_digit_grids(draw):
+    """A grid of leaves 0-9, depth 1-3 and widths 1-12, its lists and
+    tuples mixed, alone, as a dict value and as an item of a list."""
+    shape = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    leaves = iter(draw(st.binary(min_size=math.prod(shape), max_size=math.prod(shape))))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def grid(depth):
+        if depth == len(shape):
+            return next(leaves) % 10
+        rows = [grid(depth + 1) for _ in range(shape[depth])]
+        return tuple(rows) if rnd.random() < 0.5 else rows
+
+    value = grid(0)
+    return draw(st.sampled_from([value, {"n": 3, "basis": value}, [value, "x"], [value, value]]))
+
+
 JSON_VALUES = st.recursive(
     SCALARS | int_grids(),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
@@ -1132,15 +1160,43 @@ class TestJsonEmitter:
     def test_bytes_match_json_dumps(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2)
 
+    # grids of one-digit leaves are written into a fixed text template
+    @settings(max_examples=200, deadline=None)
+    @given(one_digit_grids())
+    def test_one_digit_grids_match_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
     @pytest.mark.parametrize("value", [
         [], {}, (), [[]], [{}], {"": []}, [True, 1], [1, True], [False], [None],
         [1, "1"], [2**64, -(2**64)], ["\u00e9", "\n"], [1.0, 1], [float("nan")],
         [[1, 2], [3]], [[1], []], [[[]]], [[0, 1], [1, True]], [(0, 1), [2, 3]],
         [[0, 9], [10]], [[0, 9], [10, 255]], [[256, -1]], [[1, 2], 3], [1, [2]],
         [[[0, 1]], [[2, 3]]],
+        # one-digit grids and their neighbours just outside the digit path
+        [[9]], [[[0]]], [[i % 10 for i in range(50)]], [[9, 10]], [[0, True]],
+        [[0, -1]], [[255, 256]], [[[(7 * i + j) % 10 for j in range(30)] for i in range(3)]],
     ], ids=repr)
     def test_edge_cases(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("shape", [(1,), (9,), (1, 1600), (1, 3, 40), (40, 3, 1), (5, 7, 2)])
+    def test_digits_go_in_by_lines_of_the_longest_axis(self, shape):
+        # a 1 x 1600 x 1600 basis written by lines of its top axis took
+        # 2,560,000 writes
+        reads = []
+
+        class Digits(bytes):
+            def __getitem__(self, key):
+                reads.append(key)
+                return bytes.__getitem__(self, key)
+
+        leaves = [(7 * i + i // 3) % 10 for i in range(math.prod(shape))]
+        grid = leaves
+        for width in reversed(shape[1:]):
+            grid = [grid[i:i + width] for i in range(0, len(grid), width)]
+        text = cli._digit_grid(Digits(bytes(48 + x for x in leaves)), list(shape), "\n")
+        assert "[\n  " + text + "\n]" == json.dumps(grid, indent=2)
+        assert len(reads) == math.prod(shape) // max(shape)
 
     @pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)], ids=repr)
     def test_non_str_key_raises(self, key):

@@ -96,6 +96,18 @@ class TestAgainstFractionBodies:
         # past kappa = 3 ones, the diagonal holds only the zero point's mass
         assert v.rows[9][9] == F(1, 2)
 
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.integers(1, 40), b=st.integers(1, 40), c=st.integers(1, 30),
+           d=st.integers(1, 30), depth=st.integers(1, 24))
+    def test_urn_p1_property(self, a, b, c, d, depth):
+        params = PolyaParams(a, b, QParam(F(min(c, d), max(c, d))))
+        chain, oracle = polya_chain(params), polya_chain_fractions(params)
+        for n in range(depth):
+            for k in range(n + 1):
+                p = chain.p1(n, k)
+                assert p == oracle.p1(n, k)
+                assert_normalised([[p]])
+
     def test_urn_p1(self):
         for q in (F(1),) + QS:
             params = PolyaParams(3, 2, QParam(q))
