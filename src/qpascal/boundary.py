@@ -129,19 +129,44 @@ def extreme_stay(kappa, q: QParam, k: int) -> Fraction:
     """P(next letter 0 | k ones so far) in the extreme law at x = q^kappa.
 
     It is q^(kappa-k) below kappa ones and 1 from then on; kappa = math.inf
-    never emits a zero.  Both extreme samplers and laws read it.
+    never emits a zero.  :func:`extreme_chain` memoises it by k.
     """
     if isinstance(kappa, float):
         return Fraction(0)
     return q.q ** (kappa - k) if k < kappa else Fraction(1)
 
 
+@functools.cache
+def _saturation(qq: Fraction) -> int:
+    """M(q), the largest m with q^m >= 2^-64, settled down from a float guess."""
+    a, b = qq.numerator, qq.denominator
+    m = int(64 / (math.log2(b) - math.log2(a))) + 2
+    while a**m << 64 < b**m:
+        m -= 1
+    return m
+
+
 def extreme_chain(kappa, q: QParam) -> ForwardChain:
-    """The extreme law at x = q^kappa as a forward chain, p1 = 1 - q^(kappa-k)."""
+    """The extreme law at x = q^kappa as a forward chain, p1 = 1 - q^(kappa-k),
+    and the one place that builds q^(kappa-k), once per k.  A stay below
+    2^-64, at a gap kappa - k above M(q), is drawn as 2^-65: its thresholds
+    are the exact ones (2^64 for a one, 1 for growth's zero and 2^64 for a
+    run's first cutoff), and the power is not built."""
     q.require_sub_unit("extreme law")
     _check_kappa(kappa)
     p_one = functools.cache(lambda k: 1 - extreme_stay(kappa, q, k))
-    return ForwardChain(q, lambda n, k: p_one(k))
+    bits = math.log2(q.q.denominator) - math.log2(q.q.numerator)  # log2(1/q)
+
+    @functools.cache
+    def drawn(k: int) -> Fraction:
+        # M(q) is settled only where gap * log2(1/q) > 63: no dearer than q^gap
+        gap = kappa - k
+        far = 64 < gap < math.inf and gap * bits > 63 and gap > _saturation(q.q)
+        return Fraction(2**65 - 1, 2**65) if far else p_one(k)
+
+    chain = ForwardChain(q, lambda n, k: p_one(k))
+    chain.p1_drawn = lambda n, k: drawn(k)
+    return chain
 
 
 def extreme_array(kappa, q: QParam, depth: int) -> VArray:

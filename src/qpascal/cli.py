@@ -52,6 +52,7 @@ from .exactq import q_binomial  # noqa: F401 (bench/tests/test_bench.py reads cl
 from .galois import (
     codim_word,
     enumerate_grassmannian,
+    growth_q_param,
     make_field,
     sample_growth,
 )
@@ -450,7 +451,8 @@ def _cmd_grassmann(args) -> int:
         }
         _emit(args, _dumps(payload))
         return 0
-    chain = sample_growth(_parse_kappa(args.grow), field, args.nmax, args.seed)
+    law = extreme_chain(_parse_kappa(args.grow), growth_q_param(field))
+    chain = sample_growth(law, field, args.nmax, args.seed)
     payload = {
         "field": field.to_jsonable(),
         "kappa": args.grow,

@@ -6,8 +6,8 @@ the lattice of subspaces: level n holds the subspaces of F^n, a dual
 V' intersect F^n = V (same dimension, one extension) or a 1-step to a
 grown extension (dimension + 1, of which there are q^(n-k) for a
 k-codimensional V).  The codimension increments along a growing chain
-then spell a binary word whose law is an extreme q-exchangeable law at
-q-bar = 1/q.
+spell a path of the q-bar-exchangeable chain, q-bar = 1/q, that drives
+it: ``sample_growth`` reads a ForwardChain (the CLI's is an extreme law).
 
 Field elements are encoded as integers in [0, p^m): the element with
 residue polynomial sum c_i x^i is stored as sum c_i p^i.  The modulus
@@ -36,7 +36,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .boundary import _check_kappa, extreme_stay
 from .errors import (
     FieldConstructionError,
     NotIrreducibleError,
@@ -46,7 +45,7 @@ from .errors import (
 from .exactq import QParam, as_count, q_binomial
 from .guards import check_count
 from .pascal_graph import BinaryWord
-from .rng import SplitMix64, bernoulli_threshold, uniform_below
+from .rng import TWO64, SplitMix64, uniform_below
 
 MAX_FIELD_SIZE = 1 << 20
 # fields of order q with q * q <= MAX_FIELD_SIZE get full q x q tables
@@ -387,30 +386,24 @@ def enumerate_grassmannian(field: FieldSpec, n: int, k: int) -> Iterator[Subspac
 # ------------------------------------------------------------ growth chains
 
 
-def sample_growth(
-    kappa, field: FieldSpec, n_max: int, seed: int
-) -> tuple[Subspace, ...]:
-    """One growing chain V_0 subset V_1 subset ... subset V_{n_max}.
+def sample_growth(chain, field: FieldSpec, n_max: int, seed: int) -> tuple[Subspace, ...]:
+    """One growing chain V_0 subset ... subset V_{n_max} whose codimension
+    word is a path of ``chain``, a ForwardChain at q = 1/size.
 
-    Each step consumes one decision draw: the space grows iff the draw
-    is below the threshold of extreme_stay(kappa, 1/size, codim), the
-    extreme law's chance of a 0-bit.  A growth step at ambient dimension
-    n then draws its new vector in index order: n coordinates by
-    uniform_below(size), then the last by 1 + uniform_below(size - 1).
-    Each uniform_below takes a draw per rejection attempt and none for
-    one value, so over GF(2) a growth step takes exactly n draws.  A
-    finite kappa more than 64 above the codimension gives the threshold
-    1 unbuilt (1/size <= 1/2), so a step's cost does not grow with kappa.
+    A step at ambient dimension n and codimension c grows iff its draw is
+    below bernoulli_threshold(1 - chain.p1_drawn(n, c)).  A growth step
+    then draws its new vector in index order: n coordinates by
+    uniform_below(size) and the last by 1 + uniform_below(size - 1), a
+    draw per rejection attempt and none for one value (n over GF(2)).
     """
-    _check_kappa(kappa)
-    qbar = growth_q_param(field)
+    if chain.q != growth_q_param(field):
+        raise ValueError("growth needs q = 1/%d, not %s" % (field.size, chain.q))
     rng = SplitMix64(seed)
-    chain = [Subspace.zero(field, 0)]
+    spaces = [Subspace.zero(field, 0)]
     rows, pivots = [], []  # the current basis in RREF, kept across steps
     for n in range(n_max):
-        codim = n - len(rows)
-        far = not isinstance(kappa, float) and kappa - codim > 64  # q^65 < 2^-64
-        t = 1 if far else bernoulli_threshold(extreme_stay(kappa, qbar, codim))
+        p = chain.p1_drawn(n, n - len(rows))
+        t = TWO64 - (p.numerator << 64) // p.denominator  # ceil((1 - p) 2^64)
         for row in rows:
             row.append(0)
         if rng.next_uint64() < t:
@@ -418,8 +411,8 @@ def sample_growth(
             xi = [uniform_below(rng, field.size) for _ in range(n)]
             xi.append(1 + uniform_below(rng, field.size - 1))
             _insert(field._tables, rows, pivots, xi)
-        chain.append(Subspace(field, n + 1, tuple(map(tuple, rows))))
-    return tuple(chain)
+        spaces.append(Subspace(field, n + 1, tuple(map(tuple, rows))))
+    return tuple(spaces)
 
 
 def codim_word(chain: Sequence[Subspace]) -> BinaryWord:

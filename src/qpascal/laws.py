@@ -270,12 +270,13 @@ class ForwardChain:
     level laws and a sampler; every pass calls it, so pass a memoised
     p_one.  An exact chain's triangle and level law run on integers; a
     float p_one (the urn's float mode) runs the level forward over the
-    lattice, in floats.
+    lattice, in floats.  Draws read ``p1_drawn``: p1, or a stand-in with
+    the same 64-bit thresholds (see :func:`qpascal.boundary.extreme_chain`).
     """
 
     def __init__(self, q: QParam, p_one: Callable[[int, int], Fraction]) -> None:
         self.q = q
-        self.p1 = p_one
+        self.p1 = self.p1_drawn = p_one
         self._thresholds: list[list] = []  # sampler: bernoulli_threshold per (n, k)
 
     def triangle(self, depth: int) -> VArray:
@@ -336,10 +337,10 @@ class ForwardChain:
 
     def sampler(self) -> Sampler:
         """Draws one word; each letter consumes one draw j and is a one
-        iff j < bernoulli_threshold(p1(n, k)).  Its ``ones`` counter walks
-        the same letters without building the word."""
+        iff j < bernoulli_threshold(p1_drawn(n, k)).  Its ``ones`` counter
+        walks the same letters without building the word."""
         thresholds = self._thresholds
-        p1 = self.p1
+        p1 = self.p1_drawn
 
         def walk(n: int, rng: SplitMix64, ones: list | None = None) -> int:
             while len(thresholds) < n:

@@ -30,9 +30,9 @@ Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     ... before each successive one as independent geometrics (T_i counts
     failures before first success, success probability 1 - q^(kappa-i))
     and pads with zeros once kappa ones have appeared.  It keeps, for
-    the life of the sampler, one geometric sampler per run i, which
-    memoises the ratio q^(kappa-i) and its inverse-CDF cutoffs (see
-    :mod:`qpascal.rng`).
+    the life of the sampler, one geometric sampler per run i, of ratio
+    1 - p1_drawn of the extreme chain (q^(kappa-i), or 2^-65 past M(q)),
+    which memoises its inverse-CDF cutoffs (see :mod:`qpascal.rng`).
 
 Theta process: independent bits, P(bit m = 1) = theta q^(m-1) / (1 + theta q^(m-1)).
     Its triangle is w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i),
@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import _check_kappa, extreme_stay
+from .boundary import extreme_chain
 from .errors import NonIntegerParamsInExactMode, RegimeError
 from .exactq import QParam, _coprime, _q_integer, as_fraction
 from .laws import ForwardChain, Sampler, VArray, _word_sampler
@@ -75,15 +75,14 @@ def extreme_runs_sampler(kappa, q: QParam) -> Sampler:
     """Reusable sampler for the extreme process that draws one geometric
     zero run per one; the letter-by-letter sampler is
     ``extreme_chain(kappa, q).sampler()``."""
-    q.require_sub_unit("extreme law")
-    _check_kappa(kappa)
-    runs = []  # run i: a geometric sampler of ratio extreme_stay(kappa, q, i)
+    p1 = extreme_chain(kappa, q).p1_drawn
+    runs = []  # run i: a geometric sampler of ratio 1 - p1 at i ones
 
     def walk(n: int, rng: SplitMix64, ones: list | None = None) -> int:
         k = filled = 0
         while filled < n and k < kappa:
             if k == len(runs):
-                runs.append(geometric_sampler(extreme_stay(kappa, q, k)))
+                runs.append(geometric_sampler(1 - p1(k, k)))
             filled += runs[k](rng)
             if filled >= n:
                 break

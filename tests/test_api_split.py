@@ -59,6 +59,18 @@ def test_moved_accessors_are_gone():
             assert not hasattr(owner, name), (owner, name)
 
 
+def test_growth_and_the_runs_sampler_read_the_extreme_chain():
+    """The extreme stay is built in boundary.extreme_chain alone: growth
+    imports nothing from boundary, and the runs sampler only the chain."""
+    for module in (qpascal.galois, qpascal.processes):
+        assert not {"extreme_stay", "_check_kappa"} & set(vars(module)), module.__name__
+    source = Path(qpascal.galois.__file__).read_text()
+    assert not any(
+        isinstance(node, ast.ImportFrom) and node.module == "boundary"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
 def _formula_imports(source: str) -> set[str]:
     """Names an oracle file imports from qpascal that are the package's own
     formulas: ``extreme_stay`` and every ``_``-prefixed name."""

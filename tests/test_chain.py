@@ -21,15 +21,20 @@ from qpascal import (
     SplitMix64,
     ThetaParams,
     ZERO_POINT,
+    codim_word,
     extreme_array,
     extreme_chain,
+    growth_q_param,
+    make_field,
     mixture_array,
     polya_array,
+    sample_growth,
     theta_array,
     tilde_of_v,
 )
-from qpascal import boundary, processes
+from qpascal import boundary, galois, processes
 from qpascal.processes import polya_chain, theta_chain
+from qpascal.rng import bernoulli_threshold
 
 from oracles import (
     extreme_kernel,
@@ -255,6 +260,54 @@ class TestForwardChain:
         assert abs(sum(level) - 1) < 1e-12
 
 
+# M(q), the largest m with q^m >= 2^-64
+SATURATION = {F(1, 2): 64, F(1, 3): 40, F(2, 3): 109, F(9, 10): 421, F(999, 1000): 44339}
+
+
+class FixedDraw:
+    """A stream whose every draw is j."""
+
+    def __init__(self, j):
+        self.j = j
+
+    def next_uint64(self):
+        return self.j
+
+
+class TestSaturation:
+    """A gap kappa - k above M(q) gives the extreme chain's thresholds
+    without the power q^gap.  At gaps M and M + 1, each threshold equals
+    the one this test builds from the exact power."""
+
+    @pytest.mark.parametrize("qq, m", SATURATION.items())
+    def test_saturation_point(self, qq, m):
+        assert qq**m >= F(1, 2**64) > qq ** (m + 1)
+        assert boundary._saturation(qq) == m
+
+    @pytest.mark.parametrize("qq, m", SATURATION.items())
+    def test_thresholds_at_the_edge(self, monkeypatch, qq, m):
+        q = QParam(qq)
+        for kappa in (m, m + 1):  # the gap at the first letter, k = 0
+            stay = qq**kappa
+            # the forward sampler's one-letter threshold; the runs sampler's
+            # first cutoff 2^64 - floor(stay 2^64) is the same integer
+            one = bernoulli_threshold(1 - stay)
+            zero = bernoulli_threshold(stay)  # growth's zero-letter threshold
+            assert (one < 1 << 64) == (kappa == m)
+            chain = extreme_chain(kappa, q)
+            assert bernoulli_threshold(1 - chain.p1_drawn(0, 0)) == zero
+            for sampler in (chain.sampler(), processes.extreme_runs_sampler(kappa, q)):
+                # the first letter is a one iff its draw is below the threshold
+                assert str(sampler(1, FixedDraw(one - 1))) == "1"
+                if one < 1 << 64:
+                    assert str(sampler(1, FixedDraw(one))) == "0"
+            if qq.numerator == 1:  # growth over GF(2) and GF(3)
+                field = make_field(qq.denominator)
+                for j, word in ((zero - 1, "0"), (zero, "1")):
+                    monkeypatch.setattr(galois, "SplitMix64", lambda seed: FixedDraw(j))
+                    assert str(codim_word(sample_growth(chain, field, 1, 0))) == word
+
+
 class TestProcessMemos:
     """The chain calls p1 in every pass; each process computes a factor
     once per index it depends on, over a triangle, a level law and a
@@ -267,7 +320,8 @@ class TestProcessMemos:
         chain.level(self.N)
         chain.sampler()(self.N, SplitMix64(1))
 
-    def test_extreme_stay_once_per_k(self, monkeypatch):
+    @staticmethod
+    def counted_stays(monkeypatch):
         calls = []
         stay = boundary.extreme_stay
 
@@ -276,8 +330,28 @@ class TestProcessMemos:
             return stay(kappa, q, k)
 
         monkeypatch.setattr(boundary, "extreme_stay", counted)
+        return calls
+
+    def test_extreme_stay_once_per_k(self, monkeypatch):
+        calls = self.counted_stays(monkeypatch)
         self.visit(extreme_chain(3, QParam(F(1, 2))))
         assert sorted(calls) == list(range(self.N))
+
+    def test_growth_and_runs_skip_saturated_stays(self, monkeypatch):
+        # kappa = 66 at q = 1/2: k = 0 and 1 lie more than M(1/2) = 64 below
+        # kappa, and a stay of at most 2^-55 makes each walk take a one at
+        # every letter, so both walks pass k = 0, ..., N - 1, three times
+        calls = self.counted_stays(monkeypatch)
+        field = make_field(2)
+        chain = extreme_chain(66, growth_q_param(field))
+        for seed in range(3):
+            assert str(codim_word(sample_growth(chain, field, self.N, seed))) == "1" * self.N
+        assert sorted(calls) == list(range(2, self.N))
+        calls.clear()
+        runs = processes.extreme_runs_sampler(66, QParam(F(1, 2)))
+        for seed in range(3):
+            assert str(runs(self.N, SplitMix64(seed))) == "1" * self.N
+        assert sorted(calls) == list(range(2, self.N))
 
     def test_urn_q_integer_once_per_argument(self, monkeypatch):
         calls = []

@@ -33,6 +33,7 @@ from qpascal import (
     extreme_chain,
     extreme_runs_sampler,
     format_rational,
+    growth_q_param,
     make_field,
     polya_array,
     sample_growth,
@@ -474,7 +475,8 @@ class TestGrassmann:
                         "--nmax", "5", "--seed", "9")
         assert code == 0
         payload = json.loads(out)
-        chain = sample_growth(1, make_field(2), 5, seed=9)
+        field = make_field(2)
+        chain = sample_growth(extreme_chain(1, growth_q_param(field)), field, 5, seed=9)
         assert payload["word"] == str(codim_word(chain))
         assert payload["chain"][-1]["dim"] == chain[-1].dim
 
@@ -765,6 +767,19 @@ class TestMemoryBound:
         assert hashlib.sha256(out).hexdigest() == (
             "1d022cc00c99651b278303b96af7678dfc75ac2667a5a40007071a2f823b0e96")
         assert seconds < 1.0
+
+    # the extreme samplers at a kappa far above any level: every gap
+    # exceeds M(q), so each threshold is 2^64 without the power q^kappa
+    @pytest.mark.parametrize("q, n, mode", [
+        ("999/1000", 5, "forward"), ("999/1000", 5, "runs"), ("1/2", 22, "forward")])
+    def test_huge_kappa_samplers_under_the_cap(self, capsys, q, n, mode):
+        argv = ["sample", "--process", "extreme", "--q", q, "--n", str(n), "--seed", "0",
+                "--mode", mode, "--kappa"]
+        code, out, err, seconds = run_capped(*argv, "1000000")
+        assert (code, err) == (0, "")
+        assert seconds < 1.0
+        word = json.loads(out)["word"]
+        assert word == json.loads(run(capsys, *argv, "inf")[1])["word"] == "1" * n
 
     def test_huge_kappa_growth_under_the_cap(self):
         # building (1/3)^(10^8) kept this from ending

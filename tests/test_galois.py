@@ -60,6 +60,11 @@ F4 = make_field(2, 2)
 SMALL_FIELDS = [F2, F3, F4, make_field(5), make_field(2, 3), make_field(3, 2)]
 
 
+def extreme_at(kappa, field):
+    """The extreme chain that grows subspaces of field^n."""
+    return extreme_chain(kappa, growth_q_param(field))
+
+
 def counted_draws(module, build, *args):
     """build(*args) with ``module.SplitMix64`` counting its draws:
     (the result, the draws taken)."""
@@ -186,14 +191,15 @@ class TestTables:
         field = make_field(3, 2)
         assert field.mul(2, 3) == 6 and "_tables" not in vars(field)
         spanned(field, 2, [(1, 2)])
-        sample_growth(math.inf, field, 3, seed=0)
+        sample_growth(extreme_at(math.inf, field), field, 3, seed=0)
         assert "_tables" not in vars(field)
-        sample_growth(0, field, 1, seed=0)
+        sample_growth(extreme_at(0, field), field, 1, seed=0)
         assert "_tables" in vars(field)
 
-    # chains of sample_growth(3, field, 12, seed=11), recorded before field
-    # arithmetic went through tables: the two largest fields with tables
-    # and two fields above TABLE_FIELD_SIZE, which must build none
+    # chains of sample_growth(extreme_at(3, field), field, 12, seed=11),
+    # recorded before field arithmetic went through tables: the two largest
+    # fields with tables and two fields above TABLE_FIELD_SIZE, which must
+    # build none
     LARGE_FIELD_CHAINS = [
         (2, 10, "337aa9844292a7f7cda9eba0a0b8f6cc3a3a5b55980bcf26c6ab7c3181a60484"),
         (1021, 1, "50433c785fbfbca03fe680a90329de4840cff7e97f818468cffe5ca8f380745d"),
@@ -212,7 +218,7 @@ class TestTables:
             monkeypatch.setattr(galois, "_tabulate", refuse)
         start = time.perf_counter()
         field = make_field(p, m)
-        chain = sample_growth(3, field, 12, seed=11)
+        chain = sample_growth(extreme_at(3, field), field, 12, seed=11)
         elapsed = time.perf_counter() - start
         bases = json.dumps([[list(row) for row in s.basis] for s in chain])
         assert hashlib.sha256(bases.encode()).hexdigest() == digest
@@ -429,7 +435,8 @@ class TestGrassmannianCounting:
                 exact[w] = mass * p
         counts = defaultdict(int)
         for t in range(trials):
-            counts[codim_word(sample_growth(kappa, F4, n, seed=derive_seed(5, t)))] += 1
+            chain = sample_growth(extreme_at(kappa, F4), F4, n, seed=derive_seed(5, t))
+            counts[codim_word(chain)] += 1
         assert set(counts) <= set(exact)
         tv = sum(abs(F(counts[w], trials) - p) for w, p in exact.items()) / 2
         assert tv <= F(1, 20)
@@ -437,36 +444,36 @@ class TestGrassmannianCounting:
 
 class TestGrowth:
     def test_deterministic(self):
-        c1 = sample_growth(1, F2, 6, seed=9)
-        c2 = sample_growth(1, F2, 6, seed=9)
+        c1 = sample_growth(extreme_at(1, F2), F2, 6, seed=9)
+        c2 = sample_growth(extreme_at(1, F2), F2, 6, seed=9)
         assert c1 == c2
 
     def test_chain_shape(self):
-        chain = sample_growth(2, F3, 5, seed=4)
+        chain = sample_growth(extreme_at(2, F3), F3, 5, seed=4)
         assert len(chain) == 6
         for n, space in enumerate(chain):
             assert space.ambient_dim == n
             assert space.codim <= 2
 
     def test_kappa_zero_grows_always(self):
-        chain = sample_growth(0, F2, 5, seed=1)
+        chain = sample_growth(extreme_at(0, F2), F2, 5, seed=1)
         assert [s.dim for s in chain] == [0, 1, 2, 3, 4, 5]
         assert str(codim_word(chain)) == "00000"
 
     def test_kappa_infinite_never_grows(self):
         import math
 
-        chain = sample_growth(math.inf, F2, 5, seed=1)
+        chain = sample_growth(extreme_at(math.inf, F2), F2, 5, seed=1)
         assert [s.dim for s in chain] == [0] * 6
         assert str(codim_word(chain)) == "11111"
 
     def test_gf2_growth_draws_once_per_coordinate_but_the_last(self):
         # a decision draw per step, then n draws for a growth at ambient
         # dimension n: uniform_below(1) for the last coordinate draws nothing
-        chain, draws = counted_draws(galois, sample_growth, 3, F2, 12, 7)
+        chain, draws = counted_draws(galois, sample_growth, extreme_at(3, F2), F2, 12, 7)
         grown = [n for n, (a, b) in enumerate(zip(chain, chain[1:])) if b.dim > a.dim]
         assert draws == 12 + sum(grown) == 71
-        assert sample_growth(3, F2, 12, seed=7) == chain
+        assert sample_growth(extreme_at(3, F2), F2, 12, seed=7) == chain
 
     @settings(max_examples=150, deadline=None)
     @given(field=st.sampled_from(SMALL_FIELDS),
@@ -474,24 +481,32 @@ class TestGrowth:
            n_max=st.integers(0, 16), seed=st.integers(0, 2**64 - 1))
     def test_one_basis_equals_a_rebuild_per_step(self, field, kappa, n_max, seed):
         # the same chain of row tuples from the same draws; at kappa = 70
-        # the steps more than 64 below kappa take the threshold 1 unbuilt
-        got = counted_draws(galois, sample_growth, kappa, field, n_max, seed)
+        # the steps whose gap kappa - codim exceeds M(1/|F|) take the
+        # threshold 1 without the power
+        chain = extreme_at(kappa, field)
+        got = counted_draws(galois, sample_growth, chain, field, n_max, seed)
         assert got == counted_draws(oracles, growth_by_rebuild, kappa, field, n_max, seed)
 
     def test_threshold_one_at_its_edge(self):
         # every draw is 1, so a step grows iff its threshold is 2 or more;
         # over GF(2) that is iff kappa - codim <= 63, next to the threshold
-        # 1 that steps more than 64 below kappa take unbuilt
+        # 1 that gaps above M(1/2) = 64 take without the power
         class Ones(SplitMix64):
             def next_uint64(self):
                 return 1
 
         with mock.patch.object(galois, "SplitMix64", Ones):
             for kappa in range(60, 70):
-                chain = sample_growth(kappa, F2, 8, seed=0)
+                chain = sample_growth(extreme_at(kappa, F2), F2, 8, seed=0)
                 assert str(codim_word(chain)) == ("1" * max(kappa - 63, 0) + "0" * 8)[:8]
                 with mock.patch.object(oracles, "SplitMix64", Ones):
                     assert chain == growth_by_rebuild(kappa, F2, 8, 0)
+
+    def test_chain_at_another_q_is_refused(self):
+        # GF(4) grows a chain at q = 1/4 and no other
+        for q in (F(1, 2), F(1, 3), F(1, 16)):
+            with pytest.raises(ValueError, match="q = 1/4, not %s" % q):
+                sample_growth(extreme_chain(1, QParam(q)), F4, 4, seed=0)
 
     def test_codim_word_hand_chain(self):
         chain = (
@@ -544,7 +559,7 @@ class TestInternalBasesAreCanonical:
                              ids=lambda f: "GF%d" % f.size)
     def test_growth_chains_and_projections(self, field):
         for kappa, seed in itertools.product((0, 1, 2, 5, math.inf), range(4)):
-            chain = sample_growth(kappa, field, 9, seed=seed)
+            chain = sample_growth(extreme_at(kappa, field), field, 9, seed=seed)
             for prev, space in zip(chain, chain[1:]):
                 assert_canonical(space)
                 assert_canonical(project_down(space))
