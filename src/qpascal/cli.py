@@ -119,12 +119,18 @@ def _dumps(obj) -> str:
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
     set, one generator step per value.  Here every value appends its
     chunks to one list, joined once; a list of strings goes out in one
-    ``join``, and a grid of plain ints a level at a time (see
-    :func:`_int_grid_items`).  A dict key that is not a ``str`` raises
-    ``TypeError`` (``json.dumps`` would coerce it)."""
+    ``join``, a :class:`_Grid` a level at a time (:func:`_grid_items`)
+    and any other list element by element.  A dict key that is not a
+    ``str`` raises ``TypeError`` (``json.dumps`` would coerce it)."""
     out = []
     _write(out, obj, "\n")
     return "".join(out)
+
+
+class _Grid(tuple):
+    """A basis or a list of k x n bases, vouched for by the command that
+    built it: one length at each depth, plain ints below 2^20 as leaves."""
+    __slots__ = ()
 
 
 def _write(out: list, obj, indent: str) -> None:
@@ -132,8 +138,8 @@ def _write(out: list, obj, indent: str) -> None:
     if isinstance(obj, str):
         out.append(_quote(obj))
     elif isinstance(obj, (list, tuple)) and obj:
-        items = (map(_quote, obj) if set(map(type, obj)) == {str}
-                 else _int_grid_items(obj, indent))
+        items = (_grid_items(obj, indent) if type(obj) is _Grid
+                 else map(_quote, obj) if set(map(type, obj)) == {str} else None)
         if items is not None:
             out += "[", inner, ("," + inner).join(items), indent, "]"
         else:
@@ -158,44 +164,34 @@ def _write(out: list, obj, indent: str) -> None:
         out.append(json.dumps(obj))
 
 
-_ONE_DIGIT = bytes(range(10))
-_DIGITS = bytes.maketrans(_ONE_DIGIT, b"0123456789")
+_DIGITS = b"0123456789" + b"-" * 246  # a leaf's byte -> its ASCII digit, or "-"
 
 
-def _int_grid_items(obj, indent: str):
-    """Texts that, joined by ``"," + inner``, are ``obj``'s items, if it
-    is a grid of plain ints (a vector, a basis, a list of k x n bases):
-    every leaf at one depth, and the lists at each depth all of one
-    nonzero length.  Else None.
-
-    The leaves are read once, level by level.  If each is one digit, the
-    items are one text, written by :func:`_digit_grid`; else each level
-    below ``obj`` is one ``join`` per list."""
-    shape = [len(obj)]  # the length of the lists at each depth
-    level = obj
-    while True:
-        kinds = set(map(type, level))  # type(), not isinstance: a bool is no int here
-        if kinds == {int}:
-            break
-        width = len(level[0]) if kinds <= {list, tuple} else 0
-        if not width or set(map(len, level)) != {width}:
-            return None
-        shape.append(width)
-        level = list(itertools.chain.from_iterable(level))
+def _grid_items(grid: _Grid, indent: str):
+    """Texts that, joined by ``"," + inner``, are ``grid``'s items (None,
+    for the element-wise path, if it holds an empty list or is one row of
+    wider leaves).  The shape is read from the first list at each depth
+    and the leaves by one ``bytes()`` per row: one-digit leaves go into
+    :func:`_digit_grid`'s text, others by a ``join`` per list."""
+    shape, rows = [len(grid)], [grid]  # the lists' length at each depth; the rows
+    while shape[-1] and type(rows[0][0]) is not int:
+        rows = list(itertools.chain.from_iterable(rows))
+        shape.append(len(rows[0]))
+    if not shape[-1]:
+        return None
     try:
-        raw = bytes(level)
+        digits = b"".join(map(bytes, rows)).translate(_DIGITS)
     except ValueError:  # a leaf outside [0, 256)
-        raw = None
-    if raw is not None and not raw.translate(None, _ONE_DIGIT):
-        del level  # the leaves' list goes before the text is built: peak memory
-        return [_digit_grid(raw.translate(_DIGITS), shape, indent)]
-    items = list(map(str, level))
-    del raw, level  # the leaves' list goes before the rows are built: peak memory
+        digits = b""
+    if digits.isdigit():
+        return [_digit_grid(digits, shape, indent)]
+    items = None
     for depth in range(len(shape) - 1, 0, -1):
         width, inner = shape[depth], indent + "  " * (depth + 1)
         head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
-        items = [head + sep.join(items[i:i + width]) + tail
-                 for i in range(0, len(items), width)]
+        groups = ((map(str, row) for row in rows) if items is None
+                  else (items[i:i + width] for i in range(0, len(items), width)))
+        items = [head + sep.join(group) + tail for group in groups]
     return items
 
 
@@ -441,13 +437,13 @@ def _cmd_grassmann(args) -> int:
     field = make_field(args.p, args.m, modulus)
     if args.enumerate:
         n, k = args.enumerate
-        subspaces = list(enumerate_grassmannian(field, n, k))
+        bases = _Grid(s.basis for s in enumerate_grassmannian(field, n, k))
         payload = {
             "field": field.to_jsonable(),
             "n": n,
             "k": k,
-            "count": len(subspaces),
-            "subspaces": [s.basis for s in subspaces],
+            "count": len(bases),
+            "subspaces": bases,
         }
         _emit(args, _dumps(payload))
         return 0
@@ -458,10 +454,8 @@ def _cmd_grassmann(args) -> int:
         "kappa": args.grow,
         "seed": args.seed,
         "word": str(codim_word(chain)),
-        "chain": [
-            {"n": s.ambient_dim, "dim": s.dim, "basis": s.basis}
-            for s in chain
-        ],
+        "chain": [{"n": s.ambient_dim, "dim": s.dim, "basis": _Grid(s.basis)}
+                  for s in chain],
     }
     _emit(args, _dumps(payload))
     return 0

@@ -16,10 +16,11 @@ c_m = 1.  With m = 1 the default modulus is x, so elements are the
 usual integers mod p.  Subspaces are kept in reduced row echelon form,
 which makes equality checks and printed bases canonical.
 
-A growth chain keeps one RREF basis across its steps, pads its rows and
-inserts each new vector in O(dim * n), through add, mul, neg and inv
-tables built on first use from the exact arithmetic of ``FieldSpec``, if
-q * q <= MAX_FIELD_SIZE (larger fields compute each entry).
+A growth chain keeps one RREF basis across its steps, draws a new
+vector's coordinates in one pass and inserts it in O(dim * n), through
+add, mul, neg and inv tables built from ``FieldSpec``'s exact arithmetic
+at the first growth step if q * q <= MAX_FIELD_SIZE (larger fields
+compute each entry).
 ``enumerate_grassmannian`` builds each row once per pivot set and takes
 the bases as their products.  ``Subspace(...)`` stores the basis it is
 given: both build every basis in RREF, and no outside input reaches it.
@@ -45,7 +46,7 @@ from .errors import (
 from .exactq import QParam, as_count, q_binomial
 from .guards import check_count
 from .pascal_graph import BinaryWord
-from .rng import TWO64, SplitMix64, uniform_below
+from .rng import TWO64, SplitMix64, uniforms_below
 
 MAX_FIELD_SIZE = 1 << 20
 # fields of order q with q * q <= MAX_FIELD_SIZE get full q x q tables
@@ -392,13 +393,13 @@ def sample_growth(chain, field: FieldSpec, n_max: int, seed: int) -> tuple[Subsp
 
     A step at ambient dimension n and codimension c grows iff its draw is
     below bernoulli_threshold(1 - chain.p1_drawn(n, c)).  A growth step
-    then draws its new vector in index order: n coordinates by
-    uniform_below(size) and the last by 1 + uniform_below(size - 1), a
-    draw per rejection attempt and none for one value (n over GF(2)).
+    then draws its new vector in index order: n coordinates by one
+    uniforms_below(size) and the last by 1 + one below size - 1, a draw
+    per rejection attempt and none for one value (n over GF(2)).
     """
     if chain.q != growth_q_param(field):
         raise ValueError("growth needs q = 1/%d, not %s" % (field.size, chain.q))
-    rng = SplitMix64(seed)
+    draw, size = SplitMix64(seed).next_uint64, field.size
     spaces = [Subspace.zero(field, 0)]
     rows, pivots = [], []  # the current basis in RREF, kept across steps
     for n in range(n_max):
@@ -406,10 +407,10 @@ def sample_growth(chain, field: FieldSpec, n_max: int, seed: int) -> tuple[Subsp
         t = TWO64 - (p.numerator << 64) // p.denominator  # ceil((1 - p) 2^64)
         for row in rows:
             row.append(0)
-        if rng.next_uint64() < t:
+        if draw() < t:
             # xi[n] != 0 and the rows are 0 there, so xi is outside their span
-            xi = [uniform_below(rng, field.size) for _ in range(n)]
-            xi.append(1 + uniform_below(rng, field.size - 1))
+            xi = uniforms_below(draw, size, n)
+            xi.append(1 + uniforms_below(draw, size - 1, 1)[0])
             _insert(field._tables, rows, pivots, xi)
         spaces.append(Subspace(field, n + 1, tuple(map(tuple, rows))))
     return tuple(spaces)

@@ -25,8 +25,8 @@ Uniform variate conventions
       geometric sampler memoises the exact cutoffs, grows them only as
       far as the largest draw needs and stops at the first c_t = 2^64,
       which no draw reaches.
-    * Uniform integer below m: rejection sampling on j % m, accepting
-      iff j < m * floor(2^64 / m); one draw per attempt, none for m = 1.
+    * Uniform integers below m <= 2^64, by rejection: the stream's first
+      draws j with j < m * floor(2^64 / m), each read as j % m; none for m = 1.
 """
 
 from __future__ import annotations
@@ -103,14 +103,18 @@ def geometric_sampler(ratio: Fraction) -> Callable[[SplitMix64], int]:
     return draw
 
 
+def uniforms_below(draw: Callable[[], int], m: int, count: int) -> list[int]:
+    """The first ``count`` accepted draws of ``draw``, a stream's
+    ``next_uint64``, mod m: ``count`` draws are taken as one list against
+    one cutoff, and more only if some are rejected."""
+    if not 1 <= m <= TWO64:
+        raise ValueError("m must lie in [1, 2^64], got %d" % m)
+    cutoff, out = m * (TWO64 // m), [0] * count if m == 1 else []  # m = 1 draws nothing
+    while len(out) < count:
+        out += [j % m for j in [draw() for _ in range(count - len(out))] if j < cutoff]
+    return out
+
+
 def uniform_below(rng: SplitMix64, m: int) -> int:
-    """Exact uniform draw from {0, ..., m-1} by rejection."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m == 1:
-        return 0
-    cutoff = m * (TWO64 // m)
-    while True:
-        j = rng.next_uint64()
-        if j < cutoff:
-            return j % m
+    """Exact uniform draw from {0, ..., m-1}: uniforms_below's one-integer case."""
+    return uniforms_below(rng.next_uint64, m, 1)[0]

@@ -120,7 +120,7 @@ from qpascal.laws import (
 )
 from qpascal.pascal_graph import BinaryWord
 from qpascal.processes import PolyaParams, ThetaParams, extreme_runs_sampler
-from qpascal.rng import SplitMix64, bernoulli_threshold, uniform_below
+from qpascal.rng import SplitMix64, bernoulli_threshold
 
 
 class InfiniteProductOutsideSubUnit(RegimeError):
@@ -705,6 +705,19 @@ def geometric_scan(j: int, ratio: Fraction) -> int:
     return t
 
 
+def uniform_scan(rng: SplitMix64, m: int) -> int:
+    """A uniform integer below m by the rejection rule of ``rng``'s
+    docstring, one draw at a time: draws at or above m * floor(2^64 / m)
+    are passed over, and m = 1 draws nothing."""
+    if m == 1:
+        return 0
+    cutoff = m * ((1 << 64) // m)
+    j = rng.next_uint64()
+    while j >= cutoff:
+        j = rng.next_uint64()
+    return j % m
+
+
 def polya_forward_probs(params: PolyaParams, n: int, k: int):
     """(P(next bit 0), P(next bit 1)) from state (n, k); exact when possible."""
     if not 0 <= k <= n:
@@ -946,8 +959,8 @@ def growth_by_rebuild(kappa, field: FieldSpec, n_max: int, seed: int) -> tuple[S
         current = chain[-1]
         padded = tuple(row + (0,) for row in current.basis)
         if rng.next_uint64() < bernoulli_threshold(_stay(kappa, qbar, current.codim)):
-            xi = [uniform_below(rng, field.size) for _ in range(n)]
-            xi.append(1 + uniform_below(rng, field.size - 1))
+            xi = [uniform_scan(rng, field.size) for _ in range(n)]
+            xi.append(1 + uniform_scan(rng, field.size - 1))
             chain.append(spanned(field, n + 1, padded + (tuple(xi),)))
         else:
             chain.append(checked_rref(Subspace(field, n + 1, padded)))

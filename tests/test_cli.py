@@ -263,6 +263,22 @@ class TestSample:
         tv = sum(abs(float(r[2]) - float(r[3])) for r in rows) / 2
         assert tv <= 0.02
 
+    def test_float_urn_histogram_pinned(self, capsys):
+        # the CI text of a non-integer urn, whose level law is the float one
+        code, out = run(capsys, "sample", "--process", "polya", "--a", "3/2", "--b", "5/2",
+                        "--q", "9/10", "--n", "22", "--trials", "50", "--seed", "3")
+        assert code == 0
+        assert out == (
+            "k,count,frequency,expected\n0,3,0.06,0.1400794418\n1,3,0.06,0.1548828684\n"
+            "2,9,0.18,0.1424954012\n3,13,0.26,0.1221425436\n4,6,0.12,0.1007472271\n"
+            "5,6,0.12,0.08105358976\n6,5,0.1,0.06403582508\n7,3,0.06,0.0498643609\n"
+            "8,1,0.02,0.03835010162\n9,1,0.02,0.02916142019\n10,0,0,0.02193153459\n"
+            "11,0,0,0.016310004\n12,0,0,0.01198504847\n13,0,0,0.008690666898\n"
+            "14,0,0,0.00620608075\n15,0,0,0.004351601536\n16,0,0,0.002983139048\n"
+            "17,0,0,0.001986517304\n18,0,0,0.001272177621\n19,0,0,0.0007705237661\n"
+            "20,0,0,0.0004279953322\n21,0,0,0.0002038920146\n22,0,0,6.803906879e-05\n"
+        )
+
     def test_theta_infinite_is_all_ones(self, capsys):
         code, out = run(
             capsys, "sample", "--process", "theta", "--theta", "inf",
@@ -530,6 +546,14 @@ class TestGrassmann:
         code, out = run(capsys, "grassmann", "--p", str(p), "--enumerate", str(n), str(k))
         assert code == 0
         assert sha256(out) == self.ENUMERATE_DIGESTS[key]
+
+    def test_gf1031_chain_pinned(self, capsys):
+        # the CI digest: entries of up to four digits, arithmetic computed
+        # per entry above TABLE_FIELD_SIZE and a uniform cutoff below 2^64
+        code, out = run(capsys, "grassmann", "--p", "1031", "--grow", "3",
+                        "--nmax", "12", "--seed", "4")
+        assert code == 0
+        assert sha256(out) == "9fa196802fd5bb0d6d364b9a3f77ba6d15d89fd27a8e6ca0d9499302d38687b4"
 
     def test_composite_characteristic_exit_code(self, capsys):
         code, _ = run(capsys, "grassmann", "--p", "6", "--enumerate", "2", "1")
@@ -1158,6 +1182,30 @@ def one_digit_grids(draw):
     return draw(st.sampled_from([value, {"n": 3, "basis": value}, [value, "x"], [value, value]]))
 
 
+@st.composite
+def vouched_grids(draw):
+    """A grid as ``grassmann`` vouches for it: a k x n basis (k or n may
+    be 0) or a list of such bases, of leaves below 10, 16 or 2^20, alone,
+    as a growth chain's basis or as an enumeration's list."""
+    high = draw(st.sampled_from([9, 15, 2**20 - 1]))
+    count, k, n = draw(st.integers(0, 4)), draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    leaf = st.integers(0, high)
+
+    def basis():
+        return tuple(tuple(draw(leaf) for _ in range(n)) for _ in range(k))
+
+    if draw(st.booleans()):
+        grid = cli._Grid(basis())
+        payload = {"field": {"p": 2, "m": 1, "modulus": [0, 1]}, "kappa": "3", "seed": 1,
+                   "word": "01", "chain": [{"n": 0, "dim": 0, "basis": cli._Grid(())},
+                                           {"n": n, "dim": k, "basis": grid}]}
+    else:
+        grid = cli._Grid(basis() for _ in range(count))
+        payload = {"field": {"p": 2, "m": 1, "modulus": [0, 1]}, "n": n, "k": k,
+                   "count": count, "subspaces": grid}
+    return draw(st.sampled_from([grid, payload]))
+
+
 JSON_VALUES = st.recursive(
     SCALARS | int_grids(),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
@@ -1179,6 +1227,12 @@ class TestJsonEmitter:
     @settings(max_examples=200, deadline=None)
     @given(one_digit_grids())
     def test_one_digit_grids_match_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    # the grids grassmann builds go out by a path of their own
+    @settings(max_examples=300, deadline=None)
+    @given(vouched_grids())
+    def test_vouched_grids_match_json_dumps(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("value", [

@@ -32,6 +32,7 @@ from qpascal.rng import (
     geometric_sampler,
     mix64,
     uniform_below,
+    uniforms_below,
 )
 
 from oracles import (
@@ -43,6 +44,7 @@ from oracles import (
     runs_law,
     theta_boundary_measure,
     tv_distance,
+    uniform_scan,
     word_probability,
 )
 
@@ -178,6 +180,43 @@ class TestDrawPrimitives:
     def test_uniform_below_one(self):
         rng = SplitMix64(3)
         assert uniform_below(rng, 1) == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 16, 1031, 2**20 - 3])
+    def test_vector_draw_is_scalar_draws_with_forced_rejections(self, m):
+        # natural streams almost never reject (GF(3)'s cutoff is 2^64 - 1),
+        # so draws at the cutoff's edges are put first, mid-vector and
+        # last, and the first redraw is one of them too
+        cutoff = m * (2**64 // m)
+        edges = [j for j in (cutoff - 1, cutoff, 2**64 - 1) if j < 2**64]
+        fill = SplitMix64(m)
+        rejected = 0
+        for count in range(13):
+            for edge in edges:
+                for at in sorted({0, count // 2, max(count - 1, 0)}):
+                    draws = [fill.next_uint64() for _ in range(count + 4)]
+                    draws[at] = draws[count] = edge
+                    vector, scalar, scan = FixedDraws(draws), FixedDraws(draws), FixedDraws(draws)
+                    got = uniforms_below(vector.next_uint64, m, count)
+                    assert got == [uniform_below(scalar, m) for _ in range(count)]
+                    assert got == [uniform_scan(scan, m) for _ in range(count)]
+                    left = list(vector.draws)  # the same draws are consumed
+                    assert left == list(scalar.draws) == list(scan.draws)
+                    rejected += len(draws) - len(left) - (count if m > 1 else 0)
+        assert (rejected > 0) == (cutoff < 2**64)
+
+    def test_uniform_below_at_the_stream_width(self):
+        # m = 2^64 takes a draw as it is; above it every draw would be
+        # rejected, and the rule refuses m before it draws
+        assert uniform_below(SplitMix64(0), 2**64) == 0xE220A8397B1DCDAF
+        assert uniforms_below(SplitMix64(0).next_uint64, 2**64, 2) == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        for m in (0, 2**64 + 1, 2**65):
+            rng = CountedDraws(0)
+            with pytest.raises(ValueError):
+                uniform_below(rng, m)
+            with pytest.raises(ValueError):
+                uniforms_below(rng.next_uint64, m, 3)
+            assert rng.count == 0
 
 
 class TestExtremeProcess:
