@@ -22,7 +22,6 @@ from .boundary import (
     ZERO_POINT,
     BoundaryMeasure,
     MomentSequence,
-    extreme_array,
     extreme_chain,
     is_q_completely_monotone,
     mixture_array,
@@ -76,9 +75,7 @@ from .processes import (
     ThetaParams,
     empirical_level_histogram,
     extreme_runs_sampler,
-    polya_array,
     polya_chain,
-    theta_array,
     theta_chain,
 )
 from .rng import SplitMix64, derive_seed

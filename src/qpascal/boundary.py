@@ -169,11 +169,6 @@ def extreme_chain(kappa, q: QParam) -> ForwardChain:
     return chain
 
 
-def extreme_array(kappa, q: QParam, depth: int) -> VArray:
-    """Triangle of the extreme law at x = q^kappa (math.inf gives x = 0)."""
-    return extreme_chain(kappa, q).triangle(depth)
-
-
 def mixture_array(measure: BoundaryMeasure, depth: int) -> VArray:
     """Triangle of the mixture of extreme laws under ``measure``: the
     mass-weighted sum of the extreme triangles, zero_mass weighing the
@@ -181,7 +176,7 @@ def mixture_array(measure: BoundaryMeasure, depth: int) -> VArray:
     the lcm of their denominators, so each cell is one Fraction."""
     atoms = measure.atoms + ((ZERO_POINT, measure.zero_mass),)
     extremes = [
-        (mass.numerator, mass.denominator, extreme_array(kappa, measure.q, depth).rows)
+        (mass.numerator, mass.denominator, extreme_chain(kappa, measure.q).triangle(depth).rows)
         for kappa, mass in atoms
         if mass
     ]

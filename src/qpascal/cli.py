@@ -34,7 +34,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .boundary import (
     BoundaryMeasure,
     MomentSequence,
-    extreme_array,
     extreme_chain,
     is_q_completely_monotone,
     mixture_array,
@@ -70,9 +69,7 @@ from .processes import (
     ThetaParams,
     empirical_level_histogram,
     extreme_runs_sampler,
-    polya_array,
     polya_chain,
-    theta_array,
     theta_chain,
 )
 from .rng import SplitMix64
@@ -256,20 +253,23 @@ def _read(path: str, kind: str, build):
 # ----------------------------------------------------------- process flags
 
 
-def _process_args(process: str, args, q: QParam) -> tuple:
-    """The leading arguments of the triangle and chain builders of
-    ``process``, read from its flags."""
+def _chain(process: str, args, q: QParam) -> tuple:
+    """The chain of ``process``, read from its flags, and the flags that
+    ``sample`` echoes."""
     if process == "extreme":
         if args.kappa is None:
             raise ValueError("--kappa is required for the extreme process")
-        return _parse_kappa(args.kappa), q
+        chain = extreme_chain(_parse_kappa(args.kappa), q)
+        return chain, {"kappa": args.kappa, "q": args.q}
     if process == "theta":
         if args.theta is None:
             raise ValueError("--theta is required for the theta process")
-        return (ThetaParams(_parse_theta(args.theta), q),)
+        chain = theta_chain(ThetaParams(_parse_theta(args.theta), q))
+        return chain, {"theta": args.theta, "q": args.q}
     if args.a is None or args.b is None:
         raise ValueError("--a and --b are required for the urn process")
-    return (PolyaParams(as_fraction(args.a), as_fraction(args.b), q),)
+    chain = polya_chain(PolyaParams(as_fraction(args.a), as_fraction(args.b), q))
+    return chain, {"a": args.a, "b": args.b, "q": args.q}
 
 
 # ------------------------------------------------------------------- table
@@ -277,21 +277,14 @@ def _process_args(process: str, args, q: QParam) -> tuple:
 
 def _build_array(args) -> VArray:
     q = QParam(args.q)
-    if args.law == "mixture":
-        if not args.measure_file:
-            raise ValueError("--measure-file is required for a mixture")
-        measure = _read(args.measure_file, "measure", BoundaryMeasure.from_jsonable)
-        if measure.q != q:
-            raise ValueError(
-                "--q %s does not match the measure file's q = %s" % (q, measure.q)
-            )
-        return mixture_array(measure, args.depth)
-    built = _process_args(args.law, args, q)
-    if args.law == "extreme":
-        return extreme_array(*built, args.depth)
-    if args.law == "theta":
-        return theta_array(*built, args.depth)
-    return polya_array(*built, args.depth)
+    if args.law != "mixture":
+        return _chain(args.law, args, q)[0].triangle(args.depth)
+    if not args.measure_file:
+        raise ValueError("--measure-file is required for a mixture")
+    measure = _read(args.measure_file, "measure", BoundaryMeasure.from_jsonable)
+    if measure.q != q:
+        raise ValueError("--q %s does not match the measure file's q = %s" % (q, measure.q))
+    return mixture_array(measure, args.depth)
 
 
 def _triangle_rows(kind: str, args):
@@ -337,31 +330,19 @@ def _cmd_table(args) -> int:
 # ------------------------------------------------------------------ sample
 
 
-def _make_sampler(args):
-    """The sampler (with its ones counter), the echoed parameters and the
-    exact level law of n letters, built from one chain."""
+def _cmd_sample(args) -> int:
     if args.mode == "runs" and args.process != "extreme":
         raise ValueError("--mode runs is for the extreme process only")
-    built = _process_args(args.process, args, QParam(args.q))
+    chain, params = _chain(args.process, args, QParam(args.q))
     if args.process == "extreme":
-        chain = extreme_chain(*built)
-        params = {"kappa": args.kappa, "q": args.q, "mode": args.mode}
-        if args.mode == "runs":
-            return extreme_runs_sampler(*built), params, chain.level
-    elif args.process == "theta":
-        chain = theta_chain(*built)
-        params = {"theta": args.theta, "q": args.q}
+        params["mode"] = args.mode
+    if args.mode == "runs":
+        sampler = extreme_runs_sampler(_parse_kappa(args.kappa), chain.q)
     else:
-        chain = polya_chain(*built)
-        params = {"a": args.a, "b": args.b, "q": args.q}
-    return chain.sampler(), params, chain.level
-
-
-def _cmd_sample(args) -> int:
-    sampler, params, exact_level = _make_sampler(args)
+        sampler = chain.sampler()
     if args.trials is not None:
         counts = empirical_level_histogram(sampler, args.n, args.trials, args.seed)
-        expected = exact_level(args.n)
+        expected = chain.level(args.n)
         lines = ["k,count,frequency,expected"]
         for k in range(args.n + 1):
             c = counts.get(k, 0)

@@ -268,10 +268,11 @@ class ForwardChain:
     probability ``p1(n, k)``, the ``p_one`` given, and the chain is
     q-exchangeable.  That single function yields the v triangle, the
     level laws and a sampler; every pass calls it, so pass a memoised
-    p_one.  An exact chain's triangle and level law run on integers; a
-    float p_one (the urn's float mode) runs the level forward over the
-    lattice, in floats.  Draws read ``p1_drawn``: p1, or a stand-in with
-    the same 64-bit thresholds (see :func:`qpascal.boundary.extreme_chain`).
+    p_one.  Its p1 is exact, and its triangle and level law run on
+    integers; a chain whose p1 is a float (the urn's float mode) is a
+    subclass with its own triangle and level.  Draws read ``p1_drawn``:
+    p1, or a stand-in with the same 64-bit thresholds (see
+    :func:`qpascal.boundary.extreme_chain`).
     """
 
     def __init__(self, q: QParam, p_one: Callable[[int, int], Fraction]) -> None:
@@ -309,12 +310,9 @@ class ForwardChain:
         Fraction.  Once the ones prefix is 0 the remaining cells are 0,
         and neither they nor their Gaussian binomials are computed; a
         zero run stops at its first 0 factor, so p1 is called only at
-        reachable cells.  A float p1 (the urn's float mode) runs the
-        forward pass of :func:`_float_level` instead.
+        reachable cells.
         """
         p1 = self.p1
-        if n and isinstance(p1(0, 0), float):
-            return _float_level(p1, n)
         level = [Fraction(0)] * (n + 1)
         top = bottom = 1  # p1 along the ones prefix 1^k
         for k, g in enumerate(gaussian_row(n, self.q)):
@@ -359,21 +357,6 @@ class ForwardChain:
             return k
 
         return _word_sampler(walk)
-
-
-def _float_level(p1: Callable[[int, int], float], n: int) -> list[float]:
-    """The level law by a forward pass over the lattice, in floats: the
-    rounding order that the urn's float mode has always printed."""
-    level = [1.0]
-    for m in range(n):
-        nxt = [0.0] * (m + 2)
-        for k, mass in enumerate(level):
-            if mass:
-                p = p1(m, k)
-                nxt[k] += mass * (1 - p)
-                nxt[k + 1] += mass * p
-        level = nxt
-    return level
 
 
 def _word_sampler(walk: Callable[..., int]) -> Sampler:

@@ -5,15 +5,14 @@ with k ones, the next letter is a one with an exact probability
 P(1 | n, k).  A :class:`qpascal.laws.ForwardChain` built from that one
 function gives the process's v triangle (only the canonical words
 1^k 0^(n-k) are extended, so the triangle costs O(depth^2) products),
-its level laws as a Gaussian row times the canonical-word products
-(the urn's float mode runs them forward instead), and its bit-by-bit
-sampler with one cached threshold per (n, k); the tests walk the
-chain's decision tree for its exact word law.  Every sampler carries a
-ones counter, ``sampler.ones(n, rng)``: the same walk over the same
-draws, without building the word, which is all a level histogram
-reads.  The chain calls p_one in every pass, so each process memoises
-its own: by k (extreme), by n (theta), and per cell (urn).  An exact
-urn cell is an integer pair made of powers c^e and d^e of q = c/d,
+its level laws as a Gaussian row times the canonical-word products,
+and its bit-by-bit sampler with one cached threshold per (n, k); the
+tests walk the chain's decision tree for its exact word law.  Every
+sampler carries a ones counter, ``sampler.ones(n, rng)``: the same walk
+over the same draws, without building the word, which is all a level
+histogram reads.  The chain calls p_one in every pass, so each process
+memoises its own: by k (extreme), by n (theta), and per cell (urn).  An
+exact urn cell is an integer pair made of powers c^e and d^e of q = c/d,
 each built once per exponent, and reduced by two exact divisions with
 no gcd of large numbers (see :func:`polya_chain`); the float urn's cell
 is q^(n-k+b) [a+k] / [a+b+n] over factors memoised by n-k, k and n.
@@ -42,8 +41,9 @@ Polya urn process: forward probabilities from state (n, k)
     P(0) = [b+n-k] / [a+b+n],   P(1) = q^(n-k+b) [a+k] / [a+b+n],
     exact for integer strengths a, b (q = 1 gives the classical urn).
     Its triangle is q^(bk) [a]_k [b]_(n-k) / [a+b]_n in rising
-    q-factorials.  Other strengths run the same chain with a float
-    P(1 | n, k), so its thresholds and levels carry float rounding.
+    q-factorials.  Other strengths run a :class:`_FloatUrnChain`, whose
+    float P(1 | n, k) puts rounding in its thresholds and its levels (a
+    forward pass over the lattice), and which has no triangle.
     Its mixing measure is the q-analogue of a beta mixture; for a = 1 it
     is exactly geometric with parameter 1 - q^b.
 
@@ -64,7 +64,7 @@ from fractions import Fraction
 from .boundary import extreme_chain
 from .errors import NonIntegerParamsInExactMode, RegimeError
 from .exactq import QParam, _coprime, _q_integer, as_fraction
-from .laws import ForwardChain, Sampler, VArray, _word_sampler
+from .laws import ForwardChain, Sampler, _word_sampler
 from .rng import SplitMix64, derive_seed, geometric_sampler
 
 
@@ -124,7 +124,8 @@ class ThetaParams:
 
 def theta_chain(params: ThetaParams) -> ForwardChain:
     """Letter n+1 is a one with probability theta q^n / (1 + theta q^n),
-    whatever came before; theta = math.inf gives the all-ones law."""
+    whatever came before, so its triangle is w[n][k] = theta^k q^(k(k-1)/2)
+    / prod_{i<n}(1 + theta q^i); theta = math.inf gives the all-ones law."""
 
     @functools.cache
     def p_one(n: int) -> Fraction:
@@ -134,12 +135,6 @@ def theta_chain(params: ThetaParams) -> ForwardChain:
         return t / (1 + t)
 
     return ForwardChain(params.q, lambda n, k: p_one(n))
-
-
-def theta_array(params: ThetaParams, depth: int) -> VArray:
-    """Triangle w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i);
-    theta = math.inf gives the all-ones triangle."""
-    return theta_chain(params).triangle(depth)
 
 
 # ------------------------------------------------------------------ Polya
@@ -178,9 +173,39 @@ class PolyaParams:
         return not (isinstance(self.a, int) and isinstance(self.b, int))
 
 
+class _FloatUrnChain(ForwardChain):
+    """The urn with strengths that are not both integers: its p1 is a
+    float, so it refuses a triangle, and its level law is a forward pass
+    over the lattice in floats."""
+
+    def __init__(self, params: PolyaParams, p_one) -> None:
+        super().__init__(params.q, p_one)
+        self.strengths = params.a, params.b
+
+    def triangle(self, depth: int):
+        raise NonIntegerParamsInExactMode(
+            "triangle requires integer strengths, got a=%s b=%s" % self.strengths
+        )
+
+    def level(self, n: int) -> list[float]:
+        """The rounding order that the urn's float mode has always printed:
+        each level's mass is pushed forward along p1, level 0 is [1.0]."""
+        p1 = self.p1
+        level = [1.0]
+        for m in range(n):
+            nxt = [0.0] * (m + 2)
+            for k, mass in enumerate(level):
+                if mass:
+                    p = p1(m, k)
+                    nxt[k] += mass * (1 - p)
+                    nxt[k + 1] += mass * p
+            level = nxt
+        return level
+
+
 def polya_chain(params: PolyaParams) -> ForwardChain:
-    """The urn as a forward chain.  Float strengths give a float p_one, so
-    the sampler's thresholds and the levels carry its rounding.
+    """The urn as a forward chain; float strengths give a
+    :class:`_FloatUrnChain`.
 
     With integer strengths and q = c/d in lowest terms, A = a + k and
     M = a + b + n, p1 = c^(M-A) (d^A - c^A) / (d^M - c^M).  Coprime c and
@@ -197,7 +222,7 @@ def polya_chain(params: PolyaParams) -> ForwardChain:
         def p_one(n: int, k: int) -> float:
             return power(n - k) * ones(k) / total(n)
 
-        return ForwardChain(params.q, p_one)
+        return _FloatUrnChain(params, p_one)
 
     a, b = params.a, params.b
     c, d = params.q.q.numerator, params.q.q.denominator
@@ -215,16 +240,6 @@ def polya_chain(params: PolyaParams) -> ForwardChain:
                         (down(total) - up(total)) // h)
 
     return ForwardChain(params.q, p_one)
-
-
-def polya_array(params: PolyaParams, depth: int) -> VArray:
-    """Exact triangle of the urn process (integer strengths only)."""
-    if params.float_mode:
-        raise NonIntegerParamsInExactMode(
-            "triangle requires integer strengths, got a=%s b=%s"
-            % (params.a, params.b)
-        )
-    return polya_chain(params).triangle(depth)
 
 
 # -------------------------------------------------------------- histograms

@@ -65,6 +65,14 @@ exits 0 timeout 20 bash -c 'ulimit -v 524288; exec qpascal sample --process extr
 out=$(cd "$work" && timeout 20 qpascal sample --process extreme --kappa 5 --q 1/2 --n 400 --trials 1 --seed 0 | sha256sum)
 test "$out" = "d1c49cbf5336c19f8082f2ed7ec161f45319d9738302bf17d53ac8f505ee86ca  -"
 exits 3 qpascal sample --process polya --a 1 --b 1 --q 3/2 --n 3 --seed 0
+# the float urn's chain refuses a triangle at any depth and kind; its
+# word, and theta = inf's, print the params echo in flag order
+exits 2 qpascal table --law polya --a 1/2 --b 1 --q 1/2 --depth 0
+exits 2 qpascal table --law polya --a 1/2 --b 1 --q 1/2 --kind tilde --depth 3
+out=$(cd "$work" && qpascal sample --process theta --theta inf --q 1/2 --n 5 --seed 0 | sha256sum)
+test "$out" = "8e5ba3215e18fc7d1db83a5d5c95a624a3695d0c3f0f898613140b575d80535c  -"
+out=$(cd "$work" && qpascal sample --process polya --a 3/2 --b 5/2 --q 9/10 --n 10 --seed 3 | sha256sum)
+test "$out" = "1c450d288c7697dfaa9a55d919f81903ab760355cf21c0597833f857cbbd2ec6  -"
 # recover and check read a triangle that table wrote; check also
 # reads a moment window, and flip takes a word
 (cd "$work" && qpascal table --law theta --theta 1/3 --q 1/2 --depth 12 -o t.json)

@@ -27,17 +27,14 @@ from qpascal import (
     derive_seed,
     empirical_level_histogram,
     enumerate_grassmannian,
-    extreme_array,
     extreme_chain,
     codim_word,
     check_recursion,
     is_q_completely_monotone,
     make_field,
     mixture_array,
-    polya_array,
     polya_chain,
     recover_measure,
-    theta_array,
     theta_chain,
     tilde_of_v,
 )
@@ -82,15 +79,15 @@ def criterion(capsys, label, budget_seconds):
 @lru_cache(maxsize=1)
 def reference_arrays():
     """Twenty depth-20 triangles covering every generator at q = 1/2."""
-    arrays = [extreme_array(kappa, HALF, 20) for kappa in range(7)]
+    arrays = [extreme_chain(kappa, HALF).triangle(20) for kappa in range(7)]
     arrays.append(
         mixture_array(BoundaryMeasure.of(HALF, {0: F(1, 2), 1: F(1, 2)}), 20)
     )
     for theta in (F(1, 2), F(1), F(3)):
-        arrays.append(theta_array(ThetaParams(theta, HALF), 20))
+        arrays.append(theta_chain(ThetaParams(theta, HALF)).triangle(20))
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            arrays.append(polya_array(PolyaParams(a, b, HALF), 20))
+            arrays.append(polya_chain(PolyaParams(a, b, HALF)).triangle(20))
     return tuple(arrays)
 
 
@@ -134,7 +131,7 @@ def test_03_measure_recovery(capsys):
         recovered = recover_measure(mixture_array(mixture, 40), nu=40, kmax=4)
         for kappa in (0, 1):
             assert abs(atom_mass(recovered, kappa) - F(1, 2)) <= F(1, 2**30)
-        point = recover_measure(extreme_array(2, HALF, 30), nu=30, kmax=6)
+        point = recover_measure(extreme_chain(2, HALF).triangle(30), nu=30, kmax=6)
         assert atom_mass(point, 2) >= 1 - F(1, 2**25)
 
 
@@ -142,15 +139,17 @@ def test_04_sampler_decision_trees(capsys):
     # exact enumeration of every sampler's decision tree at n = 6 must
     # reproduce the word probabilities of the corresponding triangle
     with criterion(capsys, "sampler laws", 30.0):
-        target = law_of_array(extreme_array(2, HALF, 6), 6)
+        target = law_of_array(extreme_chain(2, HALF).triangle(6), 6)
         assert chain_law(extreme_chain(2, HALF), 6).probs == target.probs
         assert runs_law(2, HALF, 6).probs == target.probs
 
         tp = ThetaParams(F(1), HALF)
-        assert chain_law(theta_chain(tp), 6).probs == law_of_array(theta_array(tp, 6), 6).probs
+        chain = theta_chain(tp)
+        assert chain_law(chain, 6).probs == law_of_array(chain.triangle(6), 6).probs
 
         pp = PolyaParams(1, 2, HALF)
-        assert chain_law(polya_chain(pp), 6).probs == law_of_array(polya_array(pp, 6), 6).probs
+        chain = polya_chain(pp)
+        assert chain_law(chain, 6).probs == law_of_array(chain.triangle(6), 6).probs
 
         for kappa in (0, 1, 3, math.inf):
             forward = chain_law(extreme_chain(kappa, HALF), 6)
@@ -162,7 +161,7 @@ def test_05_level_histogram(capsys):
     with criterion(capsys, "level histogram", 5.0):
         sampler = extreme_chain(2, HALF).sampler()
         counts = empirical_level_histogram(sampler, 10, 100_000, seed=20250816)
-        exact = tilde_of_v(extreme_array(2, HALF, 10)).rows[10]
+        exact = tilde_of_v(extreme_chain(2, HALF).triangle(10)).rows[10]
         assert tv_distance(counts, 100_000, exact) <= F(1, 50)
         again = empirical_level_histogram(sampler, 10, 100_000, seed=20250816)
         assert again == counts
@@ -229,7 +228,7 @@ def test_09_boundary_masses(capsys):
         tm = theta_boundary_measure(tp, kmax=80)
         assert tm.zero_mass <= F(1, 10**10)
         rebuilt = mixture_array(tm, 8)
-        direct = theta_array(tp, 8)
+        direct = theta_chain(tp).triangle(8)
         for n in range(9):
             for k in range(n + 1):
                 assert abs(rebuilt.rows[n][k] - direct.rows[n][k]) <= F(1, 10**9)
@@ -238,7 +237,7 @@ def test_09_boundary_masses(capsys):
         pm = polya_boundary_measure(pp, kmax=80)
         assert pm.zero_mass <= F(1, 10**10)
         rebuilt = mixture_array(pm, 8)
-        direct = polya_array(pp, 8)
+        direct = polya_chain(pp).triangle(8)
         for n in range(9):
             for k in range(n + 1):
                 assert abs(rebuilt.rows[n][k] - direct.rows[n][k]) <= F(1, 10**9)

@@ -7,6 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import qpascal
+import qpascal.cli
 
 TESTS = Path(__file__).resolve().parent
 
@@ -41,6 +42,7 @@ def test_moved_accessors_are_gone():
     assert not hasattr(qpascal.VArray, "first_column")
     assert not hasattr(qpascal, "q_difference")
     assert not hasattr(qpascal.boundary, "q_difference")
+    arrays = ["extreme_array", "theta_array", "polya_array"]  # read off the chains
     moved = {
         qpascal.ForwardChain: ["law"],
         qpascal.FiniteLaw: ["to_jsonable"],
@@ -52,7 +54,11 @@ def test_moved_accessors_are_gone():
         qpascal.BinaryWord: ["inversions", "__iter__"],
         qpascal.BoundaryMeasure: ["mass"],
         qpascal.exactq: ["q_integer", "gaussian_rows"],
-        qpascal: ["q_integer", "rref_canonicalize"],
+        qpascal: ["q_integer", "rref_canonicalize", *arrays],
+        qpascal.boundary: arrays,
+        qpascal.processes: arrays,
+        qpascal.laws: ["_float_level"],
+        qpascal.cli: ["_process_args", "_make_sampler"],
     }
     for owner, names in moved.items():
         for name in names:

@@ -10,15 +10,19 @@ from qpascal import (
     QParam,
     RegimeError,
     ZERO_POINT,
-    extreme_array,
+    extreme_chain,
     is_q_completely_monotone,
     mixture_array,
-    polya_array,
     recover_measure,
-    theta_array,
     tilde_of_v,
 )
-from qpascal.processes import PolyaParams, ThetaParams, extreme_runs_sampler
+from qpascal.processes import (
+    PolyaParams,
+    ThetaParams,
+    extreme_runs_sampler,
+    polya_chain,
+    theta_chain,
+)
 
 from oracles import (
     array_from_moments,
@@ -56,33 +60,33 @@ class TestExtremeKernel:
 
 class TestExtremeArray:
     def test_levels_sum_to_one(self):
-        tv = tilde_of_v(extreme_array(3, HALF, 8))
+        tv = tilde_of_v(extreme_chain(3, HALF).triangle(8))
         for n in range(9):
             assert sum(tv.rows[n]) == 1
 
     def test_kappa_zero_all_zeros(self):
-        arr = extreme_array(0, HALF, 4)
+        arr = extreme_chain(0, HALF).triangle(4)
         assert first_column(arr) == (F(1),) * 5
         assert arr.rows[3][1] == 0
 
     def test_kappa_infinite_all_ones(self):
-        arr = extreme_array(ZERO_POINT, HALF, 4)
+        arr = extreme_chain(ZERO_POINT, HALF).triangle(4)
         for n in range(5):
             for k in range(n + 1):
                 assert arr.rows[n][k] == (1 if k == n else 0)
 
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
-            extreme_array(-1, HALF, 3)
+            extreme_chain(-1, HALF).triangle(3)
         with pytest.raises(ValueError):
-            extreme_array(1.5, HALF, 3)
+            extreme_chain(1.5, HALF).triangle(3)
 
     @pytest.mark.parametrize("kappa", [True, False])
     def test_bool_kappa_rejected(self, kappa):
         # a bool is an int to isinstance, but no atom index, as in
         # BoundaryMeasure; the runs sampler checks kappa on its own path
         with pytest.raises(ValueError):
-            extreme_array(kappa, HALF, 3)
+            extreme_chain(kappa, HALF).triangle(3)
         with pytest.raises(ValueError):
             extreme_runs_sampler(kappa, HALF)
 
@@ -137,8 +141,8 @@ class TestMixture:
 
     def test_is_convex_combination(self):
         arr = mixture_array(HALF_MIX, 5)
-        a0 = extreme_array(0, HALF, 5)
-        a1 = extreme_array(1, HALF, 5)
+        a0 = extreme_chain(0, HALF).triangle(5)
+        a1 = extreme_chain(1, HALF).triangle(5)
         for n in range(6):
             for k in range(n + 1):
                 assert arr.rows[n][k] == (a0.rows[n][k] + a1.rows[n][k]) / 2
@@ -146,7 +150,7 @@ class TestMixture:
     def test_zero_mass_contributes_diagonal(self):
         m = BoundaryMeasure.of(HALF, {0: F(1, 2)}, zero_mass=F(1, 2))
         arr = mixture_array(m, 3)
-        pure = extreme_array(0, HALF, 3)
+        pure = extreme_chain(0, HALF).triangle(3)
         for n in range(4):
             assert arr.rows[n][n] == pure.rows[n][n] / 2 + F(1, 2)
             for k in range(n):
@@ -162,17 +166,17 @@ class TestRecovery:
         assert atom_mass(rec, 2) == 0
 
     def test_extreme_concentrates(self):
-        rec = recover_measure(extreme_array(2, HALF, 30), nu=30, kmax=6)
+        rec = recover_measure(extreme_chain(2, HALF).triangle(30), nu=30, kmax=6)
         assert atom_mass(rec, 2) >= 1 - F(1, 2) ** 25
 
     def test_zero_point_mass(self):
-        rec = recover_measure(extreme_array(ZERO_POINT, HALF, 20), nu=20, kmax=5)
+        rec = recover_measure(extreme_chain(ZERO_POINT, HALF).triangle(20), nu=20, kmax=5)
         assert rec.zero_mass == 1
         assert all(atom_mass(rec, k) == 0 for k in range(6))
 
     def test_rejects_shallow_array(self):
         with pytest.raises(ValueError):
-            recover_measure(extreme_array(1, HALF, 5), nu=10, kmax=2)
+            recover_measure(extreme_chain(1, HALF).triangle(5), nu=10, kmax=2)
 
 
 class TestQDifference:
@@ -187,14 +191,14 @@ class TestQDifference:
 class TestMonotonicity:
     def test_extreme_moments_pass(self):
         for kappa in (0, 1, 3, ZERO_POINT):
-            u = moments_of(extreme_array(kappa, HALF, 12))
+            u = moments_of(extreme_chain(kappa, HALF).triangle(12))
             assert is_q_completely_monotone(u, HALF).ok
 
     def test_mixture_and_process_moments_pass(self):
         arrays = [
             mixture_array(HALF_MIX, 12),
-            theta_array(ThetaParams(F(1), HALF), 12),
-            polya_array(PolyaParams(2, 1, HALF), 12),
+            theta_chain(ThetaParams(F(1), HALF)).triangle(12),
+            polya_chain(PolyaParams(2, 1, HALF)).triangle(12),
         ]
         for arr in arrays:
             assert is_q_completely_monotone(moments_of(arr), HALF).ok
@@ -218,10 +222,10 @@ class TestMonotonicity:
 class TestMomentsRoundtrip:
     def test_array_from_moments_inverts(self):
         for arr in (
-            extreme_array(2, HALF, 8),
+            extreme_chain(2, HALF).triangle(8),
             mixture_array(HALF_MIX, 8),
-            theta_array(ThetaParams(F(3), HALF), 8),
-            polya_array(PolyaParams(1, 2, HALF), 8),
+            theta_chain(ThetaParams(F(3), HALF)).triangle(8),
+            polya_chain(PolyaParams(1, 2, HALF)).triangle(8),
         ):
             rebuilt = array_from_moments(moments_of(arr), HALF)
             assert rebuilt == arr
@@ -229,5 +233,5 @@ class TestMomentsRoundtrip:
     def test_rebuilt_array_satisfies_recursion(self):
         from qpascal import check_recursion
 
-        u = moments_of(extreme_array(1, HALF, 10))
+        u = moments_of(extreme_chain(1, HALF).triangle(10))
         assert check_recursion(array_from_moments(u, HALF)).ok

@@ -22,14 +22,11 @@ from qpascal import (
     ThetaParams,
     ZERO_POINT,
     codim_word,
-    extreme_array,
     extreme_chain,
     growth_q_param,
     make_field,
     mixture_array,
-    polya_array,
     sample_growth,
-    theta_array,
     tilde_of_v,
 )
 from qpascal import boundary, galois, processes
@@ -92,14 +89,14 @@ def kernel_x(kappa, qq):
 @pytest.mark.parametrize("qq", QS)
 @pytest.mark.parametrize("theta", [F(1, 3), F(1), F(3, 2)])
 def test_theta_triangle_matches_product_formula(qq, theta):
-    arr = theta_array(ThetaParams(theta, QParam(qq)), DEPTH)
+    arr = theta_chain(ThetaParams(theta, QParam(qq))).triangle(DEPTH)
     assert arr.rows == theta_closed(theta, qq, DEPTH)
 
 
 @pytest.mark.parametrize("qq", QS + [F(1)])
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 1)])
 def test_urn_triangle_matches_rising_factorials(qq, a, b):
-    arr = polya_array(PolyaParams(a, b, QParam(qq)), DEPTH)
+    arr = polya_chain(PolyaParams(a, b, QParam(qq))).triangle(DEPTH)
     assert arr.rows == urn_closed(a, b, qq, DEPTH)
 
 
@@ -111,7 +108,7 @@ def test_extreme_triangles_match_kernel(qq):
         expected = tuple(
             tuple(phi(n, k, x, q) for k in range(n + 1)) for n in range(DEPTH + 1)
         )
-        assert extreme_array(kappa, q, DEPTH).rows == expected, kappa
+        assert extreme_chain(kappa, q).triangle(DEPTH).rows == expected, kappa
 
 
 @pytest.mark.parametrize("qq", QS)

@@ -21,13 +21,11 @@ from qpascal import (
     RegimeError,
     VArray,
     check_recursion,
-    extreme_array,
+    extreme_chain,
     is_q_completely_monotone,
     mixture_array,
-    polya_array,
-    theta_array,
 )
-from qpascal.processes import PolyaParams, ThetaParams
+from qpascal.processes import PolyaParams, ThetaParams, polya_chain, theta_chain
 
 from oracles import check_recursion_fractions, is_q_completely_monotone_fractions
 
@@ -63,7 +61,7 @@ def valid_triangles(draw) -> VArray:
     depth = draw(st.integers(0, 14))
     law = draw(st.sampled_from(("extreme", "mixture", "theta", "polya", "coprime")))
     if law == "extreme":
-        array = extreme_array(draw(st.integers(0, 9)), q, depth)
+        array = extreme_chain(draw(st.integers(0, 9)), q).triangle(depth)
     elif law == "mixture":
         kappas = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True))
         weights = [draw(st.integers(1, 6)) for _ in kappas]
@@ -73,9 +71,10 @@ def valid_triangles(draw) -> VArray:
         array = mixture_array(BoundaryMeasure.of(q, atoms, F(zero, total)), depth)
     elif law == "theta":
         theta = draw(st.sampled_from((F(1, 3), F(1, 2), F(1), F(3, 2), F(3))))
-        array = theta_array(ThetaParams(theta, q), depth)
+        array = theta_chain(ThetaParams(theta, q)).triangle(depth)
     elif law == "polya":
-        array = polya_array(PolyaParams(draw(st.integers(1, 4)), draw(st.integers(1, 4)), q), depth)
+        params = PolyaParams(draw(st.integers(1, 4)), draw(st.integers(1, 4)), q)
+        array = polya_chain(params).triangle(depth)
     else:
         numerators = draw(st.lists(st.integers(1, 9), min_size=depth + 1, max_size=depth + 1))
         array = _coprime_triangle(q, numerators)
@@ -129,7 +128,7 @@ class TestRecursionMatchesOracle:
             assert check_recursion(bad) == check_recursion_fractions(bad)
 
     def test_moved_cell_in_the_last_row_is_seen_above_it(self):
-        array = theta_array(ThetaParams(F(1, 3), QParam(F(9, 10))), 12)
+        array = theta_chain(ThetaParams(F(1, 3), QParam(F(9, 10)))).triangle(12)
         bad = _with_cell(array, 12, 5, array.rows[12][5] + F(1, 10**9))
         assert check_recursion(bad) == check_recursion_fractions(bad) == (False, (11, 4))
 

@@ -29,15 +29,14 @@ from qpascal import (
     ThetaParams,
     VArray,
     codim_word,
-    extreme_array,
     extreme_chain,
     extreme_runs_sampler,
     format_rational,
     growth_q_param,
     make_field,
-    polya_array,
+    polya_chain,
     sample_growth,
-    theta_array,
+    theta_chain,
     tilde_of_v,
 )
 import qpascal
@@ -94,7 +93,7 @@ class TestTable:
         )
         assert code == 0
         payload = json.loads(out)
-        expected = tilde_of_v(theta_array(ThetaParams(F(1), HALF), 4))
+        expected = tilde_of_v(theta_chain(ThetaParams(F(1), HALF)).triangle(4))
         assert payload["rows"] == [[format_rational(x) for x in row] for row in expected.rows]
         assert payload["kind"] == "tilde"
         assert list(payload) == ["q", "depth", "law", "kind", "rows"]
@@ -143,9 +142,9 @@ class TestTable:
         assert sha256(out) == self.TRIANGLE_DIGESTS[key]
         q = QParam(F(2, 3))
         if law == "theta":
-            array = theta_array(ThetaParams(F(3, 2), q), 6)
+            array = theta_chain(ThetaParams(F(3, 2), q)).triangle(6)
         else:
-            array = polya_array(PolyaParams(2, 1, q), 6)
+            array = polya_chain(PolyaParams(2, 1, q)).triangle(6)
         expected = (tilde_of_v(array) if kind == "tilde" else array).rows
         if fmt == "json":
             payload = json.loads(out)
@@ -165,7 +164,7 @@ class TestTable:
             "--depth", "3",
         )
         assert code == 0
-        assert json.loads(out) == extreme_array(1, HALF, 3).to_jsonable()
+        assert json.loads(out) == extreme_chain(1, HALF).triangle(3).to_jsonable()
 
     def test_table_output_feeds_recover_and_check(self, capsys, tmp_path):
         # the CLI's own v-triangle export must round-trip through the
@@ -310,6 +309,31 @@ class TestSample:
         # the two samplers read the same draws differently
         assert any(words["runs", seed] != words["forward", seed] for seed in range(4))
 
+    @pytest.mark.parametrize("flags, process, params, n, seed, word", [
+        ("--kappa 3 --q 1/2 --n 12 --seed 1", "extreme",
+         {"kappa": "3", "q": "1/2", "mode": "forward"}, 12, 1, "110100000000"),
+        ("--mode runs --kappa 3 --q 0.5 --n 12 --seed 1", "extreme",
+         {"kappa": "3", "q": "0.5", "mode": "runs"}, 12, 1, "110000010000"),
+        ("--kappa inf --q 2/3 --n 6 --seed 1", "extreme",
+         {"kappa": "inf", "q": "2/3", "mode": "forward"}, 6, 1, "111111"),
+        ("--theta 3/2 --q 0.9 --n 10 --seed 7", "theta",
+         {"theta": "3/2", "q": "0.9"}, 10, 7, "1100110110"),
+        ("--theta inf --q 1/2 --n 5 --seed 0", "theta",
+         {"theta": "inf", "q": "1/2"}, 5, 0, "11111"),
+        ("--a 2 --b 3 --q 2/3 --n 10 --seed 3", "polya",
+         {"a": "2", "b": "3", "q": "2/3"}, 10, 3, "1001000000"),
+        ("--a 3/2 --b 5/2 --q 9/10 --n 10 --seed 3", "polya",
+         {"a": "3/2", "b": "5/2", "q": "9/10"}, 10, 3, "1001101000"),
+    ], ids=["extreme forward", "extreme runs", "kappa inf", "theta", "theta inf",
+            "exact urn", "float urn"])
+    def test_word_payload_pinned(self, capsys, flags, process, params, n, seed, word):
+        # the whole payload, key order included: params echoes each flag
+        # as typed, and the extreme process's mode last
+        code, out = run(capsys, "sample", "--process", process, *flags.split())
+        payload = {"process": process, "params": params, "n": n, "seed": seed,
+                   "word": word, "ones": word.count("1")}
+        assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
+
     def test_unknown_mode_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--process", "extreme", "--mode", "backward",
@@ -382,7 +406,7 @@ class TestMissingFlags:
 class TestRecover:
     def test_extreme_atom_recovered(self, capsys, tmp_path):
         path = write_json(
-            tmp_path / "deep.json", extreme_array(2, HALF, 30).to_jsonable()
+            tmp_path / "deep.json", extreme_chain(2, HALF).triangle(30).to_jsonable()
         )
         code, out = run(capsys, "recover", "--input", path, "--nu", "30",
                         "--kmax", "6")
@@ -393,7 +417,7 @@ class TestRecover:
 
     def test_nu_beyond_depth_is_usage_error(self, capsys, tmp_path):
         path = write_json(
-            tmp_path / "shallow.json", extreme_array(1, HALF, 5).to_jsonable()
+            tmp_path / "shallow.json", extreme_chain(1, HALF).triangle(5).to_jsonable()
         )
         code, _ = run(capsys, "recover", "--input", path, "--nu", "40")
         assert code == 2
@@ -402,14 +426,14 @@ class TestRecover:
 class TestCheck:
     def test_recursion_ok(self, capsys, tmp_path):
         path = write_json(
-            tmp_path / "good.json", extreme_array(1, HALF, 6).to_jsonable()
+            tmp_path / "good.json", extreme_chain(1, HALF).triangle(6).to_jsonable()
         )
         code, out = run(capsys, "check", "--kind", "recursion", "--input", path)
         assert code == 0
         assert json.loads(out) == {"kind": "recursion", "ok": True, "witness": None}
 
     def test_recursion_perturbed_cell_located(self, capsys, tmp_path):
-        data = extreme_array(1, HALF, 6).to_jsonable()
+        data = extreme_chain(1, HALF).triangle(6).to_jsonable()
         data["v"][2][1] = str(F(data["v"][2][1]) + F(1, 100))
         path = write_json(tmp_path / "bad.json", data)
         code, out = run(capsys, "check", "--kind", "recursion", "--input", path)
@@ -631,7 +655,7 @@ class TestFlip:
         assert json.loads(out) == {"word": "01", "q": "1/2"}
 
     def test_array_roundtrip(self, capsys, tmp_path):
-        base = extreme_array(1, HALF, 4)
+        base = extreme_chain(1, HALF).triangle(4)
         rows = tuple(
             tuple(
                 F(1, 2) ** (k * (n - k)) * base.rows[n][n - k]
@@ -656,7 +680,8 @@ class TestFlip:
         assert "--q is required" in captured.err
 
     def test_input_q_must_match_the_file(self, capsys, tmp_path):
-        path = write_json(tmp_path / "half.json", extreme_array(1, HALF, 3).to_jsonable())
+        triangle = extreme_chain(1, HALF).triangle(3)
+        path = write_json(tmp_path / "half.json", triangle.to_jsonable())
         code = main(["flip", "--input", path, "--q", "7"])
         captured = capsys.readouterr()
         assert code == 2
@@ -701,11 +726,13 @@ class TestExitCodes:
         assert captured.err == "error: %s is too large for a float\n" % name
 
     def test_urn_refusal_prints_strengths_in_the_wire_format(self, capsys):
-        code = main(["table", "--law", "polya", "--a", "1/2", "--b", "1", "--q", "1/2",
-                     "--depth", "2"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == "error: triangle requires integer strengths, got a=1/2 b=1\n"
+        # at any depth, the root row's included, and for the tilde kind
+        for flags in [("--depth", "2"), ("--depth", "0"), ("--kind", "tilde", "--depth", "3")]:
+            code = main(["table", "--law", "polya", "--a", "1/2", "--b", "1", "--q", "1/2",
+                         *flags])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), flags
+            assert captured.err == "error: triangle requires integer strengths, got a=1/2 b=1\n"
 
     @pytest.mark.parametrize("command", [
         ["sample", "--process", "polya", "--n", "3", "--seed", "0"],
@@ -985,7 +1012,7 @@ class TestMalformedFiles:
     code from README's list; no exception escapes ``main``."""
 
     FILES = {
-        "triangle": extreme_array(2, HALF, 3).to_jsonable(),
+        "triangle": extreme_chain(2, HALF).triangle(3).to_jsonable(),
         "measure": {"q": "1/2", "atoms": [{"kappa": 0, "mass": "1/2"},
                                           {"kappa": 2, "mass": "1/4"}],
                     "zero_mass": "1/4"},
@@ -1295,7 +1322,7 @@ class TestJsonEmitter:
 
     @pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
     def test_command_output_is_json_dumps_indent_2(self, capsys, tmp_path, name):
-        half = extreme_array(2, HALF, 8)
+        half = extreme_chain(2, HALF).triangle(8)
         broken = half.to_jsonable()
         broken["v"][3][1] = "1/7"
         files = {
@@ -1352,7 +1379,7 @@ class TestParserReuse:
         assert run(capsys, "table", "--q", "1/2", "--depth", "3")[0] == 2
         code, out = run(capsys, "table", "--q", "1/2", "--depth", "1", "--kappa", "0")
         assert code == 0
-        assert json.loads(out) == extreme_array(0, HALF, 1).to_jsonable()
+        assert json.loads(out) == extreme_chain(0, HALF).triangle(1).to_jsonable()
 
 
 def readme_examples():

@@ -14,13 +14,12 @@ from qpascal import (
     VArray,
     check_q_exchangeable,
     check_recursion,
-    extreme_array,
+    extreme_chain,
     flip_reduction,
-    theta_array,
     tilde_of_v,
 )
 from qpascal.guards import ENV_VAR
-from qpascal.processes import ThetaParams
+from qpascal.processes import ThetaParams, theta_chain
 
 from oracles import (
     RunEncoding,
@@ -54,28 +53,28 @@ class TestVArray:
             VArray(HALF, ())
 
     def test_entry_and_depth(self):
-        arr = extreme_array(1, HALF, 4)
+        arr = extreme_chain(1, HALF).triangle(4)
         assert arr.depth == 4
         assert arr.rows[0][0] == 1
         assert arr.rows[2][1] == F(1, 2)
 
     def test_jsonable_roundtrip(self):
-        arr = extreme_array(2, HALF, 5)
+        arr = extreme_chain(2, HALF).triangle(5)
         again = varray_from_jsonable(arr.to_jsonable())
         assert again == arr
 
     def test_first_column(self):
         # all-zero prefixes of the extreme law: x^n at x = q^kappa
-        arr = extreme_array(1, HALF, 3)
+        arr = extreme_chain(1, HALF).triangle(3)
         assert first_column(arr) == (F(1), F(1, 2), F(1, 4), F(1, 8))
 
 
 class TestRecursion:
     def test_extreme_passes(self):
-        assert check_recursion(extreme_array(1, HALF, 6)).ok
+        assert check_recursion(extreme_chain(1, HALF).triangle(6)).ok
 
     def test_perturbation_witnessed_at_root(self):
-        arr = extreme_array(1, HALF, 6)
+        arr = extreme_chain(1, HALF).triangle(6)
         rows = [list(r) for r in arr.rows]
         rows[1][0] += F(1, 100)
         bad = VArray(HALF, tuple(tuple(r) for r in rows))
@@ -91,7 +90,7 @@ class TestRecursion:
 
 class TestTilde:
     def test_roundtrip(self):
-        arr = extreme_array(2, HALF, 6)
+        arr = extreme_chain(2, HALF).triangle(6)
         assert v_of_tilde(tilde_of_v(arr)) == arr
 
     def test_level_sums_enforced(self):
@@ -99,7 +98,7 @@ class TestTilde:
             TildeArray(HALF, ((F(1),), (F(1, 2), F(1, 4))))
 
     def test_spec_level(self):
-        tv = tilde_of_v(extreme_array(1, HALF, 2))
+        tv = tilde_of_v(extreme_chain(1, HALF).triangle(2))
         assert tv.rows[1] == (F(1, 2), F(1, 2))
         assert tv.rows[2] == (F(1, 4), F(3, 4), F(0))
 
@@ -167,13 +166,13 @@ class TestMultistep:
 
 class TestWordProbability:
     def test_swap_ratio(self):
-        arr = extreme_array(1, HALF, 3)
+        arr = extreme_chain(1, HALF).triangle(3)
         assert word_probability(arr, w("011")) == HALF.q**2 * word_probability(
             arr, w("110")
         )
 
     def test_level_marginals(self):
-        arr = extreme_array(2, HALF, 5)
+        arr = extreme_chain(2, HALF).triangle(5)
         law = law_of_array(arr, 5)
         tv = tilde_of_v(arr)
         for k in range(6):
@@ -182,7 +181,7 @@ class TestWordProbability:
 
     def test_too_long_word_rejected(self):
         with pytest.raises(ValueError):
-            word_probability(extreme_array(1, HALF, 2), w("010"))
+            word_probability(extreme_chain(1, HALF).triangle(2), w("010"))
 
 
 class TestFiniteLaw:
@@ -199,7 +198,7 @@ class TestFiniteLaw:
         assert law.prob(w("1")) == F(3, 4)
 
     def test_jsonable_roundtrip(self):
-        law = law_of_array(extreme_array(1, HALF, 3), 3)
+        law = law_of_array(extreme_chain(1, HALF).triangle(3), 3)
         assert FiniteLaw.from_jsonable(law_to_jsonable(law)) == law
 
     def test_huge_length_refused_before_two_to_the_n(self):
@@ -229,11 +228,11 @@ class TestFiniteLaw:
 
 class TestExchangeability:
     def test_array_law_passes(self):
-        law = law_of_array(extreme_array(1, HALF, 4), 4)
+        law = law_of_array(extreme_chain(1, HALF).triangle(4), 4)
         assert check_q_exchangeable(law, HALF).ok
 
     def test_theta_law_passes(self):
-        arr = theta_array(ThetaParams(F(1), HALF), 4)
+        arr = theta_chain(ThetaParams(F(1), HALF)).triangle(4)
         assert check_q_exchangeable(law_of_array(arr, 4), HALF).ok
 
     def test_uniform_fails_with_valid_witness(self):
@@ -271,7 +270,7 @@ class TestRunEncoding:
 
 class TestArrayFlip:
     def test_flip_preserves_word_laws(self):
-        base = extreme_array(1, HALF, 5)
+        base = extreme_chain(1, HALF).triangle(5)
         # build the super-unit pre-image by hand, then flip back
         rows = tuple(
             tuple(F(1, 2) ** (k * (n - k)) * base.rows[n][n - k] for k in range(n + 1))
@@ -292,6 +291,6 @@ class TestArrayFlip:
         from qpascal import NotSuperUnitError
 
         with pytest.raises(NotSuperUnitError):
-            flip_reduction(extreme_array(1, HALF, 3))
+            flip_reduction(extreme_chain(1, HALF).triangle(3))
         with pytest.raises(NotSuperUnitError):
             flip_reduction(VArray(QParam(F(1)), ((F(1),), (F(1, 2), F(1, 2)))))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -15,13 +16,10 @@ from qpascal import (
     ZERO_POINT,
     derive_seed,
     empirical_level_histogram,
-    extreme_array,
     extreme_chain,
     extreme_runs_sampler,
-    polya_array,
     polya_chain,
     mixture_array,
-    theta_array,
     theta_chain,
     tilde_of_v,
 )
@@ -227,7 +225,7 @@ class TestExtremeProcess:
         assert law.prob(BinaryWord.from_string("1")) == F(1, 2)
 
     def test_exact_law_matches_array(self):
-        arr = extreme_array(2, HALF, 5)
+        arr = extreme_chain(2, HALF).triangle(5)
         for law in (chain_law(extreme_chain(2, HALF), 5), runs_law(2, HALF, 5)):
             for word, p in law.probs.items():
                 assert p == word_probability(arr, word)
@@ -269,14 +267,14 @@ class TestThetaProcess:
         assert ThetaParams(math.inf, HALF).infinite
 
     def test_array_golden(self):
-        arr = theta_array(ThetaParams(F(1), HALF), 4)
+        arr = theta_chain(ThetaParams(F(1), HALF)).triangle(4)
         assert arr.rows[1][1] == F(1, 2)
         tv = tilde_of_v(arr)
         assert sum(tv.rows[2]) == 1
 
     def test_exact_law_matches_array(self):
         tp = ThetaParams(F(1), HALF)
-        arr = theta_array(tp, 5)
+        arr = theta_chain(tp).triangle(5)
         law = chain_law(theta_chain(tp), 5)
         for word, p in law.probs.items():
             assert p == word_probability(arr, word)
@@ -295,7 +293,7 @@ class TestThetaProcess:
         tp = ThetaParams(F(1), HALF)
         m = theta_boundary_measure(tp, kmax=60)
         mix = mixture_array(m, 5)
-        arr = theta_array(tp, 5)
+        arr = theta_chain(tp).triangle(5)
         for n in range(6):
             for k in range(n + 1):
                 assert abs(mix.rows[n][k] - arr.rows[n][k]) < F(1, 10**12)
@@ -340,20 +338,40 @@ class TestPolyaProcess:
         assert abs(p_zero + p_one - 1.0) < 1e-12
 
     def test_array_golden_level(self):
-        tv = tilde_of_v(polya_array(PolyaParams(1, 1, HALF), 3))
+        tv = tilde_of_v(polya_chain(PolyaParams(1, 1, HALF)).triangle(3))
         assert tv.rows[1] == (F(2, 3), F(1, 3))
 
     def test_unit_regime_recovers_classical_urn(self):
-        tv = tilde_of_v(polya_array(PolyaParams(1, 1, QParam(F(1))), 3))
+        tv = tilde_of_v(polya_chain(PolyaParams(1, 1, QParam(F(1)))).triangle(3))
         assert tv.rows[3] == (F(1, 4), F(1, 4), F(1, 4), F(1, 4))
 
     def test_array_rejects_float_mode(self):
-        with pytest.raises(NonIntegerParamsInExactMode):
-            polya_array(PolyaParams(F(3, 2), 1, HALF), 3)
+        chain = polya_chain(PolyaParams(F(3, 2), 1, HALF))
+        for depth in (0, 3):
+            with pytest.raises(NonIntegerParamsInExactMode) as exc:
+                chain.triangle(depth)
+            assert str(exc.value) == "triangle requires integer strengths, got a=3/2 b=1"
+
+    @pytest.mark.parametrize("a, b, q, digest", [
+        (F(3, 2), F(5, 2), F(9, 10),
+         "6337bbc4dcaaef3cee82d3db8475aac78fbe0bfb4d793002b47a622a69d452d9"),
+        (F(1, 2), 1, HALF.q,
+         "019efe3d06485467bb101db7a939c92d017d3cbef95ace6b60c3252a5dd2840c"),
+        (0.75, 2, F(1),
+         "c1cde566e3298363095b97f1979ee998f25dac3dd648b7f5ca706fb86d7f2b50"),
+    ])
+    def test_float_chain_levels_pinned(self, a, b, q, digest):
+        # the float levels of n = 1..22, to the bit, as the forward pass
+        # printed them when ForwardChain.level held a float branch
+        chain = polya_chain(PolyaParams(a, b, QParam(q)))
+        levels = [chain.level(n) for n in range(1, 23)]
+        assert all(type(x) is float for level in levels for x in level)
+        assert hashlib.sha256(repr(levels).encode()).hexdigest() == digest
+        assert repr(chain.level(0)) == "[1.0]"
 
     def test_chain_rule_along_word(self):
         pp = PolyaParams(1, 1, HALF)
-        arr = polya_array(pp, 2)
+        arr = polya_chain(pp).triangle(2)
         _, p1 = polya_forward_probs(pp, 0, 0)
         p0_after, _ = polya_forward_probs(pp, 1, 1)
         from qpascal import BinaryWord
@@ -362,7 +380,7 @@ class TestPolyaProcess:
 
     def test_exact_law_matches_array(self):
         pp = PolyaParams(2, 3, HALF)
-        arr = polya_array(pp, 5)
+        arr = polya_chain(pp).triangle(5)
         for word, p in chain_law(polya_chain(pp), 5).probs.items():
             assert p == word_probability(arr, word)
 
@@ -387,7 +405,7 @@ class TestPolyaProcess:
         pp = PolyaParams(1, 1, HALF)
         m = polya_boundary_measure(pp, kmax=80)
         mix = mixture_array(m, 6)
-        arr = polya_array(pp, 6)
+        arr = polya_chain(pp).triangle(6)
         for n in range(7):
             for k in range(n + 1):
                 assert abs(mix.rows[n][k] - arr.rows[n][k]) < F(1, 10**9)
@@ -415,7 +433,7 @@ class TestHistogram:
     def test_theta_histogram_close_to_exact(self):
         tp = ThetaParams(F(1), HALF)
         counts = empirical_level_histogram(theta_chain(tp).sampler(), 8, 100_000, seed=6)
-        exact = list(tilde_of_v(theta_array(tp, 8)).rows[8])
+        exact = list(tilde_of_v(theta_chain(tp).triangle(8)).rows[8])
         assert tv_distance(counts, 100_000, exact) <= F(2, 100)
 
     def test_tv_distance_hand_value(self):

@@ -22,12 +22,12 @@ from qpascal import (
     VArray,
     as_pair,
     check_recursion,
-    extreme_array,
+    extreme_chain,
     flip_reduction,
-    polya_array,
+    polya_chain,
     read_triangle,
     recover_measure,
-    theta_array,
+    theta_chain,
 )
 from qpascal.cli import main
 
@@ -101,12 +101,12 @@ class TestPairReader:
         assert arr.rows == ((F(1),), (F(1, 2), F(1, 2)))
 
     def test_fraction_rows_are_not_read_again(self):
-        rows = extreme_array(2, HALF, 4).rows
+        rows = extreme_chain(2, HALF).triangle(4).rows
         again = VArray(HALF, rows).rows
         assert all(x is y for row, same in zip(rows, again) for x, y in zip(row, same))
 
     def test_a_file_and_its_varray_give_the_same_results(self):
-        law = theta_array(ThetaParams(F(1, 3), HALF), 6)
+        law = theta_chain(ThetaParams(F(1, 3), HALF)).triangle(6)
         triangle = read_triangle(law.to_jsonable())
         assert check_recursion(triangle) == check_recursion(law)
         assert recover_measure(triangle, 6, 3) == recover_measure(law, 6, 3)
@@ -117,12 +117,12 @@ class TestPairReader:
 
 def _law(kind: str, q: QParam, depth: int, data) -> VArray:
     if kind == "extreme":
-        return extreme_array(data.draw(st.integers(0, depth + 1)), q, depth)
+        return extreme_chain(data.draw(st.integers(0, depth + 1)), q).triangle(depth)
     if kind == "theta":
         theta = data.draw(st.sampled_from([F(1, 3), F(1), F(5, 2)]))
-        return theta_array(ThetaParams(theta, q), depth)
+        return theta_chain(ThetaParams(theta, q)).triangle(depth)
     a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    return polya_array(PolyaParams(F(a), F(b), q), depth)
+    return polya_chain(PolyaParams(F(a), F(b), q)).triangle(depth)
 
 
 class TestUnreducedFiles:
