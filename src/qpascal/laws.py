@@ -49,7 +49,8 @@ from . import guards
 MAX_WORD_LENGTH = 20  # default cap for whole-law enumerations
 
 # draws a word of n letters from a stream; its ``ones`` attribute draws
-# only the number of ones, from the same draws (see _word_sampler)
+# only the number of ones, from the same draws, and its ``max_draws(n)``
+# bounds the draws a word takes (see _word_sampler)
 Sampler = Callable[[int, SplitMix64], BinaryWord]
 
 _ZERO = Fraction(0)  # every zero cell a builder makes
@@ -270,15 +271,15 @@ class ForwardChain:
     level laws and a sampler; every pass calls it, so pass a memoised
     p_one.  Its p1 is exact, and its triangle and level law run on
     integers; a chain whose p1 is a float (the urn's float mode) is a
-    subclass with its own triangle and level.  Draws read ``p1_drawn``:
-    p1, or a stand-in with the same 64-bit thresholds (see
-    :func:`qpascal.boundary.extreme_chain`).
+    subclass with its own triangle and level.  Draws read ``p1_drawn``,
+    which is exact: p1, or a stand-in with the same 64-bit thresholds (see
+    :func:`qpascal.boundary.extreme_chain`), or a float p1 made exact.
     """
 
     def __init__(self, q: QParam, p_one: Callable[[int, int], Fraction]) -> None:
         self.q = q
         self.p1 = self.p1_drawn = p_one
-        self._thresholds: list[list] = []  # sampler: bernoulli_threshold per (n, k)
+        self._thresholds: list[dict] = []  # sampler: row n maps k to its threshold
 
     def triangle(self, depth: int) -> VArray:
         """v[n+1][k] = v[n][k] (1 - p1(n, k)) and v[n+1][n+1] = v[n][n] p1(n, n):
@@ -336,37 +337,41 @@ class ForwardChain:
     def sampler(self) -> Sampler:
         """Draws one word; each letter consumes one draw j and is a one
         iff j < bernoulli_threshold(p1_drawn(n, k)).  Its ``ones`` counter
-        walks the same letters without building the word."""
+        walks the same letters without building the word.  The thresholds
+        are cached per cell visited, in one dict per row."""
         thresholds = self._thresholds
         p1 = self.p1_drawn
 
         def walk(n: int, rng: SplitMix64, ones: list | None = None) -> int:
             while len(thresholds) < n:
-                thresholds.append([None] * (len(thresholds) + 1))
+                thresholds.append({})
             draw = rng.next_uint64
             k = 0
             for m in range(n):
                 row = thresholds[m]
-                t = row[k]
-                if t is None:
-                    t = row[k] = bernoulli_threshold(Fraction(p1(m, k)))
+                try:
+                    t = row[k]
+                except KeyError:
+                    t = row[k] = bernoulli_threshold(p1(m, k))
                 if draw() < t:
                     k += 1
                     if ones is not None:
                         ones.append(m)
             return k
 
-        return _word_sampler(walk)
+        return _word_sampler(walk, lambda n: n)
 
 
-def _word_sampler(walk: Callable[..., int]) -> Sampler:
+def _word_sampler(walk: Callable[..., int], max_draws: Callable[[int], int]) -> Sampler:
     """The sampler of a walk.
 
     ``walk(n, rng, ones=None)`` draws the letters of an n-letter word from
     ``rng`` and returns its number of ones; given a list, it also appends
     the position of each one.  The sampler builds the word from those
     positions, and its ``ones`` attribute is the walk itself, which draws
-    the same letters from the same draws but builds no word.
+    the same letters from the same draws but builds no word.  Its
+    ``max_draws`` attribute is the given bound on the draws of a walk of
+    n letters, which a histogram computes ahead for each trial.
     """
 
     def draw(n: int, rng: SplitMix64) -> BinaryWord:
@@ -378,6 +383,7 @@ def _word_sampler(walk: Callable[..., int]) -> Sampler:
         return BinaryWord(tuple(bits))
 
     draw.ones = walk
+    draw.max_draws = max_draws
     return draw
 
 

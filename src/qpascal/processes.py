@@ -65,7 +65,7 @@ from .boundary import extreme_chain
 from .errors import NonIntegerParamsInExactMode, RegimeError
 from .exactq import QParam, _coprime, _q_integer, as_fraction
 from .laws import ForwardChain, Sampler, _word_sampler
-from .rng import SplitMix64, derive_seed, geometric_sampler
+from .rng import SplitMix64, _trial_streams, geometric_sampler
 
 
 # ---------------------------------------------------------------- extreme
@@ -92,7 +92,8 @@ def extreme_runs_sampler(kappa, q: QParam) -> Sampler:
             k += 1
         return k
 
-    return _word_sampler(walk)
+    # a run ends at a one, or at the word's end: at most min(n, kappa) draws
+    return _word_sampler(walk, lambda n: min(n, kappa))
 
 
 # ------------------------------------------------------------------ theta
@@ -176,10 +177,11 @@ class PolyaParams:
 class _FloatUrnChain(ForwardChain):
     """The urn with strengths that are not both integers: its p1 is a
     float, so it refuses a triangle, and its level law is a forward pass
-    over the lattice in floats."""
+    over the lattice in floats.  Its draws read each float exactly."""
 
     def __init__(self, params: PolyaParams, p_one) -> None:
         super().__init__(params.q, p_one)
+        self.p1_drawn = lambda n, k: Fraction(p_one(n, k))
         self.strengths = params.a, params.b
 
     def triangle(self, depth: int):
@@ -253,11 +255,13 @@ def empirical_level_histogram(
     Trial t uses the stream seeded by derive_seed(seed, t); results are
     independent of execution order.  Each count comes from the sampler's
     ones counter, ``sampler.ones(n, rng)``, which draws exactly what the
-    sampler draws but builds no word.
+    sampler draws but builds no word.  The trials' streams come a chunk
+    at a time, each holding the most draws its walk can take,
+    ``sampler.max_draws(n)``, made in one kernel call per chunk.
     """
     count = sampler.ones
     counts: dict[int, int] = {}
-    for t in range(trials):
-        k = count(n, SplitMix64(derive_seed(seed, t)))
+    for rng in _trial_streams(seed, trials, sampler.max_draws(n)):
+        k = count(n, rng)
         counts[k] = counts.get(k, 0) + 1
     return counts

@@ -8,11 +8,21 @@ Generator
                   z ^= z >> 27; z *= 0x94D049BB133111EB;
                   z ^= z >> 31          (all mod 2^64).
 
+    Draw i from seed s is therefore mix64(s + i * GOLDEN), a counter-based
+    rule (Steele, Lea & Flood, OOPSLA 2014), so a stream computes its
+    draws ahead in blocks: the lane kernel :func:`_draws` makes many at
+    once on one integer with a 128-bit lane per draw, and
+    ``next_uint64`` hands them out one call per draw.  Blocks double from
+    8 draws up to _LANES; ``state`` is the state after the draws taken so
+    far, however far the block runs ahead.
+
 Per-trial sub-seeds
     Trial t of a batch seeded with S uses the stream seeded by
-    derive_seed(S, t) = mix64(S + (t + 1) * 0x9E3779B97F4A7C15).
-    Trials therefore never share state and may run in any order or in
-    parallel with identical results.
+    derive_seed(S, t) = mix64(S + (t + 1) * 0x9E3779B97F4A7C15), which is
+    draw t + 1 of the stream seeded by S.  Trials therefore never share
+    state and may run in any order or in parallel with identical
+    results.  :func:`_trial_streams` makes a run of trials' sub-seeds,
+    and each trial's first draws, in two kernel calls.
 
 Uniform variate conventions
     A draw j (64 bits) represents the rational u = j / 2^64 in [0, 1).
@@ -31,39 +41,129 @@ Uniform variate conventions
 
 from __future__ import annotations
 
+import functools
+import sys
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 TWO64 = 1 << 64
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+_LANES = 1024  # the most draws one kernel call makes: a stream's largest block
+# the offsets i * GOLDEN of draws _LANES, ..., 1, last first
+_RAMP = array("Q", [(i * GOLDEN) & MASK64 for i in range(_LANES, 0, -1)])
+_SWAP = sys.byteorder == "big"  # lanes are read and written little-endian
 
 
 def mix64(z: int) -> int:
     z &= MASK64
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & MASK64
+    z = (z * _MUL1) & MASK64
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & MASK64
+    z = (z * _MUL2) & MASK64
     z ^= z >> 31
     return z
 
 
-class SplitMix64:
-    """The SplitMix64 sequence generator."""
+def _lanes_int(words: array) -> int:
+    """The 64-bit words as one little-endian integer."""
+    if _SWAP:
+        words = array("Q", words)
+        words.byteswap()
+    return int.from_bytes(words, "little")
 
-    __slots__ = ("state",)
+
+@functools.lru_cache(maxsize=16)
+def _lane_constants(count: int, copies: int) -> tuple[int, int]:
+    """For ``copies`` runs of ``count`` 128-bit lanes: the ramp, offsets
+    i * GOLDEN for i = count, ..., 1 in each run's low halves, and the mask
+    of every low half."""
+    words = array("Q", bytes(16 * count * copies))
+    words[0::2] = _RAMP[_LANES - count:] * copies
+    ramp = _lanes_int(words)
+    words[0::2] = array("Q", [MASK64]) * (count * copies)
+    return ramp, _lanes_int(words)
+
+
+def _draws(states: Sequence[int], count: int) -> array:
+    """Draws count, ..., 1 of the stream from each state, last first:
+    mix64(s + i * GOLDEN), state by state, for count <= _LANES.
+
+    The draws sit in one integer, a 128-bit lane each, and mix64 runs on
+    all of them at once: a lane's low half holds its 64-bit value, and is
+    masked before each multiply, so no product reaches the next lane and
+    no shift brings a neighbour's bits into a low half that is read."""
+    lanes = len(states) * count
+    if not lanes:
+        return array("Q")
+    ramp, low = _lane_constants(count, len(states))
+    if len(states) < count:  # a few long runs: one state's lane repeated
+        lanes_bytes = b"".join(s.to_bytes(16, "little") * count for s in states)
+        z = int.from_bytes(lanes_bytes, "little")
+    else:  # many short runs: lane i of every run in one slice
+        words, step, starts = array("Q", bytes(16 * lanes)), 2 * count, array("Q", states)
+        for i in range(0, step, 2):
+            words[i::step] = starts
+        z = _lanes_int(words)
+    z = (z + ramp) & low
+    z = ((z ^ (z >> 30)) & low) * _MUL1 & low
+    z = ((z ^ (z >> 27)) & low) * _MUL2 & low
+    words = array("Q", (z ^ (z >> 31)).to_bytes(16 * lanes, "little"))
+    if _SWAP:
+        words.byteswap()
+    return words[0::2]
+
+
+class SplitMix64:
+    """The SplitMix64 sequence generator.  It computes its draws ahead in
+    blocks, by :func:`_draws`, and ``next_uint64`` takes them one call at
+    a time."""
+
+    __slots__ = ("_ahead", "_pending", "_block")
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & MASK64
+        self._ahead = seed & MASK64  # the state after the last draw computed
+        self._pending: list[int] = []  # draws computed, not yet taken, last first
+        self._block = 8  # the next block's size
+
+    @property
+    def state(self) -> int:
+        """The state after the draws taken so far."""
+        return (self._ahead - len(self._pending) * GOLDEN) & MASK64
 
     def next_uint64(self) -> int:
-        """One draw: mix64 of the advanced state, mixed inline."""
-        z = self.state = (self.state + GOLDEN) & MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        """One draw: mix64 of the advanced state, the next of the draws
+        computed ahead; when none is left, the next block is computed."""
+        try:
+            return self._pending.pop()
+        except IndexError:
+            block = self._block
+            self._pending = _draws((self._ahead,), block).tolist()
+            self._ahead = (self._ahead + block * GOLDEN) & MASK64
+            self._block = min(2 * block, _LANES)
+            return self._pending.pop()
+
+
+def _trial_streams(seed: int, trials: int, fill: int) -> Iterator[SplitMix64]:
+    """The streams of a batch's trials in order, trial t's seeded by
+    derive_seed(seed, t), each already holding its first min(fill,
+    _LANES) draws.  A chunk of trials takes two kernel calls of at most
+    _LANES draws: its sub-seeds are the next draws of the stream from
+    ``seed``, and its trials' first draws are one call over them all."""
+    fill = min(fill, _LANES)
+    chunk, ahead = _LANES // max(fill, 1), fill * GOLDEN
+    for start in range(0, trials, chunk):
+        seeds = _draws(((seed + start * GOLDEN) & MASK64,), min(chunk, trials - start))
+        seeds.reverse()
+        draws = _draws(seeds, fill).tolist()
+        for j, sub in enumerate(seeds):
+            rng = SplitMix64(sub + ahead)
+            rng._pending = draws[j * fill:(j + 1) * fill]
+            yield rng
 
 
 def derive_seed(seed: int, trial: int) -> int:

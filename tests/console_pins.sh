@@ -27,6 +27,16 @@ out=$(cd "$work" && qpascal sample --process polya --a 3 --b 2 --q 9/10 --n 22 -
 test "$out" = "$(printf 'k,count,frequency,expected\n0,1,0.02,0.02216247823\n1,1,0.02,0.04812318642\n2,1,0.02,0.06969708792\n3,6,0.12,0.08414441798\n4,3,0.06,0.09143488258\n5,4,0.08,0.09271565356\n6,7,0.14,0.08949234995\n7,6,0.12,0.08322286636\n8,4,0.08,0.07514287644\n9,5,0.1,0.06621546188\n10,3,0.06,0.05714242144\n11,2,0.04,0.04840210009\n12,2,0.04,0.0402948188\n13,2,0.04,0.03298644601\n14,0,0,0.02654600151\n15,2,0.04,0.02097607875\n16,0,0,0.01623633258\n17,0,0,0.01226092444\n18,0,0,0.008971018679\n19,0,0,0.006283397461\n20,0,0,0.004116134566\n21,1,0.02,0.002392106362\n22,0,0,0.001040957989')"
 out=$(cd "$work" && qpascal sample --process polya --a 3/2 --b 5/2 --q 9/10 --n 22 --trials 50 --seed 3)
 test "$out" = "$(printf 'k,count,frequency,expected\n0,3,0.06,0.1400794418\n1,3,0.06,0.1548828684\n2,9,0.18,0.1424954012\n3,13,0.26,0.1221425436\n4,6,0.12,0.1007472271\n5,6,0.12,0.08105358976\n6,5,0.1,0.06403582508\n7,3,0.06,0.0498643609\n8,1,0.02,0.03835010162\n9,1,0.02,0.02916142019\n10,0,0,0.02193153459\n11,0,0,0.016310004\n12,0,0,0.01198504847\n13,0,0,0.008690666898\n14,0,0,0.00620608075\n15,0,0,0.004351601536\n16,0,0,0.002983139048\n17,0,0,0.001986517304\n18,0,0,0.001272177621\n19,0,0,0.0007705237661\n20,0,0,0.0004279953322\n21,0,0,0.0002038920146\n22,0,0,6.803906879e-05')"
+# histograms across the stream's block and chunk bounds: words longer
+# than a block, trials over several chunks, and words past the pre-fill
+out=$(cd "$work" && qpascal sample --process extreme --kappa 6 --q 99/100 --n 1500 --trials 3 --seed 4 | sha256sum)
+test "$out" = "e2bb3ccfdf98ce773a5fb60ee1bb2262eb55c2472036b943fb178b1e02012022  -"
+out=$(cd "$work" && qpascal sample --process theta --theta 2 --q 9/10 --n 3 --trials 5000 --seed 4 | sha256sum)
+test "$out" = "371620da50c18114fe2b973d7a97648314c9ad43ab7f85db6e9fea65f1f01e4f  -"
+out=$(cd "$work" && qpascal sample --process extreme --mode runs --kappa 6 --q 99/100 --n 22 --trials 3000 --seed 4 | sha256sum)
+test "$out" = "7336d90f38b88b5c3b0daf2c3a577ea8080ff2052cfedb58a68e20e974dce02a  -"
+out=$(cd "$work" && qpascal sample --process extreme --kappa 2 --q 1/2 --n 4500 --trials 2 --seed 4 | sha256sum)
+test "$out" = "dbef9a400cf6adb2252cf4f9201e595cc383e5622bea837c977a7a9f18d6aef2  -"
 # a deep extreme level: a Gaussian row times canonical-word
 # products, where a Fraction forward pass took about 35 s
 out=$(cd "$work" && timeout 20 qpascal sample --process extreme --kappa 200 --q 99/100 --n 80 --trials 20 --seed 0 | sha256sum)

@@ -42,6 +42,7 @@ from qpascal import (
 import qpascal
 from qpascal import cli
 from qpascal.cli import main
+from qpascal.rng import GOLDEN, mix64
 
 from oracles import chain_law, law_to_jsonable
 
@@ -277,6 +278,24 @@ class TestSample:
             "17,0,0,0.001986517304\n18,0,0,0.001272177621\n19,0,0,0.0007705237661\n"
             "20,0,0,0.0004279953322\n21,0,0,0.0002038920146\n22,0,0,6.803906879e-05\n"
         )
+
+    # histograms whose draws cross the stream's block and chunk bounds: a
+    # word longer than a block, trials over several chunks of sub-seeds
+    # and first draws, and a word longer than one chunk holds; each
+    # digest was recorded while every draw was mixed on its own
+    @pytest.mark.parametrize("flags, digest", [
+        ("--process extreme --kappa 6 --q 99/100 --n 1500 --trials 3 --seed 4",
+         "e2bb3ccfdf98ce773a5fb60ee1bb2262eb55c2472036b943fb178b1e02012022"),
+        ("--process theta --theta 2 --q 9/10 --n 3 --trials 5000 --seed 4",
+         "371620da50c18114fe2b973d7a97648314c9ad43ab7f85db6e9fea65f1f01e4f"),
+        ("--process extreme --mode runs --kappa 6 --q 99/100 --n 22 --trials 3000 --seed 4",
+         "7336d90f38b88b5c3b0daf2c3a577ea8080ff2052cfedb58a68e20e974dce02a"),
+        ("--process extreme --kappa 2 --q 1/2 --n 4500 --trials 2 --seed 4",
+         "dbef9a400cf6adb2252cf4f9201e595cc383e5622bea837c977a7a9f18d6aef2"),
+    ], ids=["long words", "many trials", "runs", "past the pre-fill"])
+    def test_histograms_across_chunks_pinned(self, capsys, flags, digest):
+        code, out = run(capsys, "sample", *flags.split())
+        assert (code, sha256(out)) == (0, digest)
 
     def test_theta_infinite_is_all_ones(self, capsys):
         code, out = run(
@@ -750,18 +769,18 @@ class TestExitCodes:
 MEMORY_CAP = 512 << 20  # bytes of address space for one capped run
 
 
-def run_capped(*argv):
-    """``qpascal argv`` in a fresh interpreter under a MEMORY_CAP address
-    space limit: (exit code, stdout bytes, stderr text, wall seconds)."""
+def run_capped(*argv, cap=MEMORY_CAP):
+    """``qpascal argv`` in a fresh interpreter under an address space limit
+    of ``cap`` bytes: (exit code, stdout bytes, stderr text, wall seconds)."""
 
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     code = "import sys; from qpascal.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {"PYTHONPATH": str(Path(qpascal.__file__).resolve().parents[1])}
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          env=env, preexec_fn=cap, timeout=60)
+                          env=env, preexec_fn=limit, timeout=60)
     return (done.returncode, done.stdout, done.stderr.decode(),
             time.perf_counter() - start)
 
@@ -788,6 +807,28 @@ class TestMemoryBound:
         if digest:
             assert hashlib.sha256(out).hexdigest() == digest
         assert seconds < 2.0
+
+    def test_long_word_thresholds_under_the_cap(self):
+        # a threshold slot per lattice cell, n(n+1)/2 of them, took 155 MB
+        # at n 6000 and 1.5 GB at n 20000; the walk visits one cell a row
+        n, kappa = 20000, 5
+        code, out, err, seconds = run_capped(
+            "sample", "--process", "extreme", "--kappa", str(kappa), "--q", "1/2",
+            "--n", str(n), "--seed", "0", cap=256 << 20)
+        assert (code, err) == (0, "")
+        assert seconds < 2.0
+        # the word of an independent walk: draw i is mix64(i * GOLDEN), and
+        # a letter after k ones is a one iff its draw is below
+        # ceil((1 - 2^(k - kappa)) 2^64)
+        bits, k = [], 0
+        for i in range(1, n + 1):
+            one = k < kappa and mix64(i * GOLDEN) < (1 << 64) - (1 << (64 + k - kappa))
+            bits.append("1" if one else "0")
+            k += one
+        word = json.loads(out)["word"]
+        assert word == "".join(bits)
+        assert hashlib.sha256(out).hexdigest() == (
+            "d0473edbd2be5275d6ff58d677b7ffc263df97487d7eb5dbe803ee39eff14063")
 
     def test_deep_zero_flip_under_the_cap(self, tmp_path):
         # a table of q's powers up to q^(depth^2/4) ended this in MemoryError

@@ -24,8 +24,11 @@ from qpascal import (
     tilde_of_v,
 )
 from qpascal.rng import (
+    _LANES,
     GOLDEN,
     MASK64,
+    _draws,
+    _trial_streams,
     bernoulli_threshold,
     geometric_sampler,
     mix64,
@@ -75,6 +78,55 @@ class TestSplitMix64:
         rng = SplitMix64(seed)
         assert rng.next_uint64() == mix64((seed + GOLDEN) & MASK64)
         assert rng.state == (seed + GOLDEN) & MASK64
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, MASK64), min_size=1, max_size=4),
+           st.sampled_from([0, 1, 2, 9, _LANES - 1, _LANES]))
+    @example([0], 1)
+    @example([MASK64], _LANES)
+    @example([(1 << 64) - GOLDEN], _LANES)  # the first draw wraps to 0
+    @example([0, MASK64, (1 << 64) - GOLDEN, 0], _LANES)
+    def test_kernel_is_the_scalar_rule(self, states, count):
+        # draws count, ..., 1 of each state's stream, state by state
+        assert _draws(states, count).tolist() == [
+            mix64((s + i * GOLDEN) & MASK64) for s in states for i in range(count, 0, -1)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, MASK64), st.integers(0, 3 * _LANES))
+    @example(0, 8)  # the first block taken whole
+    @example((1 << 64) - GOLDEN, 9)  # one draw into the second block
+    @example(MASK64, _LANES + 1)
+    @example(MASK64, 2 * _LANES - 8)  # blocks of 8, 16, ..., _LANES taken whole
+    @example(0, 2 * _LANES - 7)  # one draw into the second block at the cap
+    @example(MASK64, 2 * _LANES + 5)
+    def test_stream_and_state_part_way_through_a_block(self, seed, taken):
+        rng = SplitMix64(seed)
+        assert [rng.next_uint64() for _ in range(taken)] == [
+            mix64((seed + i * GOLDEN) & MASK64) for i in range(1, taken + 1)
+        ]
+        assert rng.state == (seed + taken * GOLDEN) & MASK64
+        assert len(rng._pending) < _LANES  # blocks stop doubling at the cap
+
+    @pytest.mark.parametrize("fill", [0, 1, 3])
+    def test_trial_sub_seeds_are_derive_seed(self, fill):
+        # 3000 trials span three chunks of sub-seeds at fill 0 and 1, and
+        # nine at fill 3
+        seed = 0x0123456789ABCDEF
+        states = [rng.state for rng in _trial_streams(seed, 3000, fill)]
+        assert states == [derive_seed(seed, t) for t in range(3000)]
+
+    @pytest.mark.parametrize("fill", [0, 1, 8, 13, _LANES + 3])
+    def test_trial_streams_continue_past_their_pre_fill(self, fill):
+        # each trial's draws before, at and past what it holds are those of
+        # the stream seeded by its sub-seed
+        seed, trials = 77, 3
+        for t, rng in enumerate(_trial_streams(seed, trials, fill)):
+            plain = SplitMix64(derive_seed(seed, t))
+            for _ in range(min(fill, _LANES) + 20):
+                assert rng.next_uint64() == plain.next_uint64()
+                assert rng.state == plain.state
+        assert t == trials - 1
 
     def test_derive_seed_frozen(self):
         assert [derive_seed(12345, t) for t in range(3)] == [
@@ -539,7 +591,7 @@ class TestOnesCounter:
             word = sampler(n, words)
             assert len(word) == n
             assert sampler.ones(n, counts) == word.ones
-            assert counts.count == words.count
+            assert counts.count == words.count <= sampler.max_draws(n)
             assert counts.state == words.state
 
     @pytest.mark.parametrize("name", ["extreme forward", "theta", "exact urn", "float urn"])
@@ -548,4 +600,4 @@ class TestOnesCounter:
         for n in (0, 1, 14, 40):
             rng = CountedDraws(n)
             sampler.ones(n, rng)
-            assert rng.count == n
+            assert rng.count == n == sampler.max_draws(n)
