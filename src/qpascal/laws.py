@@ -307,16 +307,18 @@ class ForwardChain:
         sum, the Gaussian binomial times the canonical word 1^k 0^(n-k),
         whose probability v[n][k] is p1 multiplied along that word as
         integer numerators and denominators, with no gcd: p1(i, i) for
-        i < k, then 1 - p1(m, k) for k <= m < n.  Each cell is one
-        Fraction.  Once the ones prefix is 0 the remaining cells are 0,
-        and neither they nor their Gaussian binomials are computed; a
-        zero run stops at its first 0 factor, so p1 is called only at
-        reachable cells.
+        i < k, then 1 - p1(m, k) for k <= m < n.  These products come
+        first: once the ones prefix is 0 so are the products after it, and
+        a zero run stops at its first 0 factor, so p1 is called only at
+        reachable cells.  The Gaussian row is then walked only across the
+        products' support [lo, hi], from the nearer end: up to hi, or down
+        from [n n] = [n 0] by its symmetry when n - lo < hi, so an
+        all-ones chain reads one cell.  Each nonzero cell is one Fraction.
         """
         p1 = self.p1
-        level = [Fraction(0)] * (n + 1)
+        products = []  # v[n][k] as (numerator, denominator), k = 0, 1, ...
         top = bottom = 1  # p1 along the ones prefix 1^k
-        for k, g in enumerate(gaussian_row(n, self.q)):
+        for k in range(n + 1):
             if k:
                 p = p1(k - 1, k - 1)
                 top *= p.numerator
@@ -330,6 +332,15 @@ class ForwardChain:
                 if not num:
                     break
                 den *= p.denominator
+            products.append((num, den))
+        support = [k for k, (num, _) in enumerate(products) if num]
+        lo, hi = support[0], support[-1]
+        rows = gaussian_row(n, self.q)
+        # zip reads the range first, so no Gaussian cell past the support is built
+        cells = zip(range(n, lo - 1, -1), rows) if n - lo < hi else zip(range(hi + 1), rows)
+        level = [Fraction(0)] * (n + 1)
+        for k, g in cells:
+            num, den = products[k]
             if num:
                 level[k] = Fraction(g.numerator * num, g.denominator * den)
         return level

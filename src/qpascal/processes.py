@@ -31,7 +31,10 @@ Extreme process (parameter kappa, plus the endpoint kappa = math.inf):
     and pads with zeros once kappa ones have appeared.  It keeps, for
     the life of the sampler, one geometric sampler per run i, of ratio
     1 - p1_drawn of the extreme chain (q^(kappa-i), or 2^-65 past M(q)),
-    which memoises its inverse-CDF cutoffs (see :mod:`qpascal.rng`).
+    which memoises its inverse-CDF cutoffs (see :mod:`qpascal.rng`).  A
+    run reads no more than the letters left, so it is drawn capped at
+    them: near q = 1 a run's cutoffs grow to at most n, not to its full
+    length.
 
 Theta process: independent bits, P(bit m = 1) = theta q^(m-1) / (1 + theta q^(m-1)).
     Its triangle is w[n][k] = theta^k q^(k(k-1)/2) / prod_{i<n}(1 + theta q^i),
@@ -65,7 +68,7 @@ from .boundary import extreme_chain
 from .errors import NonIntegerParamsInExactMode, RegimeError
 from .exactq import QParam, _coprime, _q_integer, as_fraction
 from .laws import ForwardChain, Sampler, _word_sampler
-from .rng import SplitMix64, _trial_streams, geometric_sampler
+from .rng import _LANES, _PER_DRAW, MASK64, SplitMix64, _trial_chunks, geometric_sampler
 
 
 # ---------------------------------------------------------------- extreme
@@ -83,7 +86,7 @@ def extreme_runs_sampler(kappa, q: QParam) -> Sampler:
         while filled < n and k < kappa:
             if k == len(runs):
                 runs.append(geometric_sampler(1 - p1(k, k)))
-            filled += runs[k](rng)
+            filled += runs[k](rng, n - filled)
             if filled >= n:
                 break
             if ones is not None:
@@ -255,13 +258,28 @@ def empirical_level_histogram(
     Trial t uses the stream seeded by derive_seed(seed, t); results are
     independent of execution order.  Each count comes from the sampler's
     ones counter, ``sampler.ones(n, rng)``, which draws exactly what the
-    sampler draws but builds no word.  The trials' streams come a chunk
-    at a time, each holding the most draws its walk can take,
-    ``sampler.max_draws(n)``, made in one kernel call per chunk.
+    sampler draws but builds no word.  The trials come a chunk at a time,
+    on one stream per chunk that holds each trial's first draws in trial
+    order, as many as its walk can take, ``sampler.max_draws(n)`` (at most
+    _LANES), made in one kernel call per chunk.  After each walk the
+    trial's draws it left are dropped; the chunk's last trial runs on past
+    its draws as its own stream does.  A walk that takes more draws than
+    ``max_draws`` promised raises RuntimeError rather than read another
+    trial's draws.
     """
-    count = sampler.ones
-    counts: dict[int, int] = {}
-    for rng in _trial_streams(seed, trials, sampler.max_draws(n)):
-        k = count(n, rng)
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+    count, bound = sampler.ones, sampler.max_draws(n)
+    fill = min(bound, _LANES)
+    counts = [0] * (n + 1)
+    for rng, size in _trial_chunks(seed, trials, bound):
+        pending, end = rng._pending, rng._ahead  # end: the last trial's state past its draws
+        for left in range(size - 1, -1, -1):  # the trials after this one
+            k = count(n, rng)
+            counts[k] += 1
+            mark = left * fill  # the draws held for the trials after this one
+            if len(pending) < mark or rng._pending is not pending and (
+                    left or (rng.state - end) * _PER_DRAW & MASK64 > bound - fill):
+                raise RuntimeError(
+                    "a walk of %d letters took more than the %d draws its sampler "
+                    "promised" % (n, bound))
+            del pending[mark:]
+    return {k: c for k, c in enumerate(counts) if c}

@@ -21,8 +21,11 @@ Per-trial sub-seeds
     derive_seed(S, t) = mix64(S + (t + 1) * 0x9E3779B97F4A7C15), which is
     draw t + 1 of the stream seeded by S.  Trials therefore never share
     state and may run in any order or in parallel with identical
-    results.  :func:`_trial_streams` makes a run of trials' sub-seeds,
-    and each trial's first draws, in two kernel calls.
+    results.  A batch runs a chunk of trials at a time on one stream
+    (:func:`_trial_chunks`): two kernel calls make the chunk's sub-seeds
+    and each trial's first draws, which the stream holds in trial order,
+    so the chunk's walks take their draws off it one trial after another.
+    Past those draws it runs on as the chunk's last trial's stream.
 
 Uniform variate conventions
     A draw j (64 bits) represents the rational u = j / 2^64 in [0, 1).
@@ -34,7 +37,8 @@ Uniform variate conventions
       is the number of cutoffs c_0 <= c_1 <= ... that are <= j.  A
       geometric sampler memoises the exact cutoffs, grows them only as
       far as the largest draw needs and stops at the first c_t = 2^64,
-      which no draw reaches.
+      which no draw reaches.  A draw given a cap reads min(T, cap) and
+      grows at most cap cutoffs.
     * Uniform integers below m <= 2^64, by rejection: the stream's first
       draws j with j < m * floor(2^64 / m), each read as j % m; none for m = 1.
 """
@@ -42,6 +46,7 @@ Uniform variate conventions
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from array import array
 from bisect import bisect_right
@@ -57,6 +62,7 @@ _LANES = 1024  # the most draws one kernel call makes: a stream's largest block
 # the offsets i * GOLDEN of draws _LANES, ..., 1, last first
 _RAMP = array("Q", [(i * GOLDEN) & MASK64 for i in range(_LANES, 0, -1)])
 _SWAP = sys.byteorder == "big"  # lanes are read and written little-endian
+_PER_DRAW = pow(GOLDEN, -1, TWO64)  # a state difference times this: the draws between
 
 
 def mix64(z: int) -> int:
@@ -148,22 +154,23 @@ class SplitMix64:
             return self._pending.pop()
 
 
-def _trial_streams(seed: int, trials: int, fill: int) -> Iterator[SplitMix64]:
-    """The streams of a batch's trials in order, trial t's seeded by
-    derive_seed(seed, t), each already holding its first min(fill,
-    _LANES) draws.  A chunk of trials takes two kernel calls of at most
-    _LANES draws: its sub-seeds are the next draws of the stream from
-    ``seed``, and its trials' first draws are one call over them all."""
+def _trial_chunks(seed: int, trials: int, fill: int) -> Iterator[tuple[SplitMix64, int]]:
+    """A batch's trials a chunk at a time, trial t's stream seeded by
+    derive_seed(seed, t): for each chunk, one stream and its number of
+    trials.  The stream holds each trial's first min(fill, _LANES) draws
+    in trial order, so ``next_uint64`` hands out the chunk's first trial's
+    draws, then the next trial's, and so on; past them it runs on as the
+    chunk's last trial's stream.  A chunk takes two kernel calls of at
+    most _LANES draws: its sub-seeds are the next draws of the stream from
+    ``seed``, last first, and its trials' first draws are one call over
+    them all."""
     fill = min(fill, _LANES)
-    chunk, ahead = _LANES // max(fill, 1), fill * GOLDEN
+    chunk = _LANES // max(fill, 1)
     for start in range(0, trials, chunk):
         seeds = _draws(((seed + start * GOLDEN) & MASK64,), min(chunk, trials - start))
-        seeds.reverse()
-        draws = _draws(seeds, fill).tolist()
-        for j, sub in enumerate(seeds):
-            rng = SplitMix64(sub + ahead)
-            rng._pending = draws[j * fill:(j + 1) * fill]
-            yield rng
+        rng = SplitMix64(seeds[0] + fill * GOLDEN)  # the last trial's, past its draws
+        rng._pending = _draws(seeds, fill).tolist()
+        yield rng, len(seeds)
 
 
 def derive_seed(seed: int, trial: int) -> int:
@@ -182,23 +189,25 @@ def bernoulli_threshold(p: Fraction) -> int:
     return -((-p.numerator << 64) // p.denominator)  # ceil(p * 2^64)
 
 
-def geometric_sampler(ratio: Fraction) -> Callable[[SplitMix64], int]:
+def geometric_sampler(ratio: Fraction) -> Callable[..., int]:
     """Draws failures before the first success, success probability
-    1 - ratio, from memoised inverse-CDF cutoffs; one draw each."""
+    1 - ratio, from memoised inverse-CDF cutoffs; one draw each.  Given a
+    cap, a draw returns min(T, cap), and grows the cutoffs to at most cap."""
     if not 0 <= ratio < 1:
         raise ValueError("failure ratio must lie in [0, 1)")
     rn, rd = ratio.numerator, ratio.denominator
     cutoffs = [TWO64 - (rn << 64) // rd]
     pn, pd = rn * rn, rd * rd  # ratio^(len(cutoffs) + 1)
 
-    def draw(rng: SplitMix64) -> int:
+    def draw(rng: SplitMix64, cap=math.inf) -> int:
         nonlocal pn, pd
         j = rng.next_uint64()
-        while cutoffs[-1] <= j:
+        while cutoffs[-1] <= j and len(cutoffs) < cap:
             cutoffs.append(TWO64 - (pn << 64) // pd)
             pn *= rn
             pd *= rd
-        return bisect_right(cutoffs, j)
+        t = bisect_right(cutoffs, j)
+        return t if t < cap else cap
 
     return draw
 

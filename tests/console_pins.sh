@@ -41,6 +41,12 @@ test "$out" = "dbef9a400cf6adb2252cf4f9201e595cc383e5622bea837c977a7a9f18d6aef2 
 # products, where a Fraction forward pass took about 35 s
 out=$(cd "$work" && timeout 20 qpascal sample --process extreme --kappa 200 --q 99/100 --n 80 --trials 20 --seed 0 | sha256sum)
 test "$out" = "8c3a654715592099ede9db7a13ae8cd78c388853a5a1ee82e98b7af3bb860899  -"
+# a runs word near q = 1 grows its cutoffs only up to the letters left,
+# and an all-ones level reads one Gaussian cell; each took over a second
+out=$(cd "$work" && timeout 5 qpascal sample --process extreme --mode runs --q 9999/10000 --kappa 1 --n 5 --seed 0 | sha256sum)
+test "$out" = "c433f66b18f837bfee50f438093bb880d9507c074c4fad642ee0063f5f8aeb1e  -"
+out=$(cd "$work" && timeout 5 qpascal sample --process extreme --kappa inf --q 1/2 --n 1200 --trials 2 --seed 4 | sha256sum)
+test "$out" = "6373f65daae2a2beb2ed498e5ba7f0e410951f4669dd6cdfadac301f3bc0569f  -"
 # a guard trip exits 6 at once, also when the refused count or
 # field size is too long to print; an urn strength beyond a float
 # is a usage error, and so are a mode that is not forward or runs,

@@ -42,7 +42,11 @@ the package:
     RunEncoding, word_to_runs, runs_to_word
                              the run-length view of a word
     runs_law                 the law of the extreme runs sampler
-    geometric_scan           a geometric variate by scanning powers
+    runs_word                the extreme runs sampler's word, each run
+                             drawn at its full geometric length
+    geometric_scan, geometric_by_log
+                             a geometric variate by scanning powers, and
+                             by a float estimate corrected exactly
     polya_forward_probs      the urn's closed-form forward probabilities
     atom_mass                a boundary measure's mass at one kappa
     theta_boundary_measure, polya_boundary_measure
@@ -703,6 +707,42 @@ def geometric_scan(j: int, ratio: Fraction) -> int:
         pd *= rd
         t += 1
     return t
+
+
+def geometric_by_log(j: int, ratio: Fraction) -> int:
+    """``geometric_scan``'s variate at any size: the float estimate
+    log(1 - u) / log(ratio), corrected by exact comparisons of
+    ratio^(t+1) with (2^64 - j) / 2^64, so it costs a few powers, not
+    one per failure."""
+    if ratio == 0:
+        return 0
+    target = (1 << 64) - j
+    rn, rd = ratio.numerator, ratio.denominator
+
+    def below(e: int) -> bool:  # ratio^e < target / 2^64
+        return rn**e << 64 < rd**e * target
+
+    t = max(int(math.log(target / 2.0**64) / math.log(rn / rd)), 0)
+    while t and below(t):
+        t -= 1
+    while not below(t + 1):
+        t += 1
+    return t
+
+
+def runs_word(kappa, q: QParam, n: int, rng: SplitMix64) -> BinaryWord:
+    """The word of ``extreme_runs_sampler(kappa, q)`` on ``rng``, each
+    zero run drawn at its full geometric length by ``geometric_by_log``,
+    with the stay ratio q^(kappa-i) written out; one draw per run."""
+    ones, filled, k = set(), 0, 0
+    while filled < n and k < kappa:
+        filled += geometric_by_log(rng.next_uint64(), _stay(kappa, q.q, k))
+        if filled >= n:
+            break
+        ones.add(filled)
+        filled += 1
+        k += 1
+    return BinaryWord(tuple(int(m in ones) for m in range(n)))
 
 
 def uniform_scan(rng: SplitMix64, m: int) -> int:

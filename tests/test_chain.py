@@ -30,12 +30,15 @@ from qpascal import (
     tilde_of_v,
 )
 from qpascal import boundary, galois, processes
+from qpascal.laws import ForwardChain
 from qpascal.processes import polya_chain, theta_chain
 from qpascal.rng import bernoulli_threshold
 
 from oracles import (
     extreme_kernel,
     forward_level,
+    q_binomial_product,
+    triangle_fractions,
     polya_boundary_measure,
     polya_forward_probs,
     theta_boundary_measure,
@@ -250,6 +253,23 @@ class TestForwardChain:
     def test_infinite_theta_level(self):
         chain = theta_chain(ThetaParams(math.inf, QParam(F(1, 2))))
         assert chain.level(4) == [0, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize("forced", [0, 1, 3, 7])
+    def test_level_walks_the_products_support_from_either_end(self, forced):
+        # the first ``forced`` letters are ones, so the products vanish
+        # below k = forced and the row is walked down from [n n] once
+        # n - forced < forced; each cell is [n k]_q v[n][k] all the same
+        q = QParam(F(2, 3))
+
+        @functools.cache
+        def p_one(n, k):
+            return F(1) if n < forced else F(1, 3)
+
+        chain = ForwardChain(q, p_one)
+        for n in range(12):
+            v = triangle_fractions(chain, n).rows[n]
+            assert chain.level(n) == [q_binomial_product(n, k, q) * v[k]
+                                      for k in range(n + 1)], n
 
     def test_float_urn_level_sums_to_one(self):
         level = polya_chain(PolyaParams(F(3, 2), F(1, 2), QParam(F(9, 10)))).level(15)

@@ -297,6 +297,22 @@ class TestSample:
         code, out = run(capsys, "sample", *flags.split())
         assert (code, sha256(out)) == (0, digest)
 
+    # the bytes of the sample path's two slow cases as they printed when
+    # each took over a second: a runs word near q = 1, whose cutoffs grew
+    # to the full run length, and all-ones levels, which built every
+    # Gaussian cell of their row
+    @pytest.mark.parametrize("flags, digest", [
+        ("--process extreme --mode runs --q 9999/10000 --kappa 1 --n 5 --seed 0",
+         "c433f66b18f837bfee50f438093bb880d9507c074c4fad642ee0063f5f8aeb1e"),
+        ("--process extreme --kappa inf --q 1/2 --n 1200 --trials 2 --seed 4",
+         "6373f65daae2a2beb2ed498e5ba7f0e410951f4669dd6cdfadac301f3bc0569f"),
+        ("--process theta --theta inf --q 1/2 --n 1200 --trials 2 --seed 4",
+         "6373f65daae2a2beb2ed498e5ba7f0e410951f4669dd6cdfadac301f3bc0569f"),
+    ], ids=["runs near one", "kappa inf", "theta inf"])
+    def test_slow_cases_pinned(self, capsys, flags, digest):
+        code, out = run(capsys, "sample", *flags.split())
+        assert (code, sha256(out)) == (0, digest)
+
     def test_theta_infinite_is_all_ones(self, capsys):
         code, out = run(
             capsys, "sample", "--process", "theta", "--theta", "inf",
@@ -790,7 +806,8 @@ class TestMemoryBound:
     flip takes q's powers per nonzero cell, so their memory follows what
     the command prints; a table of the powers up to b^(n^2/4) made --n 800
     and a depth-500 flip end in MemoryError under the cap.  A Grassmannian
-    and a growth chain cost what they print too, whatever kappa is."""
+    and a growth chain cost what they print too, whatever kappa is, and so
+    do a runs word near q = 1 and an all-ones level."""
 
     # the --n 400 digest is the histogram as printed while the powers
     # were tabulated
@@ -872,6 +889,31 @@ class TestMemoryBound:
         assert seconds < 1.0
         word = json.loads(out)["word"]
         assert word == json.loads(run(capsys, *argv, "inf")[1])["word"] == "1" * n
+
+    def test_runs_near_one_under_the_cap(self):
+        # a run reads at most the letters left; growing the cutoffs to the
+        # full run length did not end in 15 s
+        code, out, err, seconds = run_capped(
+            "sample", "--process", "extreme", "--mode", "runs", "--q", "99999/100000",
+            "--kappa", "1", "--n", "5", "--seed", "0")
+        assert (code, err) == (0, "")
+        assert seconds < 1.0
+        # the one run exceeds 4 zeros iff the first draw reaches the
+        # cutoff 2^64 - floor(q^5 2^64)
+        assert mix64(GOLDEN) >= (1 << 64) - math.floor(F(99999, 100000) ** 5 * (1 << 64))
+        assert json.loads(out)["word"] == "00000"
+
+    def test_all_ones_level_under_the_cap(self):
+        # the level reads only the Gaussian cell [n n] of the products'
+        # support; building the whole row took 1.2 s at n 1200
+        n = 4500
+        code, out, err, seconds = run_capped(
+            "sample", "--process", "extreme", "--kappa", "inf", "--q", "1/2",
+            "--n", str(n), "--trials", "2", "--seed", "4")
+        assert (code, err) == (0, "")
+        assert seconds < 2.0
+        rows = ["%d,0,0,0" % k for k in range(n)] + ["%d,2,1,1" % n]
+        assert out.decode() == "\n".join(["k,count,frequency,expected", *rows]) + "\n"
 
     def test_huge_kappa_growth_under_the_cap(self):
         # building (1/3)^(10^8) kept this from ending

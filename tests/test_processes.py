@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import math
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +30,7 @@ from qpascal.rng import (
     GOLDEN,
     MASK64,
     _draws,
-    _trial_streams,
+    _trial_chunks,
     bernoulli_threshold,
     geometric_sampler,
     mix64,
@@ -39,10 +41,12 @@ from qpascal.rng import (
 from oracles import (
     atom_mass,
     chain_law,
+    geometric_by_log,
     geometric_scan,
     polya_boundary_measure,
     polya_forward_probs,
     runs_law,
+    runs_word,
     theta_boundary_measure,
     tv_distance,
     uniform_scan,
@@ -111,22 +115,36 @@ class TestSplitMix64:
     @pytest.mark.parametrize("fill", [0, 1, 3])
     def test_trial_sub_seeds_are_derive_seed(self, fill):
         # 3000 trials span three chunks of sub-seeds at fill 0 and 1, and
-        # nine at fill 3
-        seed = 0x0123456789ABCDEF
-        states = [rng.state for rng in _trial_streams(seed, 3000, fill)]
-        assert states == [derive_seed(seed, t) for t in range(3000)]
+        # nine at fill 3; a chunk's stream hands out each trial's first
+        # draws in trial order, and its state past the last trial's draws
+        # is that trial's stream's
+        seed, t, chunks = 0x0123456789ABCDEF, 0, 0
+        for rng, size in _trial_chunks(seed, 3000, fill):
+            for _ in range(size):
+                plain = SplitMix64(derive_seed(seed, t))
+                assert [rng.next_uint64() for _ in range(fill)] == [
+                    plain.next_uint64() for _ in range(fill)]
+                t += 1
+            assert rng.state == plain.state
+            assert not rng._pending
+            chunks += 1
+        assert (t, chunks) == (3000, {0: 3, 1: 3, 3: 9}[fill])
 
     @pytest.mark.parametrize("fill", [0, 1, 8, 13, _LANES + 3])
     def test_trial_streams_continue_past_their_pre_fill(self, fill):
-        # each trial's draws before, at and past what it holds are those of
-        # the stream seeded by its sub-seed
-        seed, trials = 77, 3
-        for t, rng in enumerate(_trial_streams(seed, trials, fill)):
-            plain = SplitMix64(derive_seed(seed, t))
-            for _ in range(min(fill, _LANES) + 20):
-                assert rng.next_uint64() == plain.next_uint64()
-                assert rng.state == plain.state
-        assert t == trials - 1
+        # each trial's draws are those of the stream seeded by its
+        # sub-seed, and the chunk's last trial's go on, with its state,
+        # before, at and past what the chunk holds
+        seed, trials, t, held = 77, 3, 0, min(fill, _LANES)
+        for rng, size in _trial_chunks(seed, trials, fill):
+            for left in range(size - 1, -1, -1):
+                plain = SplitMix64(derive_seed(seed, t))
+                for _ in range(held if left else held + 20):
+                    assert rng.next_uint64() == plain.next_uint64()
+                    if not left:
+                        assert rng.state == plain.state
+                t += 1
+        assert t == trials
 
     def test_derive_seed_frozen(self):
         assert [derive_seed(12345, t) for t in range(3)] == [
@@ -219,7 +237,22 @@ class TestDrawPrimitives:
         draw = geometric_sampler(ratio)
         assert [draw(FixedDraws([j])) for j in draws] == [
             geometric_scan(j, ratio) for j in draws
-        ]
+        ] == [geometric_by_log(j, ratio) for j in draws]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num=st.integers(0, 200),
+        extra=st.integers(1, 200),
+        draws=st.lists(st.tuples(st.integers(0, MASK64), st.integers(1, 40)),
+                       min_size=1, max_size=12),
+    )
+    def test_geometric_cap_property(self, num, extra, draws):
+        # capped and full draws share one memo; a capped draw is min(T, cap)
+        ratio = F(num, num + extra)
+        draw = geometric_sampler(ratio)
+        for j, cap in draws:
+            assert draw(FixedDraws([j]), cap) == min(geometric_scan(j, ratio), cap)
+            assert draw(FixedDraws([j])) == geometric_scan(j, ratio)
 
     def test_uniform_below_range(self):
         rng = SplitMix64(3)
@@ -304,6 +337,19 @@ class TestExtremeProcess:
             chain_law(extreme_chain(2, HALF), 40)
         with pytest.raises(TooLargeError):
             runs_law(2, HALF, 40)
+
+    @pytest.mark.parametrize("qq, kappa, n", [
+        (F(99, 100), 6, 22), (F(9999, 10000), 1, 5), (F(999, 1000), 3, 40)])
+    def test_runs_capped_at_the_word_draw_what_full_runs_draw(self, qq, kappa, n):
+        # a run reads no more than the letters left, so its sampler stops
+        # at that cap; the words, draws and end states are those of runs
+        # drawn at their full length
+        q = QParam(qq)
+        sampler = extreme_runs_sampler(kappa, q)
+        for seed in range(200):
+            capped, full = CountedDraws(seed), CountedDraws(seed)
+            assert sampler(n, capped) == runs_word(kappa, q, n, full), seed
+            assert (capped.count, capped.state) == (full.count, full.state)
 
 
 class TestThetaProcess:
@@ -601,3 +647,72 @@ class TestOnesCounter:
             rng = CountedDraws(n)
             sampler.ones(n, rng)
             assert rng.count == n == sampler.max_draws(n)
+
+
+@contextlib.contextmanager
+def counted_draws():
+    """Counts ``next_uint64`` calls on every stream by wrapping the class
+    method, as the benchmark's tracer does; yields a one-item list."""
+    calls, plain = [0], SplitMix64.next_uint64
+
+    def counted(self):
+        calls[0] += 1
+        return plain(self)
+
+    SplitMix64.next_uint64 = counted
+    try:
+        yield calls
+    finally:
+        SplitMix64.next_uint64 = plain
+
+
+def per_trial_histogram(sampler, n, trials, seed):
+    """Trial t walks its own stream, seeded by derive_seed(seed, t)."""
+    counts = {}
+    for t in range(trials):
+        k = sampler.ones(n, SplitMix64(derive_seed(seed, t)))
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+class TestChunkStream:
+    """A histogram walks each chunk's trials off one stream that holds
+    their first draws in trial order; it counts and draws what trials
+    on their own streams would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SAMPLER_FAMILIES)),
+        q=st.integers(1, 99).map(lambda m: QParam(F(m, 100))),
+        x=st.integers(0, 8),
+        y=st.integers(1, 4),
+        n=st.one_of(st.integers(0, 30), st.sampled_from([_LANES // 2, _LANES + 1, 1500])),
+        chunks=st.integers(1, 2),
+        offset=st.integers(-1, 1),
+        seed=st.integers(0, MASK64),
+    )
+    @example("extreme forward", TWO_THIRDS, 6, 2, 1500, 1, 0, 4)  # past the pre-fill
+    @example("extreme runs", TWO_THIRDS, 0, 2, 22, 2, 1, 4)  # kappa 0: no draws
+    @example("theta", TWO_THIRDS, 3, 2, 0, 2, 1, 4)  # n 0: no draws
+    def test_histogram_is_the_per_trial_walk(self, name, q, x, y, n, chunks, offset, seed):
+        sampler = SAMPLER_FAMILIES[name](q, x, y)
+        chunk = _LANES // max(min(sampler.max_draws(n), _LANES), 1)
+        trials = max(chunks * chunk + offset, 1)
+        with counted_draws() as calls:
+            got = empirical_level_histogram(sampler, n, trials, seed)
+            drawn = calls[0]
+            want = per_trial_histogram(sampler, n, trials, seed)
+        assert got == want
+        assert drawn == calls[0] - drawn
+
+    # a forward walk takes n draws, one more than the mutant promises:
+    # a trial before the chunk's last, the last, a promise of no draws,
+    # and a last trial past the chunk's pre-fill
+    @pytest.mark.parametrize("n, trials", [
+        (5, 3), (5, 1), (1, 3), (1, 1), (_LANES + 2, 1), (_LANES + 2, 2)])
+    def test_a_walk_past_its_promise_raises(self, n, trials):
+        sampler = extreme_chain(6, TWO_THIRDS).sampler()
+        mutant = types.SimpleNamespace(ones=sampler.ones, max_draws=lambda n: n - 1)
+        assert empirical_level_histogram(sampler, n, trials, 3)
+        with pytest.raises(RuntimeError, match="took more than"):
+            empirical_level_histogram(mutant, n, trials, 3)
