@@ -43,6 +43,7 @@ from .exactq import (
     as_count,
     as_fraction,
     as_pair,
+    as_pairs,
     format_rational,
     parse_rational,
     q_binomial,

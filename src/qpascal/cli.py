@@ -9,7 +9,8 @@ Subcommands:
     flip       reduce a super-unit word or triangle to the sub-unit regime
 
 Exit codes: 0 success, 2 usage, 3 regime violation, 4 invalid input or
-failed check, 5 field construction error, 6 enumeration guard tripped.
+failed check, 5 field construction error, 6 enumeration guard tripped,
+141 (128 + SIGPIPE) when the reader of stdout closed it early.
 All structured output is JSON (or CSV where stated) on stdout; -o sends
 it to a file instead.  The JSON bytes are those of
 ``json.dumps(payload, indent=2)``, a contract ``_dumps`` keeps.
@@ -28,6 +29,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -311,7 +313,7 @@ def _cmd_table(args) -> int:
         payload = dict(header)
         payload["law"] = args.law if args.kind != "d" else None
         payload["kind"] = args.kind
-        payload["rows"] = [[format_rational(v) for v in row] for row in rows]
+        payload["rows"] = [list(map(format_rational, row)) for row in rows]
         _emit(args, _dumps(payload))
     elif args.format == "csv":
         lines = ["n,k,value"]
@@ -322,7 +324,7 @@ def _cmd_table(args) -> int:
     else:
         lines = []
         for n, row in enumerate(rows):
-            lines.append("%2d | %s" % (n, "  ".join(format_rational(v) for v in row)))
+            lines.append("%2d | %s" % (n, "  ".join(map(format_rational, row))))
         _emit(args, "\n".join(lines))
     return 0
 
@@ -550,7 +552,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: end without a message, with stdout on the
+        # null device, so that the exit flush of its buffer succeeds
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # not a file: nothing is flushed at exit
+            return 141
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
     except RegimeError as exc:
         print("regime error: %s" % exc, file=sys.stderr)
         return 3

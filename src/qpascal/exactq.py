@@ -7,12 +7,15 @@ one cell at a time, plus :class:`QParam`, the deformation parameter
 q > 0.  Operations that only make sense on one side of q = 1 compare q
 with 1 and raise :class:`~qpascal.errors.RegimeError`.
 
-Rationals serialize as canonical strings ("3/4", "2", "0") via
-:func:`format_rational`, and every reader turns text or a JSON integer
-back into a number through :func:`as_pair` alone (as an integer pair,
-or a Fraction by :func:`as_fraction`), and a count field into an int
-through :func:`as_count`; this is the wire format used by every JSON
-and CSV surface of the package.
+Rationals serialize as canonical strings ("3/4", "2", "0"), written
+from a Fraction's reduced pair by :func:`format_rational`, the one cell
+writer.  Text or a JSON integer is read back into a number by
+:func:`as_pair` (as an integer pair, or a Fraction by
+:func:`as_fraction`), a triangle file's row by :func:`as_pairs`, which
+reads a row of plain cells in one pass and any other row through
+:func:`as_pair`, and a count field into an int by :func:`as_count`;
+this is the wire format used by every JSON and CSV surface of the
+package.
 """
 
 from __future__ import annotations
@@ -81,6 +84,38 @@ def as_pair(value) -> tuple[int, int]:
     return out.numerator, out.denominator
 
 
+# a comma-joined row of plain cells with its digits deleted
+_PLAIN_SKELETON = re.compile(rb"[+-]?/?(?:,[+-]?/?)*")
+
+
+def as_pairs(row) -> tuple[tuple[int, int], ...]:
+    """The row reader: ``tuple(map(as_pair, row))`` for a list of cells,
+    the same pairs or the same exception and message.
+
+    A row of plain ``[+-]digits[/digits]`` strings is read in one pass:
+    the comma-joined row is ASCII with ``len(row) - 1`` commas, and with
+    its digits deleted each cell is ``[+-]?/?``; ``int`` reads each digit
+    run and refuses an empty one or a sign after a digit.  Any other row,
+    or a plain row with a zero denominator or a run that ``int`` refuses,
+    goes through :func:`as_pair` cell by cell, which raises at the first
+    bad cell.
+    """
+    try:
+        text = ",".join(row)
+    except TypeError:  # a cell that is not a string
+        return tuple(map(as_pair, row))
+    if (text.isascii() and text.count(",") == len(row) - 1
+            and _PLAIN_SKELETON.fullmatch(text.encode().translate(None, b"0123456789"))):
+        parts = [cell.partition("/") for cell in row]
+        try:
+            dens = [int(den) if slash else 1 for _, slash, den in parts]
+            if 0 not in dens:
+                return tuple(zip([int(num) for num, _, _ in parts], dens))
+        except ValueError:
+            pass
+    return tuple(map(as_pair, row))
+
+
 def as_fraction(value) -> Fraction:
     """An int or string as a Fraction, read by :func:`as_pair`; a Fraction
     as it is."""
@@ -98,7 +133,15 @@ def as_count(value) -> int:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(as_fraction(x))
+    """The cell writer: "N", or "N/D" for D > 1, printed from the reduced
+    pair of a Fraction, ``str(x)`` byte for byte, with the same
+    ``ValueError`` past the int-to-str digit limit.  Any other exact
+    number is read by :func:`as_fraction` first."""
+    try:
+        num, den = x._numerator, x._denominator
+    except AttributeError:
+        return format_rational(as_fraction(x))
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -17,10 +17,12 @@ and equalities, so it runs on integers: each row is scaled by the lcm of
 its denominators, and no cell is normalised by a gcd.  The builders
 multiply reduced integer pairs (:func:`_times`) and make each cell once,
 already reduced.  The triangle file format has one reader,
-:func:`read_triangle`, which keeps each cell as the integer pair it was
-written in (a :class:`PairTriangle`); the check, the recovery and the
-flip each have one body over such pairs, and take a VArray as the pairs
-of its cells.
+:func:`read_triangle`, which reads each row with
+:func:`~qpascal.exactq.as_pairs` and keeps each cell as the integer pair
+it was written in (a :class:`PairTriangle`); the check, the recovery and
+the flip each have one body over such pairs, and take a VArray as the
+pairs of its cells.  A VArray's file writes each cell with
+:func:`~qpascal.exactq.format_rational`, from its reduced pair.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .exactq import (
     _powers,
     as_count,
     as_fraction,
-    as_pair,
+    as_pairs,
     format_rational,
     gaussian_row,
 )
@@ -66,14 +68,14 @@ def _times(num: int, den: int, fn: int, fd: int) -> tuple[int, int]:
     return num // g1 * (fn // g2), den // g2 * (fd // g1)
 
 
-def _rows(rows, cell=None) -> tuple[tuple, ...]:
-    """A triangle's rows as tuples, each cell read by ``cell`` if given: a
-    list of rows, each a list of cells, and n + 1 cells in row n."""
+def _rows(rows, read=tuple) -> tuple[tuple, ...]:
+    """A triangle's rows as the tuples that ``read`` makes of them: a list
+    of rows, each a list of cells, and n + 1 cells in row n."""
     if not isinstance(rows, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) for row in rows
     ):
         raise TypeError("a triangle is a list of rows, each a list of cells")
-    out = tuple(tuple(row if cell is None else map(cell, row)) for row in rows)
+    out = tuple(map(read, rows))
     if not out:
         raise InvalidArrayError("array needs at least the root row")
     for n, row in enumerate(out):
@@ -93,12 +95,12 @@ class PairTriangle(NamedTuple):
 
 
 def read_triangle(obj: Mapping) -> PairTriangle:
-    """The triangle file format's one reader: each cell an integer pair
-    from :func:`as_pair`, with no gcd.  It reads q, then the rows under
-    "v" (their shape, every cell, their lengths), then the declared
-    depth."""
+    """The triangle file format's one reader: each row a tuple of integer
+    pairs from :func:`~qpascal.exactq.as_pairs`, with no gcd.  It reads q,
+    then the rows under "v" (their shape, every cell, their lengths),
+    then the declared depth."""
     q = QParam(obj["q"])
-    rows = _rows(obj["v"], as_pair)
+    rows = _rows(obj["v"], as_pairs)
     if "depth" in obj and as_count(obj["depth"]) != len(rows) - 1:
         raise InvalidArrayError(
             "declared depth %s does not match %d rows" % (obj["depth"], len(rows))
@@ -134,7 +136,7 @@ class VArray:
         return {
             "q": str(self.q),
             "depth": self.depth,
-            "v": [[format_rational(x) for x in row] for row in self.rows],
+            "v": [list(map(format_rational, row)) for row in self.rows],
         }
 
 

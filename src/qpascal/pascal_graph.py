@@ -17,10 +17,10 @@ q^inversions.  Exchanging 0s and 1s maps the q > 1 regime to 1/q
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .errors import NotSuperUnitError
-from .exactq import QParam
+from .exactq import QParam, _coprime
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,11 @@ def flip_reduction(obj, q: QParam | None = None):
     object together with the new parameter 1/q.
 
     The flipped triangle is q^(k(n-k)) v[n][n-k]: with q = a/b and
-    m = k(n-k), cell (n, k) is Fraction(a^m N, b^m d) for the integer pair
-    (N, d) at (n, n-k), one gcd per cell; the powers are taken per nonzero
-    cell, so memory follows the cells, not a table up to q^(depth^2/4).
+    m = k(n-k), cell (n, k) is a^m N / (b^m d) for the integer pair (N, d)
+    at (n, n-k), reduced by one gcd into a coprime pair.  Cells k and
+    n - k share m, so a^m and b^m are taken once for each such pair with
+    a nonzero cell, and never for a zero one: memory follows the cells,
+    not a table up to q^(depth^2/4).
     """
     from .laws import _ZERO, PairTriangle, VArray, _pairs
 
@@ -96,10 +98,17 @@ def flip_reduction(obj, q: QParam | None = None):
     a, b = qp.q.numerator, qp.q.denominator
     flipped = []
     for n, row in enumerate(rows):
-        cells = []
-        for k in range(n + 1):
-            num, den = row[n - k]
-            m = k * (n - k)
-            cells.append(Fraction(a**m * num, b**m * den) if num else _ZERO)
+        cells = [_ZERO] * (n + 1)
+        for k in range(n // 2 + 1):
+            j = n - k  # cells k and j read cells j and k
+            if not (row[k][0] or row[j][0]):
+                continue
+            a_m, b_m = a ** (k * j), b ** (k * j)
+            for i in (k, j) if k < j else (k,):
+                num, den = row[n - i]
+                if num:
+                    top, bottom = a_m * num, b_m * den
+                    g = gcd(top, bottom)
+                    cells[i] = _coprime(top // g, bottom // g)
         flipped.append(cells)
     return VArray(qp.inverse, flipped), qp.inverse

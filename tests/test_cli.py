@@ -2,7 +2,7 @@
 
 Each test captures stdout with capsys and checks the exit code against
 the documented table (0 ok, 2 usage, 3 regime, 4 failed check or bad
-input, 5 field error, 6 guard).
+input, 5 field error, 6 guard, 141 stdout closed by its reader).
 """
 
 import copy
@@ -212,6 +212,24 @@ class TestTable:
         assert out == ""
         payload = json.loads(target.read_text(encoding="utf-8"))
         assert payload["rows"][2] == ["1", "3", "1"]
+
+    # recorded from the str(Fraction) writer: q^(kappa(kappa-1)/2) needs
+    # more than 4300 digits from kappa 2900 on, and 2800 still prints
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "740ef5323cd75b88a64f67318ae5ce110d2743cf4e951039e2e52a3cbf10fb08"),
+        ("csv", "66d4fc2fc2e0bf2c3c7cfc0e769c456844870b551f29f68cffe39e1a7d3adef6"),
+        ("text", "d7656fc3cdd4177f317baf31b1ffa75a8ad0e1c4fd863c3949129c7b37079bca"),
+    ])
+    def test_cells_past_the_digit_limit_are_refused(self, capsys, fmt, digest):
+        argv = ["table", "--law", "extreme", "--q", "1/2", "--depth", "5", "--format", fmt]
+        code = main(argv + ["--kappa", "2900"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: Exceeds the limit (4300 digits) for integer string conversion; "
+            "use sys.set_int_max_str_digits() to increase the limit\n")
+        code, out = run(capsys, *argv, "--kappa", "2800")
+        assert (code, sha256(out)) == (0, digest)
 
     def test_missing_law_params_is_usage_error(self, capsys):
         code, _ = run(capsys, "table", "--law", "extreme", "--q", "1/2",
@@ -769,6 +787,22 @@ class TestExitCodes:
             assert (code, captured.out) == (2, ""), flags
             assert captured.err == "error: triangle requires integer strengths, got a=1/2 b=1\n"
 
+    def test_closed_stdout_ends_quietly(self):
+        # 3.3 MB of text, far more than a pipe holds: the write after the
+        # reader has gone fails, and is neither a usage error nor a traceback
+        code = "import sys; from qpascal.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = {"PYTHONPATH": str(Path(qpascal.__file__).resolve().parents[1])}
+        argv = ["table", "--law", "theta", "--theta", "1", "--q", "9/10", "--depth", "60",
+                "--format", "text"]
+        proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert (head, err) == (b" 0 | 1\n 1 ", b"")
+
     @pytest.mark.parametrize("command", [
         ["sample", "--process", "polya", "--n", "3", "--seed", "0"],
         ["table", "--law", "polya", "--depth", "2"],
@@ -857,6 +891,20 @@ class TestMemoryBound:
         flipped = json.loads(out)
         assert flipped["q"] == "2/3"
         assert flipped["v"][depth] == ["0"] * (depth + 1)
+        assert seconds < 2.0
+
+    def test_deep_end_cells_flip_under_the_cap(self, tmp_path):
+        # only k = 0 and k = n are nonzero, and both have m = 0: a power of q
+        # carried through the zero cells would cost O(depth^4) bits
+        depth = 500
+        rows = [["1"]] + [["1"] + ["0"] * (n - 1) + ["1/2"] for n in range(1, depth + 1)]
+        path = write_json(tmp_path / "ends.json", {"q": "3/2", "depth": depth, "v": rows})
+        code, out, err, seconds = run_capped("flip", "--input", path)
+        assert (code, err) == (0, "")
+        flipped = json.loads(out)
+        assert flipped["q"] == "2/3"
+        assert flipped["v"] == [["1"]] + [
+            ["1/2"] + ["0"] * (n - 1) + ["1"] for n in range(1, depth + 1)]
         assert seconds < 2.0
 
     def test_square_grassmannian_under_the_cap(self):

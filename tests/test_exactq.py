@@ -85,6 +85,19 @@ class TestCoercion:
         for x in (F(0), F(2), F(-3, 4), F(10, 7)):
             assert parse_rational(format_rational(x)) == x
 
+    def test_writer_prints_what_str_prints(self):
+        for x in (F(0), F(2), F(-3, 4), F(10, 7), F(-5), F(10**4299), F(-1, 10**4299)):
+            assert format_rational(x) == str(x)
+        assert (format_rational("6/8"), format_rational(-2)) == ("3/4", "-2")
+
+    @pytest.mark.parametrize("x", [F(10**4300), F(-1, 10**4300), F(3, 10**4300 + 1)])
+    def test_writer_refuses_what_str_refuses(self, x):
+        with pytest.raises(ValueError) as want:
+            str(x)
+        with pytest.raises(ValueError) as got:
+            format_rational(x)
+        assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1E+5000", "2.5e5_000", "1e2000000"])
     def test_exponent_beyond_the_digit_limit_refused(self, text):
         with pytest.raises(ValueError, match="exponent"):

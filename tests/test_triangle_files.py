@@ -21,6 +21,7 @@ from qpascal import (
     ThetaParams,
     VArray,
     as_pair,
+    as_pairs,
     check_recursion,
     extreme_chain,
     flip_reduction,
@@ -167,15 +168,52 @@ class TestUnreducedFiles:
         # extreme law at kappa = 1, q = 1/2: rows 1; 1/2 1/2; 1/4 1/2 0
         reduced = {"q": "1/2", "depth": 2, "v": [["1"], ["1/2", "1/2"], ["1/4", "1/2", "0"]]}
         forms = {"q": "1/2", "depth": 2, "v": [[1], ["+3/6", " 1/2 "], ["0.25", "6/12", "0/5"]]}
+        # non-ASCII digits, a padded denominator, a negative zero, underscores
+        edges = {"q": "1/2", "depth": 2,
+                 "v": [["1"], ["\u0661/\u0662", "+3/06"], ["0.25", "1_0/20", "-0/5"]]}
         for argv in (["check", "--kind", "recursion"], ["recover", "--nu", "2", "--kmax", "1"]):
             want = run(capsys, argv + ["--input", write(tmp_path / "a.json", reduced)])
             assert want[0] == 0
             assert run(capsys, argv + ["--input", write(tmp_path / "b.json", forms)]) == want
+            assert run(capsys, argv + ["--input", write(tmp_path / "e.json", edges)]) == want
         raised = {"q": "2", "depth": 2, "v": [["1"], ["6/8", "1/4"], ["0", "1/4", "3/4"]]}
         want = run(capsys, ["flip", "--input", write(tmp_path / "c.json", raised)])
         assert want[0] == 0 and '"3/4"' in want[1] and "6/8" not in want[1]
         raised["v"] = [["2/2"], ["+6/8", "0.25"], [0, "2/8", " 3/4 "]]
         assert run(capsys, ["flip", "--input", write(tmp_path / "d.json", raised)]) == want
+        raised["v"] = [["1"], ["+6/08", "\u0661/4"], ["-0/5", "1_0/40", "3/4"]]
+        assert run(capsys, ["flip", "--input", write(tmp_path / "f.json", raised)]) == want
+
+
+def _outcome(read, value):
+    try:
+        return read(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# cells where a reader of whole rows could part from as_pair's
+_EDGE_CELLS = [
+    "7" * 5000, "-" + "7" * 5000, "1/" + "7" * 5000, "1,2", "1 / 2", "3/00", "+0/0",
+    "\u0661/\u0662", "+3/06", "-0/5", "1_0/20", " 3/4 ", "1\n", "0.5", "1e5000",
+    "1/", "/2", "", "-", "+-1", "5-", "1/-2", "1/+2", "1/2/3", "--1", "0e++0", "abc",
+    3, 0, -7, 0.5, True, None, [1],
+]
+_PLAIN_CELLS = st.builds(
+    lambda num, den, sign: sign + (str(num) if den is None else "%d/%d" % (num, den)),
+    st.integers(0, 10**30), st.none() | st.integers(1, 10**30), st.sampled_from(["", "-", "+"]))
+
+
+class TestRowReader:
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.lists(_PLAIN_CELLS | st.sampled_from(_EDGE_CELLS)
+                        | st.text(alphabet="0123456789/+-, _", max_size=6), max_size=8))
+    def test_a_row_reads_as_its_cells(self, row):
+        assert _outcome(as_pairs, row) == _outcome(lambda r: tuple(map(as_pair, r)), row)
+
+    def test_a_plain_row_keeps_its_pairs(self):
+        assert as_pairs(["6/8", "-3", "+0/5", "007/010"]) == ((6, 8), (-3, 1), (0, 5), (7, 10))
+        assert as_pairs([]) == ()
 
 
 # each file's exit code and stderr line, recorded from the Fraction reader;
@@ -183,6 +221,8 @@ class TestUnreducedFiles:
 _BASE = {"q": "1/2", "depth": 2, "v": [["1"], ["1/2", "1/2"], ["1/4", "1/2", "0"]]}
 _NOT_A = "error: {path} is not a triangle file: "
 _EXACT = "TypeError: exact interfaces take Fraction, int or string, not "
+_LIMIT = ("error: Exceeds the limit (4300 digits) for integer string conversion: "
+          "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit")
 
 
 def _cell(value):
@@ -208,6 +248,11 @@ REFUSALS = {
     "word-cell": (_cell("abc"), 2, "error: Invalid literal for Fraction: 'abc'"),
     "huge-exponent": (_cell("1e5000"), 2, "error: decimal exponent 5000 exceeds 4300 in size"),
     "doubled-sign": (_cell("0e++0"), 2, "error: Invalid literal for Fraction: '0e++0'"),
+    "huge-integer": (_cell("7" * 5000), 2, _LIMIT),
+    "huge-denominator": (_cell("1/" + "7" * 5000), 2, _LIMIT),
+    "comma-in-cell": (_cell("1,2"), 2, "error: Invalid literal for Fraction: '1,2'"),
+    "spaced-slash": (_cell("1 / 2"), 2, "error: Invalid literal for Fraction: '1 / 2'"),
+    "padded-zero-denominator": (_cell("3/00"), 2, "error: zero denominator in '3/00'"),
     "float-q": (_edit(q=0.5), 2, _NOT_A + _EXACT + "0.5"),
     "missing-q": (_edit(q=None), 2, _NOT_A + "KeyError: 'q'"),
     "zero-q": (_edit(q="0"), 2, "error: q must be positive, got 0"),
